@@ -26,7 +26,7 @@ import numpy as np
 
 from .backward import run_backward
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, value_function
+from .model import CountingSampler, EstimateReport, TransitionTable, value_function
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,14 @@ def bidirectional_epe(
     # A residual of exactly zero everywhere contributes exactly zero per
     # walk, so the walks are skipped (identical estimate, zero cost).
     if residual.size and residual.max() > 0.0:
-        row_cums = {}
-        for s, row in outcome.rows.items():
-            idx = np.array(sorted(row), dtype=np.int64)
-            cum = np.cumsum(np.array([row[int(t)] for t in idx]))
-            cum[-1] = 1.0
-            row_cums[s] = (idx, cum)
+        rows = outcome.rows
+        stored = TransitionTable(S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()})
+        draw_stored = stored.draw
+        residual_at = residual.tolist()
 
         for s in range(S):
             child = sampler.spawn("walks", s)
+            uniform = child.rng.random
             acc = 0.0
             for _ in range(config.n_F):
                 steps = geometric_length(alpha, child.rng)
@@ -185,14 +184,12 @@ def bidirectional_epe(
                     capped_walks += 1
                 x = s
                 for _ in range(steps):
-                    cached = row_cums.get(x)
-                    if cached is not None:
-                        idx, cum = cached
-                        x = int(idx[min(np.searchsorted(cum, child.rng.random(), side="right"), idx.size - 1)])
+                    if x in rows:
+                        x = draw_stored(x, uniform())
                         free_forward += 1
                     else:
                         x = child.sample_next(x)
-                acc += residual[x]
+                acc += residual_at[x]
             estimate[s] += acc / config.n_F
             counted_forward += child.draw_count
             sampler.absorb(child)

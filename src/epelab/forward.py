@@ -55,7 +55,8 @@ def forward_epe(
     estimate = acc.reshape(S, m).mean(axis=1)
 
     used = sampler.draw_count - before
-    assert used == S * m * (T - 1)
+    if used != S * m * (T - 1):
+        raise ContractViolation(f"sampler counted {used} draws; forward runs charge S*m*(T-1) = {S * m * (T - 1)}")
     return EstimateReport(
         estimate=estimate,
         samples_used=used,

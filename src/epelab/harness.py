@@ -18,10 +18,12 @@ by default so that default output stays deterministic.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,12 +59,60 @@ _EXPR_NAMES = {
     "max": max,
 }
 
+_EXPR_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+# Exponents are capped so that an expression such as "9**9**9" is refused
+# instead of building a huge integer.
+_MAX_EXPONENT = 64
+
+
+def _eval_expr(node, S: int):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "S":
+        return S
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_expr(node.operand, S)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        left, right = _eval_expr(node.left, S), _eval_expr(node.right, S)
+        if isinstance(node.op, ast.Pow) and abs(right) > _MAX_EXPONENT:
+            raise ContractViolation(f"exponent {right!r} exceeds {_MAX_EXPONENT}")
+        return _EXPR_OPERATORS[type(node.op)](left, right)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EXPR_NAMES
+        and not node.keywords
+    ):
+        return _EXPR_NAMES[node.func.id](*(_eval_expr(arg, S) for arg in node.args))
+    raise ContractViolation(f"{ast.unparse(node)!r} is not allowed in a parameter expression")
+
 
 def eval_param(value, S: int) -> float:
-    """Evaluate a parameter that may be a number or an expression in S."""
-    if isinstance(value, str):
-        return float(eval(value, {"__builtins__": {}}, dict(_EXPR_NAMES, S=S)))
-    return float(value)
+    """Evaluate a parameter that may be a number or an expression in S.
+
+    Expressions are read, not executed: numbers, ``S``, ``+ - * / **``,
+    unary minus and calls of the names in ``_EXPR_NAMES`` are allowed;
+    anything else raises :class:`ContractViolation`.
+    """
+    if not isinstance(value, str):
+        return float(value)
+    try:
+        tree = ast.parse(value, mode="eval")
+    except SyntaxError as exc:
+        raise ContractViolation(f"cannot parse parameter expression {value!r}: {exc.msg}") from None
+    try:
+        return float(_eval_expr(tree.body, S))
+    except ContractViolation:
+        raise
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise ContractViolation(f"parameter expression {value!r} failed: {exc}") from None
 
 
 def count_param(value, S: int) -> int:

@@ -24,6 +24,7 @@ from .model import ProblemInstance, Supergraph
 from .rng import make_rng
 
 RESAMPLE_CAP = 10**6
+MIN_SUCCESS_CHANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,34 @@ def generate_binary_cost(S: int, H: int, seed) -> np.ndarray:
     return _binary_cost(S, H, make_rng(seed))
 
 
+def log_mask_success(S: int, p: float) -> float:
+    """Natural log of the chance that one S x S Bernoulli(p/S) mask gives
+    every row support: S * log(1 - (1 - p/S)^S)."""
+    if p >= S:
+        return 0.0
+    return S * math.log1p(-math.exp(S * math.log1p(-p / S)))
+
+
 def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
     """Draw one problem instance; a pure function of (spec, seed).
 
     All resampling loops continue on the same stream, so reproducibility
     needs no extra bookkeeping.
+
+    Raises :class:`GenerationError` before drawing anything when the mask
+    resampling is hopeless: when RESAMPLE_CAP times the per-attempt success
+    chance (:func:`log_mask_success`) is below ``MIN_SUCCESS_CHANCE`` (1e-6).
+    Such a spec would succeed with a chance under 1e-6 after a full
+    RESAMPLE_CAP attempts; S = 200, p = 1.5 has a chance near 1e-16.
     """
-    rng = make_rng(seed)
     S, p = spec.S, spec.p
+    log_chance = log_mask_success(S, p)
+    if log_chance + math.log(RESAMPLE_CAP) < math.log(MIN_SUCCESS_CHANCE):
+        raise GenerationError(
+            f"an all-rows-supported mask is hopeless within {RESAMPLE_CAP} attempts "
+            f"(S={S}, p={p}: per-attempt chance exp({log_chance:.1f}))"
+        )
+    rng = make_rng(seed)
     weights = rng.random((S, S))
 
     mask = None

@@ -6,7 +6,8 @@ transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 ``Q``. Estimators never read ``Q`` directly; they see it only through a
 :class:`CountingSampler`, which hands out next-state draws and tallies
 every one. The tally is the sample-complexity meter that experiments
-report.
+report. Samplers draw from the instance's :class:`TransitionTable`, the
+rows of ``Q`` in CSR form, built once per instance and shared.
 
 The exact solvers here (:func:`exact_value`,
 :func:`exact_value_power_series`) are the ground truth that every
@@ -18,7 +19,9 @@ States are 0-based everywhere, including on disk.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +81,93 @@ class Supergraph:
         return m
 
 
+class TransitionTable:
+    """Transition rows in compressed sparse row (CSR) form; read-only.
+
+    Row s occupies positions ``indptr[s]:indptr[s+1]`` of ``indices`` (the
+    successor states, ascending), ``probs`` (their probabilities) and
+    ``cum`` (the running sum of ``probs`` with its last entry clamped to
+    1.0, so that every uniform in [0, 1) falls inside the row). A row
+    without successors is empty; drawing from it raises
+    :class:`ContractViolation`.
+
+    Each row's floats come from one ``np.cumsum`` over that row alone, so a
+    draw is bit-identical to ``searchsorted(cum_row, u, side="right")``
+    capped at the row end. Scalar draws bisect Python-list copies of the
+    arrays, which is several times cheaper than a numpy scalar call.
+    """
+
+    def __init__(self, S: int, rows: dict):
+        """``rows`` maps a state to (ascending successors, probabilities);
+        states it omits get empty rows."""
+        degree = np.zeros(S + 1, dtype=np.int64)
+        parts = []
+        for s in sorted(rows):
+            idx, probs = rows[s]
+            probs = np.asarray(probs, dtype=float)
+            cum = np.cumsum(probs)
+            cum[-1] = 1.0
+            degree[s + 1] = probs.size
+            parts.append((np.asarray(idx, dtype=np.int64), probs, cum))
+        if not parts:
+            parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+        self.indptr = np.cumsum(degree)
+        self.indices, self.probs, self.cum = (np.concatenate(column) for column in zip(*parts))
+        for arr in (self.indptr, self.indices, self.probs, self.cum):
+            arr.setflags(write=False)
+        self._indptr = self.indptr.tolist()
+        self._indices = self.indices.tolist()
+        self._cum = self.cum.tolist()
+        # Binary-search passes that shrink the widest row to one entry.
+        self._passes = max(int(degree.max()) - 1, 0).bit_length()
+
+    @classmethod
+    def from_matrix(cls, Q: np.ndarray) -> "TransitionTable":
+        """Rows of a dense matrix: the positive entries of each row,
+        renormalized to sum to one."""
+        rows = {}
+        for s in range(Q.shape[0]):
+            idx = np.flatnonzero(Q[s] > 0)
+            if idx.size:
+                probs = Q[s, idx]
+                rows[s] = (idx, probs / probs.sum())
+        return cls(Q.shape[0], rows)
+
+    def row(self, s: int) -> tuple:
+        """(successors, probabilities, cumulative) views of row s."""
+        lo, hi = self._indptr[s], self._indptr[s + 1]
+        if lo == hi:
+            raise ContractViolation(f"state {s} has an all-zero transition row")
+        return self.indices[lo:hi], self.probs[lo:hi], self.cum[lo:hi]
+
+    def draw(self, s: int, u: float) -> int:
+        """Successor of s selected by the uniform u in [0, 1)."""
+        lo, hi = self._indptr[s], self._indptr[s + 1]
+        if lo == hi:
+            raise ContractViolation(f"state {s} has an all-zero transition row")
+        # Searching [lo, hi - 1) caps the position at the row's last entry.
+        return self._indices[bisect_right(self._cum, u, lo, hi - 1)]
+
+    def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i.
+
+        A binary search run over every row segment at once: the answer
+        always lies in [lo, hi], and the clamped last entry (1.0 > u) keeps
+        a converged search in place on the remaining passes.
+        """
+        lo = self.indptr[states]
+        hi = self.indptr[states + 1] - 1
+        if np.any(hi < lo):
+            bad = int(states[np.argmax(hi < lo)])
+            raise ContractViolation(f"state {bad} has an all-zero transition row")
+        for _ in range(self._passes):
+            mid = (lo + hi) >> 1
+            right = self.cum[mid] <= u
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return self.indices[lo]
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Ground truth for one evaluation problem: (S, alpha, cost, Q, supergraph)."""
@@ -100,6 +190,12 @@ class ProblemInstance:
         if supergraph is None:
             supergraph = Supergraph.from_mask(Q > 0)
         return cls(S=S, alpha=float(alpha), cost=cost, Q=Q, supergraph=supergraph)
+
+    @cached_property
+    def transitions(self) -> TransitionTable:
+        """The instance's one row table, built on first use and shared by
+        every sampler on this instance."""
+        return TransitionTable.from_matrix(self.Q)
 
     @property
     def cost_inf(self) -> float:
@@ -235,30 +331,19 @@ class CountingSampler:
     samplers built with the same seed produce identical draw sequences for
     identical call sequences.
 
-    Single-owner mutable state: give each concurrent run its own sampler
+    Rows come from the instance's read-only :class:`TransitionTable`,
+    built once per instance and shared by every sampler and spawned child;
+    a sampler keeps no row state of its own. The stream and the tally are
+    single-owner mutable state: give each concurrent run its own sampler
     (or a spawned child) rather than sharing one.
     """
 
     def __init__(self, instance: ProblemInstance, seed):
         self.instance = instance
+        self.table = instance.transitions
         self._entropy = as_entropy(seed)
         self.rng = make_rng(self._entropy)
         self.draw_count = 0
-        self._rows: dict[int, tuple] = {}
-
-    def _row(self, s: int):
-        cached = self._rows.get(s)
-        if cached is None:
-            idx = np.flatnonzero(self.instance.Q[s] > 0)
-            if idx.size == 0:
-                raise ContractViolation(f"state {s} has an all-zero transition row")
-            probs = self.instance.Q[s, idx]
-            probs = probs / probs.sum()
-            cum = np.cumsum(probs)
-            cum[-1] = 1.0
-            cached = (idx, probs, cum)
-            self._rows[s] = cached
-        return cached
 
     def _check_state(self, s: int):
         if not 0 <= s < self.instance.S:
@@ -266,11 +351,11 @@ class CountingSampler:
 
     def sample_next(self, s: int) -> int:
         """One draw from Q(s, .); counts as one sample."""
-        self._check_state(int(s))
-        idx, _, cum = self._row(int(s))
-        u = self.rng.random()
+        s = int(s)
+        self._check_state(s)
+        t = self.table.draw(s, self.rng.random())
         self.draw_count += 1
-        return int(idx[min(np.searchsorted(cum, u, side="right"), idx.size - 1)])
+        return t
 
     def sample_next_batch(self, states: np.ndarray) -> np.ndarray:
         """Vectorized successor draws, one per entry; counts len(states) samples.
@@ -281,13 +366,7 @@ class CountingSampler:
         states = np.asarray(states, dtype=np.int64)
         if states.size and (states.min() < 0 or states.max() >= self.instance.S):
             raise ContractViolation("state index out of range in batch")
-        u = self.rng.random(states.size)
-        out = np.empty(states.size, dtype=np.int64)
-        for s in np.unique(states):
-            idx, _, cum = self._row(int(s))
-            pos = states == s
-            hits = np.minimum(np.searchsorted(cum, u[pos], side="right"), idx.size - 1)
-            out[pos] = idx[hits]
+        out = self.table.draw_batch(states, self.rng.random(states.size))
         self.draw_count += int(states.size)
         return out
 
@@ -301,7 +380,7 @@ class CountingSampler:
         if n < 1:
             raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
         self._check_state(int(s))
-        idx, probs, _ = self._row(int(s))
+        idx, probs, _ = self.table.row(int(s))
         counts = self.rng.multinomial(n, probs)
         self.draw_count += int(n)
         return {int(t): c / n for t, c in zip(idx, counts) if c > 0}

@@ -251,6 +251,12 @@ class FreshEmpiricalRows:
         return col
 
 
+# A residual at most this share of ||c||_inf is below the float resolution
+# of the estimates (v = v_hat + nu r with nu row stochastic, so the whole
+# remaining correction is at most max r), and pushing it is wasted work.
+NEGLIGIBLE_RESIDUAL = 2.0**-53
+
+
 def default_iteration_cap(cost: np.ndarray, alpha: float, epsilon: float) -> int:
     """Safety cap far above both the typical-case and the sure push bounds."""
     S = cost.size
@@ -287,7 +293,13 @@ def run_push_loop(
     iteration_cap: int | None = None,
 ) -> PushOutcome:
     """Run the push loop until the residual max drops to epsilon (or a
-    caller-supplied stop_check fires after an iteration completes)."""
+    caller-supplied stop_check fires after an iteration completes).
+
+    The loop also stops, with stop_reason "negligible", once the residual
+    max is at most ``NEGLIGIBLE_RESIDUAL * ||c||_inf``. That matters only
+    for epsilon below it, as in the dynamic mode's epsilon = 0: a residual
+    on a self-loop decays by alpha per push but never reaches zero.
+    """
     if epsilon < 0.0:
         raise ContractViolation(f"termination threshold must be >= 0, got {epsilon}")
     if not (0.0 < alpha < 1.0):
@@ -299,12 +311,17 @@ def run_push_loop(
     records: list[PushRecord] = [] if trace else None
     cap = iteration_cap if iteration_cap is not None else default_iteration_cap(cost, alpha, epsilon)
 
+    negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
+
     k = 0
     stop_reason = "threshold"
     while True:
         top = heap.peek_max()
         if top is None or top <= epsilon:
             stop_reason = "threshold" if top is not None else "exhausted"
+            break
+        if top <= negligible:
+            stop_reason = "negligible"
             break
         if k >= cap:
             raise IterationLimitExceeded(

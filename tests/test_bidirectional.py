@@ -125,6 +125,29 @@ class TestBidirectionalEpe:
         assert all(size < threshold for size in sizes[:-1])
         assert sizes[-1] >= threshold
 
+    def test_dynamic_mode_stops_when_encountered_set_cannot_grow(self):
+        # Cost sits only on an absorbing state that no other state reaches,
+        # so the encountered set stays at 1 of the 34 the trigger needs and
+        # the self-loop residual decays by alpha per push without reaching 0.
+        S = 50
+        Q = np.zeros((S, S))
+        for s in range(S - 1):
+            Q[s, (s + 1) % (S - 1)] += 0.5
+            Q[s, (3 * s + 7) % (S - 1)] += 0.5
+        Q[S - 1, S - 1] = 1.0
+        cost = np.zeros(S)
+        cost[S - 1] = 1.0
+        inst = instance_from(0.9, cost, Q)
+        config = BidirectionalConfig(epsilon=None, n_B=50, n_F=11, termination_mode="dynamic")
+        assert dynamic_stop_threshold(S, 50, 11, 0.9) == 34
+        sampler = CountingSampler(inst, 1)
+        report = bidirectional_epe(sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
+        assert report.diagnostics["stop_reason"] == "negligible"
+        assert report.encountered_size == 1
+        assert report.diagnostics["final_residual_max"] <= 2.0**-53
+        assert report.samples_used == sampler.draw_count
+        assert report.estimate == pytest.approx(exact_value(inst), abs=1e-12)
+
     def test_dynamic_threshold_balances_draw_bills(self):
         # Smallest encountered count whose backward bill covers the
         # expected charged walk bill of the remaining states.

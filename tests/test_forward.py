@@ -33,6 +33,19 @@ class TestForwardEpe:
         assert report.samples_used == 9 * 4 * 5 == sampler.draw_count
         assert report.iterations == 9 * 4
 
+    def test_miscounting_sampler_is_refused(self):
+        # The draw-accounting check must be a raise, not an assert that
+        # python -O strips.
+        class SkipsCounting(CountingSampler):
+            def sample_next_batch(self, states):
+                out = super().sample_next_batch(states)
+                self.draw_count -= 1
+                return out
+
+        inst = random_instance(S=9, p=3, alpha=0.5, seed="fw")
+        with pytest.raises(ContractViolation, match="S\\*m\\*\\(T-1\\)"):
+            forward_epe(SkipsCounting(inst, 0), inst.cost, 0.5, ForwardConfig(T=3, m=2))
+
     def test_unbiased_for_truncated_value(self):
         # Mean over many trajectories matches the T-term series within 3 sigma.
         inst = random_instance(S=3, p=2, alpha=0.6, seed="unbias")

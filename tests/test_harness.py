@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ from epelab import (
     EnsembleSpec,
     ExperimentConfig,
     bound_report,
+    fig1_config,
+    fig2_config,
     read_csv,
     run_experiment,
     summarize,
@@ -53,6 +56,49 @@ class TestParamExpressions:
 
     def test_float_fuzz_does_not_inflate_counts(self):
         assert count_param("0.05*S", 800) == 40
+
+    def test_shipped_expressions_keep_their_values(self):
+        # Every expression in fig1_config, fig2_config and the README.
+        expected = {
+            "10/S": lambda S: 10 / S,
+            "S": lambda S: S,
+            "0.05*S": lambda S: 0.05 * S,
+            "1.5*sqrt(S)": lambda S: 1.5 * math.sqrt(S),
+            "ceil(1.5*sqrt(S))": lambda S: math.ceil(1.5 * math.sqrt(S)),
+        }
+        configs = (fig1_config(), fig2_config())
+        shipped = {v for c in configs for a in c.algorithms for v in a.params.values() if isinstance(v, str)}
+        assert shipped - {"dynamic"} <= set(expected)
+        for S in (1, 7, 100, 200, 400, 800, 1600, 3200):
+            for text, reference in expected.items():
+                assert eval_param(text, S) == float(reference(S))
+        assert eval_param("-S + 2**3 - max(1, floor(S/3)) * min(2, log(S))", 9) == -9 + 8 - 3 * min(2, math.log(9))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "().__class__.__base__",
+            "().__class__.__base__.__subclasses__()",
+            "S.real",
+            "__import__('os')",
+            "open('x')",
+            "sqrt",
+            "sqrt(x=4)",
+            "min(*[1, 2])",
+            "[S]",
+            "'S'",
+            "True",
+            "lambda: 1",
+            "S if S else 1",
+            "S // 2",
+            "9**9**9",
+            "1/0",
+            "S +",
+        ],
+    )
+    def test_anything_else_is_rejected(self, text):
+        with pytest.raises(ContractViolation):
+            eval_param(text, 10)
 
 
 class TestRunExperiment:

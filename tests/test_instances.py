@@ -1,14 +1,19 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from epelab import (
     ContractViolation,
     EnsembleSpec,
+    GenerationError,
     density_for_case,
     generate_binary_cost,
     generate_instance,
     validate_instance,
 )
+from epelab.instances import log_mask_success
 
 
 class TestGenerateInstance:
@@ -34,6 +39,17 @@ class TestGenerateInstance:
         b = generate_instance(spec, ("same", 1))
         assert np.array_equal(a.Q, b.Q)
         assert np.array_equal(a.cost, b.cost)
+
+    def test_hopeless_mask_spec_fails_fast(self):
+        # One mask attempt succeeds with chance ~exp(-50) here; redrawing
+        # up to RESAMPLE_CAP masks used to take minutes.
+        spec = EnsembleSpec(S=200, p=1.5, alpha=0.5)
+        started = time.perf_counter()
+        with pytest.raises(GenerationError, match="hopeless"):
+            generate_instance(spec, 0)
+        assert time.perf_counter() - started < 1.0
+        assert log_mask_success(200, 1.5) == pytest.approx(200 * math.log(1 - (1 - 1.5 / 200) ** 200))
+        assert log_mask_success(6, 6) == 0.0
 
     def test_mixed_cost_moments(self):
         # E d_bar = p and E ||c||_1 = 3p/2 at the stated tolerance band.

@@ -151,6 +151,99 @@ class TestCountingSampler:
         assert [child_a.sample_next(1) for _ in range(20)] == [child_b.sample_next(1) for _ in range(20)]
 
 
+def searchsorted_reference(Q, states, u):
+    """Draws as the per-row CDF search computes them, row by row from Q."""
+    out = np.empty(states.size, dtype=np.int64)
+    for i, (s, x) in enumerate(zip(states, u)):
+        idx = np.flatnonzero(Q[s] > 0)
+        probs = Q[s, idx] / Q[s, idx].sum()
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        out[i] = idx[min(np.searchsorted(cum, x, side="right"), idx.size - 1)]
+    return out
+
+
+class TestTransitionTable:
+    @pytest.fixture(scope="class")
+    def mixed_rows(self):
+        # A random chain with an absorbing state and degree-1 rows spliced in.
+        base = random_instance(S=300, p=10, alpha=0.9, seed="table")
+        Q = base.Q.copy()
+        Q[7] = 0.0
+        Q[7, 7] = 1.0
+        for s, t in ((11, 250), (12, 0), (299, 298)):
+            Q[s] = 0.0
+            Q[s, t] = 1.0
+        return instance_from(0.9, base.cost, Q)
+
+    def test_rows_match_dense_matrix(self, mixed_rows):
+        table = mixed_rows.transitions
+        for s in range(mixed_rows.S):
+            idx, probs, cum = table.row(s)
+            assert np.array_equal(idx, np.flatnonzero(mixed_rows.Q[s] > 0))
+            assert np.array_equal(probs, mixed_rows.Q[s, idx] / mixed_rows.Q[s, idx].sum())
+            assert cum[-1] == 1.0
+        assert table.row(7)[0].tolist() == [7]
+        assert table.row(11)[0].tolist() == [250]
+
+    def test_batch_draws_equal_single_draws(self, mixed_rows):
+        S, n = mixed_rows.S, 120_000
+        rng = np.random.default_rng(5)
+        states = rng.integers(0, S, n)
+        states[:300] = [7, 11, 12, 299] * 75
+        a = CountingSampler(mixed_rows, 3)
+        b = CountingSampler(mixed_rows, 3)
+        batch = a.sample_next_batch(states)
+        singles = np.array([b.sample_next(s) for s in states])
+        assert np.array_equal(batch, singles)
+        assert a.draw_count == b.draw_count == n
+        assert set(batch[:300].tolist()) == {7, 250, 0, 298}
+
+    def test_draws_equal_reference_on_cdf_boundaries(self, mixed_rows):
+        # Uniforms on and one ulp either side of a row's CDF entries are
+        # where a shifted or re-summed CDF would disagree with the row search.
+        table = mixed_rows.transitions
+        rng = np.random.default_rng(6)
+        states = rng.integers(0, mixed_rows.S, 6000)
+        lo, hi = table.indptr[states], table.indptr[states + 1]
+        u = table.cum[lo + (rng.random(states.size) * (hi - lo)).astype(np.int64)]
+        u = np.where(u >= 1.0, rng.random(states.size), u)
+        shift = np.arange(u.size) % 3  # on the entry, one ulp below, one ulp above
+        u = np.where(shift == 1, np.nextafter(u, -np.inf), np.where(shift == 2, np.nextafter(u, np.inf), u))
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        expected = searchsorted_reference(mixed_rows.Q, states, u)
+        assert np.array_equal(table.draw_batch(states, u), expected)
+        assert [table.draw(int(s), float(x)) for s, x in zip(states, u)] == expected.tolist()
+
+    def test_spawned_children_share_the_instance_table(self, mixed_rows):
+        parent = CountingSampler(mixed_rows, 1)
+        child = parent.spawn("walks", 4)
+        grandchild = child.spawn("again")
+        assert parent.table is child.table is grandchild.table is mixed_rows.transitions
+        for sampler in (parent, child, grandchild):
+            sampler.sample_next(3)
+            assert not any(isinstance(v, dict) for v in vars(sampler).values())
+
+    def test_table_is_read_only(self, mixed_rows):
+        table = mixed_rows.transitions
+        for arr in (table.indptr, table.indices, table.probs, table.cum):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_all_zero_row_constructs_but_cannot_be_drawn(self):
+        inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]])
+        assert [v.kind for v in validate_instance(inst)] == ["row_sum"]
+        sampler = CountingSampler(inst, 0)
+        assert sampler.sample_next(0) in (0, 1)
+        with pytest.raises(ContractViolation, match="all-zero"):
+            sampler.sample_next(1)
+        with pytest.raises(ContractViolation, match="all-zero"):
+            sampler.sample_next_batch(np.array([0, 1, 0]))
+        with pytest.raises(ContractViolation, match="all-zero"):
+            sampler.sample_empirical_row(1, 5)
+        assert sampler.draw_count == 1
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         inst = random_instance(S=9, p=3, alpha=0.77, seed="json")
