@@ -23,10 +23,6 @@ from .model import CountingSampler, EstimateReport
 from .push import ExactRows, FreshEmpiricalRows, PushTrace, replay_errors, run_push_loop
 
 
-def _support_in_neighbors(Q: np.ndarray):
-    return [np.flatnonzero(Q[:, t] > 0).astype(np.int64) for t in range(Q.shape[0])]
-
-
 def approx_contributions(
     Q: np.ndarray,
     cost: np.ndarray,
@@ -39,15 +35,15 @@ def approx_contributions(
     """Known-matrix push estimator; sup-norm error at most epsilon, zero draws."""
     if epsilon <= 0.0:
         raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
-    Q = np.asarray(Q, dtype=float)
+    rows = ExactRows(np.asarray(Q, dtype=float))
     if in_neighbors is None:
-        in_neighbors = _support_in_neighbors(Q)
+        in_neighbors = rows.support_in_neighbors()
     outcome = run_push_loop(
         cost=np.asarray(cost, dtype=float),
         alpha=alpha,
         in_neighbors=in_neighbors,
         epsilon=epsilon,
-        row_source=ExactRows(Q),
+        row_source=rows,
         tie_rng=rng,
         trace=trace,
     )

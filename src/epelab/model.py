@@ -19,7 +19,7 @@ States are 0-based everywhere, including on disk.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,34 +51,66 @@ class Supergraph:
         outs = tuple(np.array(sorted(int(t) for t in row), dtype=np.int64) for row in out_edges)
         if len(outs) != S:
             raise ContractViolation(f"expected {S} out-edge rows, got {len(outs)}")
-        incoming = [[] for _ in range(S)]
-        for s, row in enumerate(outs):
-            for t in row:
-                if not 0 <= t < S:
-                    raise ContractViolation(f"edge target {t} out of range for S={S}")
-                incoming[int(t)].append(s)
-        in_neighbors = tuple(np.array(row, dtype=np.int64) for row in incoming)
-        in_degrees = np.array([len(row) for row in incoming], dtype=np.int64)
-        in_degrees.setflags(write=False)
-        return cls(
-            S=S,
-            out_edges=outs,
-            in_neighbors=in_neighbors,
-            in_degrees=in_degrees,
-            avg_degree=float(in_degrees.mean()),
-        )
+        sources, targets = _edge_arrays(outs)
+        return cls._from_edges(S, outs, sources, targets)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Supergraph":
         mask = np.asarray(mask)
         S = mask.shape[0]
-        return cls.from_out_edges(S, [np.flatnonzero(mask[s]).tolist() for s in range(S)])
+        sources, targets = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        return cls._from_edges(S, tuple(_split_rows(targets, sources, S)), sources, targets)
+
+    @classmethod
+    def _from_edges(cls, S: int, outs: tuple, sources: np.ndarray, targets: np.ndarray) -> "Supergraph":
+        """``outs`` are the ascending out-edge rows; ``sources`` and
+        ``targets`` list the same edges row by row."""
+        bad = (targets < 0) | (targets >= S)
+        if bad.any():
+            raise ContractViolation(f"edge target {int(targets[np.argmax(bad)])} out of range for S={S}")
+        in_degrees = np.bincount(targets, minlength=S).astype(np.int64)
+        in_degrees.setflags(write=False)
+        return cls(
+            S=S,
+            out_edges=outs,
+            in_neighbors=_in_rows(S, sources, targets),
+            in_degrees=in_degrees,
+            avg_degree=float(in_degrees.mean()),
+        )
 
     def edge_mask(self) -> np.ndarray:
         m = np.zeros((self.S, self.S), dtype=bool)
         for s, row in enumerate(self.out_edges):
             m[s, row] = True
         return m
+
+
+def _split_rows(values: np.ndarray, keys: np.ndarray, S: int) -> list:
+    """Split ``values`` into S runs by their ascending ``keys`` in [0, S)."""
+    return np.split(values, np.searchsorted(keys, np.arange(1, S)))[:S]
+
+
+def _edge_arrays(rows) -> tuple:
+    """(sources, targets) of every edge of the out-edge ``rows``, row by row."""
+    rows = [np.asarray(row, dtype=np.int64) for row in rows]
+    targets = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return np.repeat(np.arange(len(rows), dtype=np.int64), [row.size for row in rows]), targets
+
+
+def _in_rows(S: int, sources: np.ndarray, targets: np.ndarray) -> tuple:
+    # A stable sort by target keeps each target's sources ascending.
+    order = np.argsort(targets, kind="stable")
+    return tuple(_split_rows(sources[order], targets[order], S))
+
+
+def transpose_rows(S: int, rows) -> tuple:
+    """In-neighbor arrays of the out-edge ``rows`` of an S-state graph.
+
+    Entry t lists, in ascending order, every s whose row holds t (a state
+    repeated in a row is listed as often). One stable sort of the edge
+    list replaces a per-edge Python loop.
+    """
+    return _in_rows(S, *_edge_arrays(rows))
 
 
 class TransitionTable:
@@ -139,6 +171,23 @@ class TransitionTable:
         if lo == hi:
             raise ContractViolation(f"state {s} has an all-zero transition row")
         return self.indices[lo:hi], self.probs[lo:hi], self.cum[lo:hi]
+
+    @cached_property
+    def _prob_rows(self) -> list:
+        return [self.probs[lo:hi] for lo, hi in zip(self._indptr, self._indptr[1:])]
+
+    def row_probs(self, s: int) -> np.ndarray:
+        """Probabilities of row s, a view held by the table."""
+        probs = self._prob_rows[s]
+        if not probs.size:
+            raise ContractViolation(f"state {s} has an all-zero transition row")
+        return probs
+
+    def offset(self, s: int, t: int) -> int:
+        """Position of successor t within row s, or -1 if t is not in it."""
+        lo, hi = self._indptr[s], self._indptr[s + 1]
+        i = bisect_left(self._indices, t, lo, hi)
+        return i - lo if i < hi and self._indices[i] == t else -1
 
     def draw(self, s: int, u: float) -> int:
         """Successor of s selected by the uniform u in [0, 1)."""
@@ -258,12 +307,9 @@ def validate_instance(instance: ProblemInstance) -> list:
         )
 
     # Supergraph internal consistency (transpose, degrees, average).
-    incoming = [[] for _ in range(S)]
-    for s, row in enumerate(sg.out_edges):
-        for t in row:
-            incoming[int(t)].append(s)
+    incoming = transpose_rows(S, sg.out_edges)
     for s in range(S):
-        if not np.array_equal(np.array(incoming[s], dtype=np.int64), sg.in_neighbors[s]):
+        if not np.array_equal(incoming[s], sg.in_neighbors[s]):
             out.append(Violation("in_neighbor_transpose", (s,), "in_neighbors is not the transpose"))
         if sg.in_degrees[s] != len(sg.in_neighbors[s]):
             out.append(Violation("in_degree", (s,), "d_in(s) != |N_in(s)|"))
@@ -326,8 +372,8 @@ class CountingSampler:
     """The only channel through which estimators observe the chain.
 
     Wraps one seeded stream. ``sample_next`` draws a successor of ``s``
-    distributed as Q(s, .) and bumps ``draw_count`` by exactly 1; the batch
-    and row channels bump it by the number of draws they represent. Two
+    distributed as Q(s, .) and bumps ``draw_count`` by exactly 1; the batch,
+    row and column channels bump it by the number of draws they represent. Two
     samplers built with the same seed produce identical draw sequences for
     identical call sequences.
 
@@ -383,7 +429,28 @@ class CountingSampler:
         idx, probs, _ = self.table.row(int(s))
         counts = self.rng.multinomial(n, probs)
         self.draw_count += int(n)
-        return {int(t): c / n for t, c in zip(idx, counts) if c > 0}
+        return {t: c / n for t, c in zip(idx.tolist(), counts.tolist()) if c > 0}
+
+    def sample_empirical_column(self, states, t: int, n: int) -> dict:
+        """Estimate Q(s, t) from n fresh draws for each s in ``states``;
+        counts n samples per state.
+
+        Each state, in order, draws the same multinomial as
+        :meth:`sample_empirical_row`, so the result equals
+        ``{s: sample_empirical_row(s, n).get(t, 0.0)}`` and the stream ends
+        in the same place; only the entry at t is read out of each row.
+        """
+        if n < 1:
+            raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
+        table, multinomial = self.table, self.rng.multinomial
+        column = {}
+        for s in state_list(states):
+            self._check_state(s)
+            counts = multinomial(n, table.row_probs(s))
+            self.draw_count += int(n)
+            i = table.offset(s, t)
+            column[s] = int(counts[i]) / n if i >= 0 else 0.0
+        return column
 
     def derive(self, *labels) -> np.random.Generator:
         """Independent auxiliary stream tied to this sampler's seed."""
@@ -396,6 +463,13 @@ class CountingSampler:
     def absorb(self, child: "CountingSampler") -> None:
         """Merge a spawned child's draw tally into this sampler's count."""
         self.draw_count += child.draw_count
+
+
+def state_list(states) -> list:
+    """States as a list of Python ints; numpy arrays convert in one call."""
+    if isinstance(states, np.ndarray):
+        return states.tolist()
+    return [int(s) for s in states]
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

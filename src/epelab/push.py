@@ -5,7 +5,26 @@ exact rows from a known matrix, empirical rows cached at first encounter,
 or fresh empirical rows on every visit. The loop repeatedly selects a
 state of maximal residual, moves a (1-alpha) share of its residual into
 the estimate, and redistributes an alpha share to its in-neighbors
-weighted by the row source's column entries.
+weighted by the row source's column entries. This is the local push of
+Andersen, Chung & Lang (FOCS 2006) with sampled columns.
+
+Layout of the kernel:
+
+- Inside the loop the estimate and the residual are lists of Python
+  floats, which index and update several times faster than numpy
+  scalars; they become arrays when the loop ends. Every float is the one
+  :func:`apply_push` computes on arrays, so replay reproduces a run bit
+  for bit.
+- A row source hands back the column of the pushed state as a
+  {in-neighbor: entry} dict. Exact rows read column dicts built in one
+  pass over the known matrix. Empirical rows are drawn from the
+  instance's :class:`~epelab.model.TransitionTable`: cached rows through
+  the sampler's row channel, fresh ones through its column channel, which
+  draws each in-neighbor's full multinomial row (so the stream is the
+  row channel's) but reads out only the pushed state's entry.
+- An in-neighbor whose column entry is exactly 0.0 keeps its residual,
+  so the loop does not re-enter it in the max-heap: its live entry is
+  still valid.
 
 Tie-breaking among maximal residuals is uniform over the exact-equality
 tie set, drawn from a stream separate from the sampling stream so that
@@ -26,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, discounted_occupancy
+from .model import CountingSampler, discounted_occupancy, state_list
 
 
 @dataclass
@@ -167,7 +186,7 @@ class _MaxResidualHeap:
     valid pop is a true maximizer.
     """
 
-    def __init__(self, residual: np.ndarray):
+    def __init__(self, residual: list):
         self._residual = residual
         self._heap = [(-v, s) for s, v in enumerate(residual) if v > 0.0]
         heapq.heapify(self._heap)
@@ -211,25 +230,42 @@ class CachedEmpiricalRows:
 
     def column(self, neighbors, s_k: int) -> dict:
         col = {}
-        for s in neighbors:
-            s = int(s)
-            if s not in self.encountered:
-                self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
+        for s in state_list(neighbors):
+            row = self.rows.get(s)
+            if row is None:
+                row = self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
                 self.encountered.add(s)
-            col[s] = self.rows[s].get(s_k, 0.0)
+            col[s] = row.get(s_k, 0.0)
         return col
 
 
 class ExactRows:
-    """Row source reading a known transition matrix. Draws nothing."""
+    """Row source reading a known transition matrix. Draws nothing.
+
+    ``columns[t]`` maps each s with a nonzero Q[s, t] to that raw entry
+    (not a renormalized row); all columns come from one ``np.flatnonzero``
+    pass over Q.
+    """
 
     def __init__(self, Q: np.ndarray):
         self.Q = Q
+        sources, targets = np.divmod(np.flatnonzero(Q), Q.shape[1])
+        order = np.argsort(targets, kind="stable")
+        sources, targets = sources[order], targets[order]
+        values = Q[sources, targets].tolist()
+        bounds = np.searchsorted(targets, np.arange(Q.shape[1] + 1)).tolist()
+        sources = sources.tolist()
+        self.columns = [dict(zip(sources[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         self.rows = None
         self.encountered = None
 
+    def support_in_neighbors(self) -> list:
+        """For each state t, the states s with Q[s, t] > 0, ascending."""
+        return [[s for s, q in col.items() if q > 0.0] for col in self.columns]
+
     def column(self, neighbors, s_k: int) -> dict:
-        return {int(s): float(self.Q[int(s), s_k]) for s in neighbors}
+        entries = self.columns[s_k]
+        return {s: entries.get(s, 0.0) for s in state_list(neighbors)}
 
 
 class FreshEmpiricalRows:
@@ -244,11 +280,7 @@ class FreshEmpiricalRows:
         self.encountered = None
 
     def column(self, neighbors, s_k: int) -> dict:
-        col = {}
-        for s in neighbors:
-            row = self.sampler.sample_empirical_row(int(s), self.n)
-            col[int(s)] = row.get(s_k, 0.0)
-        return col
+        return self.sampler.sample_empirical_column(neighbors, s_k, self.n)
 
 
 # A residual at most this share of ||c||_inf is below the float resolution
@@ -258,12 +290,18 @@ NEGLIGIBLE_RESIDUAL = 2.0**-53
 
 
 def default_iteration_cap(cost: np.ndarray, alpha: float, epsilon: float) -> int:
-    """Safety cap far above both the typical-case and the sure push bounds."""
+    """Safety cap far above both the typical-case and the sure push bounds.
+
+    With epsilon 0 the loop runs down to the negligible floor, and a
+    self-loop residual needs about 53 ln 2 / (1 - alpha) < 37 / (1 - alpha)
+    pushes of its state to fall that far; the cap allows that many per
+    state on top of 100 per state.
+    """
     S = cost.size
     c1 = float(np.abs(cost).sum())
     c_inf = float(np.max(cost)) if S else 0.0
     if epsilon <= 0.0 or c_inf == 0.0:
-        return 100 * S + 1000
+        return S * (100 + math.ceil(37.0 / (1.0 - alpha))) + 1000
     typical = 10 * math.ceil(c1 / (epsilon * (1.0 - alpha)))
     sure = math.ceil(S * c_inf / (epsilon * (1.0 - alpha))) + 1
     return max(typical, sure)
@@ -305,8 +343,8 @@ def run_push_loop(
     if not (0.0 < alpha < 1.0):
         raise ContractViolation(f"discount must lie in (0,1), got {alpha}")
 
-    v_hat = np.zeros(cost.size, dtype=float)
-    residual = cost.astype(float).copy()
+    v_hat = [0.0] * cost.size
+    residual = cost.astype(float).tolist()
     heap = _MaxResidualHeap(residual)
     records: list[PushRecord] = [] if trace else None
     cap = iteration_cap if iteration_cap is not None else default_iteration_cap(cost, alpha, epsilon)
@@ -331,23 +369,25 @@ def run_push_loop(
         ties = heap.pop_tie_set(top)
         s_k = ties[0] if len(ties) == 1 else ties[int(tie_rng.integers(len(ties)))]
         rho = residual[s_k]
-        if trace and rho != residual.max():
+        if trace and rho != max(residual):
             raise ContractViolation("heap selection is not a true residual maximizer")
 
-        neighbors = in_neighbors[s_k]
-        column = row_source.column(neighbors, s_k)
+        column = row_source.column(in_neighbors[s_k], s_k)
         if records is not None:
             records.append(PushRecord(state=s_k, residual=rho, column=dict(column)))
         apply_push(v_hat, residual, alpha, s_k, column)
         heap.notify(s_k)
-        for s in column:
-            if s != s_k:
+        for s, q in column.items():
+            # A zero entry left residual[s] as it was, so its heap entry stands.
+            if q != 0.0 and s != s_k:
                 heap.notify(s)
 
         if stop_check is not None and stop_check(k, row_source.encountered):
             stop_reason = "dynamic"
             break
 
+    v_hat = np.array(v_hat, dtype=float)
+    residual = np.array(residual, dtype=float)
     encountered = frozenset(row_source.encountered) if row_source.encountered is not None else frozenset()
     rows = dict(row_source.rows) if row_source.rows is not None else {}
     push_trace = None

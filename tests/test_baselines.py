@@ -10,6 +10,7 @@ from epelab import (
     error_process,
     exact_value,
 )
+from epelab.push import ExactRows
 from epelab.rng import make_rng
 from conftest import random_instance
 
@@ -46,6 +47,26 @@ class TestApproxContributions:
             report = approx_contributions(inst.Q, inst.cost, alpha, epsilon, make_rng(i))
             bound = np.sum(exact_value(inst)) / (epsilon * (1 - alpha))
             assert report.iterations <= bound + 1e-9
+
+
+class TestExactRows:
+    def test_columns_equal_dense_entries_on_superset_neighbors(self):
+        # Every state is listed as a neighbor, so most have Q[s, t] = 0.
+        inst = random_instance(S=12, p=3, alpha=0.5, seed="cols")
+        rows = ExactRows(inst.Q)
+        everyone = np.arange(12, dtype=np.int64)
+        for t in range(12):
+            column = rows.column(everyone, t)
+            assert list(column) == everyone.tolist()
+            assert [column[s] for s in range(12)] == inst.Q[:, t].tolist()
+            assert all(type(q) is float for q in column.values())
+            assert rows.column(everyone[::-1].tolist(), t) == column
+
+    def test_default_in_neighbors_are_the_column_supports(self):
+        inst = random_instance(S=15, p=3, alpha=0.5, seed="supp")
+        support = ExactRows(inst.Q).support_in_neighbors()
+        assert support == [np.flatnonzero(inst.Q[:, t] > 0).tolist() for t in range(15)]
+        assert support == [row.tolist() for row in inst.supergraph.in_neighbors]
 
 
 class TestBackwardAlternative:

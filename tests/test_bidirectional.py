@@ -125,10 +125,13 @@ class TestBidirectionalEpe:
         assert all(size < threshold for size in sizes[:-1])
         assert sizes[-1] >= threshold
 
-    def test_dynamic_mode_stops_when_encountered_set_cannot_grow(self):
+    @pytest.mark.parametrize("alpha, threshold", [(0.9, 34), (0.999, 50)])
+    def test_dynamic_mode_stops_when_encountered_set_cannot_grow(self, alpha, threshold):
         # Cost sits only on an absorbing state that no other state reaches,
-        # so the encountered set stays at 1 of the 34 the trigger needs and
-        # the self-loop residual decays by alpha per push without reaching 0.
+        # so the encountered set stays at 1 of the 34 (or 50) the trigger
+        # needs and the self-loop residual decays by alpha per push without
+        # reaching 0. At alpha 0.999 that takes about 36700 pushes, which
+        # the default push cap must allow.
         S = 50
         Q = np.zeros((S, S))
         for s in range(S - 1):
@@ -137,9 +140,9 @@ class TestBidirectionalEpe:
         Q[S - 1, S - 1] = 1.0
         cost = np.zeros(S)
         cost[S - 1] = 1.0
-        inst = instance_from(0.9, cost, Q)
+        inst = instance_from(alpha, cost, Q)
         config = BidirectionalConfig(epsilon=None, n_B=50, n_F=11, termination_mode="dynamic")
-        assert dynamic_stop_threshold(S, 50, 11, 0.9) == 34
+        assert dynamic_stop_threshold(S, 50, 11, alpha) == threshold
         sampler = CountingSampler(inst, 1)
         report = bidirectional_epe(sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
         assert report.diagnostics["stop_reason"] == "negligible"

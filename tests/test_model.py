@@ -14,6 +14,7 @@ from epelab import (
     instance_to_dict,
     validate_instance,
 )
+from epelab.model import transpose_rows
 from conftest import instance_from, random_instance
 
 
@@ -149,6 +150,110 @@ class TestCountingSampler:
         child_a = a.spawn("walks", 3)
         child_b = b.spawn("walks", 3)
         assert [child_a.sample_next(1) for _ in range(20)] == [child_b.sample_next(1) for _ in range(20)]
+
+
+class TestEmpiricalColumn:
+    @staticmethod
+    def per_state(sampler, states, t, n):
+        return {int(s): sampler.sample_empirical_row(int(s), n).get(t, 0.0) for s in states}
+
+    def test_matches_per_state_rows(self):
+        # Column 2: states 0, 1, 2 and 4 lead to it, state 3 does not (its
+        # entry is 0.0), and state 1 is a degree-1 row.
+        Q = [
+            [0.0, 0.2, 0.5, 0.3, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.4, 0.0, 0.1, 0.0, 0.5],
+            [0.6, 0.0, 0.0, 0.0, 0.4],
+            [0.0, 0.0, 0.7, 0.3, 0.0],
+        ]
+        inst = instance_from(0.5, [1.0] * 5, Q)
+        a, b = CountingSampler(inst, 11), CountingSampler(inst, 11)
+        neighbors = [4, 0, 3, 1, 2]
+        for n in (1, 3, 7, 50):
+            for _ in range(10):
+                column = a.sample_empirical_column(neighbors, 2, n)
+                expected = self.per_state(b, neighbors, 2, n)
+                assert list(column.items()) == list(expected.items())
+                assert column[3] == 0.0 and column[1] == 1.0
+                assert all(type(q) is float for q in column.values())
+                assert a.draw_count == b.draw_count
+        assert a.rng.random() == b.rng.random()
+
+    def test_matches_per_state_rows_on_random_chain(self):
+        inst = random_instance(S=40, p=4, alpha=0.5, seed="colchan")
+        a, b = CountingSampler(inst, 3), CountingSampler(inst, 3)
+        extra = np.array([0, 7, 39], dtype=np.int64)
+        for t in range(inst.S):
+            neighbors = np.concatenate([inst.supergraph.in_neighbors[t], extra])
+            column = a.sample_empirical_column(neighbors, t, 20)
+            assert list(column.items()) == list(self.per_state(b, neighbors, t, 20).items())
+        assert a.draw_count == b.draw_count
+        assert a.rng.random() == b.rng.random()
+
+    def test_out_of_range_state_rejected_after_earlier_draws(self, two_cycle):
+        a, b = CountingSampler(two_cycle, 5), CountingSampler(two_cycle, 5)
+        for bad in (2, -1):
+            with pytest.raises(ContractViolation, match="out of range"):
+                a.sample_empirical_column([0, bad, 1], 1, 4)
+            b.sample_empirical_row(0, 4)
+            assert a.draw_count == b.draw_count
+        with pytest.raises(ContractViolation):
+            a.sample_empirical_column([0], 1, 0)
+        assert a.rng.random() == b.rng.random()
+
+    def test_all_zero_row_rejected(self):
+        inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(ContractViolation, match="all-zero"):
+            CountingSampler(inst, 0).sample_empirical_column([1], 0, 5)
+
+
+def loop_transpose(S, out_edges):
+    incoming = [[] for _ in range(S)]
+    for s, row in enumerate(out_edges):
+        for t in row:
+            incoming[int(t)].append(s)
+    return incoming
+
+
+class TestSupergraph:
+    def check_transpose(self, sg):
+        expected = loop_transpose(sg.S, sg.out_edges)
+        assert len(sg.in_neighbors) == sg.S
+        assert [row.tolist() for row in sg.in_neighbors] == expected
+        assert [row.tolist() for row in transpose_rows(sg.S, sg.out_edges)] == expected
+        assert all(row.dtype == np.int64 for row in sg.in_neighbors)
+        assert sg.in_degrees.tolist() == [len(row) for row in expected]
+
+    def test_transpose_matches_loop_on_random_graph(self):
+        mask = np.random.default_rng(5).random((60, 60)) < 0.08
+        sg = Supergraph.from_mask(mask)
+        assert [row.tolist() for row in sg.out_edges] == [np.flatnonzero(r).tolist() for r in mask]
+        self.check_transpose(sg)
+        self.check_transpose(Supergraph.from_out_edges(60, [row.tolist()[::-1] for row in sg.out_edges]))
+
+    def test_transpose_with_empty_in_rows(self):
+        # Nobody reaches states 0, 3 and 5; state 5 also has no out-edges.
+        sg = Supergraph.from_out_edges(6, [[2, 1], [2], [1, 4], [4, 1], [2], []])
+        self.check_transpose(sg)
+        assert [row.size for row in sg.in_neighbors] == [0, 3, 3, 0, 2, 0]
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[:, 2] = True
+        self.check_transpose(Supergraph.from_mask(mask))
+
+    def test_out_of_range_target_rejected(self):
+        for bad in (2, -1):
+            with pytest.raises(ContractViolation, match="out of range"):
+                Supergraph.from_out_edges(2, [[0], [1, bad]])
+
+    def test_validate_flags_a_wrong_transpose(self):
+        good = Supergraph.from_out_edges(3, [[1], [2], [0, 1]])
+        bad = Supergraph(S=3, out_edges=good.out_edges, in_neighbors=good.in_neighbors[::-1],
+                         in_degrees=good.in_degrees, avg_degree=good.avg_degree)
+        Q = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
+        assert validate_instance(ProblemInstance.from_arrays(0.5, [1.0] * 3, Q, good)) == []
+        kinds = {v.kind for v in validate_instance(ProblemInstance.from_arrays(0.5, [1.0] * 3, Q, bad))}
+        assert "in_neighbor_transpose" in kinds
 
 
 def searchsorted_reference(Q, states, u):
