@@ -15,6 +15,24 @@ a dynamic trigger that stops as soon as the backward sampling bill
 (|encountered| * n_B) reaches the expected charged bill of the forthcoming
 walk stage (see :func:`dynamic_stop_threshold`), balancing the two stages'
 draw counts.
+
+Layout of the walk stage (:func:`_walk_stage`):
+
+- Per-state uniform blocks. State s's walks read the stream derived from
+  ("walks", s): each walk its length uniform, then one uniform per step.
+  The stage draws each state's uniforms as a block (more when its walks
+  run past it) and parses the lengths from it in Python floats, so every
+  length and every step uniform is the one a scalar loop would read.
+- One frontier. All walkers of a block of states move together, one step
+  at a time. Walkers at encountered states step through the stored rows
+  for free; the rest take one charged batch draw on the true table,
+  with their own uniforms passed in. Draw counts (charged, free, capped)
+  and endpoints equal the scalar loop's.
+- A walker budget. States are walked in blocks of at most
+  ``WALKER_BUDGET`` walkers, so memory stays bounded as S grows.
+
+Endpoint residuals are summed per state in walk order, so the estimate
+is bit-identical to a per-walk running sum.
 """
 
 from __future__ import annotations
@@ -115,6 +133,138 @@ def matrix_resolver(P: np.ndarray, rng: np.random.Generator):
     return step
 
 
+# Walkers moved together in one frontier block. A block holds about
+# WALKER_BUDGET * (1 + alpha / (1 - alpha)) uniforms (5 MB at alpha 0.9), so
+# memory stays bounded however large S grows.
+WALKER_BUDGET = 1 << 16
+
+
+def _first_block_size(n_F: int, alpha: float) -> int:
+    """Uniforms drawn up front for one state's walks: each walk's length
+    draw plus 1.5 times its mean length, and a margin. A state whose walks
+    need more draws more from the same stream."""
+    return int(n_F * (1.0 + 1.5 * alpha / (1.0 - alpha))) + 16
+
+
+def _parse_walks(rng: np.random.Generator, alpha: float, buf: np.ndarray, pos: int, lengths: np.ndarray) -> tuple:
+    """Lay one state's walks out on its stream, from ``buf[pos]`` on.
+
+    Walk j reads its length uniform, then one uniform per step, and the
+    next walk starts right after it. The uniforms are drawn into ``buf``
+    a block at a time, more as the walks need them; ``buf`` is
+    reallocated only when it is full. Walk j's length goes to
+    ``lengths[j]`` (one slot per walk), computed as
+    :func:`geometric_length` does, in Python floats (``np.log`` need not
+    match ``math.log`` bit for bit), and capped at :func:`walk_step_cap`.
+
+    Returns (buf, end, capped): ``end`` is one past the last uniform used
+    and ``capped`` counts the walks cut at the cap.
+    """
+    cap = walk_step_cap(alpha)
+    log_alpha = math.log(alpha)
+    block = _first_block_size(lengths.size, alpha)
+    filled = pos
+    capped = 0
+
+    def fill(need):
+        nonlocal buf, filled
+        while filled < need:
+            more = max(block, need - filled)
+            if filled + more > buf.size:
+                grown = np.empty(max(filled + more, 2 * buf.size))
+                grown[:filled] = buf[:filled]
+                buf = grown
+            rng.random(out=buf[filled : filled + more])
+            filled += more
+
+    log = math.log
+    p = pos
+    for j in range(lengths.size):
+        if p >= filled:
+            fill(p + 1)
+        u = float(buf[p])
+        if u <= 0.0:
+            steps = cap
+        else:
+            steps = int(log(u) / log_alpha)
+            if steps > cap:
+                steps = cap
+                capped += 1
+        lengths[j] = steps
+        p += 1 + steps
+    fill(p)
+    return buf, p, capped
+
+
+def _walk_stage(
+    sampler: CountingSampler, rows: dict, residual: np.ndarray, alpha: float, n_F: int, estimate: np.ndarray
+) -> tuple:
+    """Add each state's mean endpoint residual over n_F walks to ``estimate``.
+
+    Returns the (charged, free, capped) walk counts. States are walked in
+    blocks of at most ``WALKER_BUDGET`` walkers (at least one state each):
+
+    - State s reads the stream ``sampler.derive("walks", s)``, the one
+      ``sampler.spawn("walks", s)`` would hold. :func:`_parse_walks` lays
+      the block's walks out one after another on one flat array of
+      uniforms, so each walk's first step uniform follows from the lengths.
+    - At step i every walker still going reads its (i+1)-th step
+      uniform. Walkers at stored (encountered) rows step through the stored
+      table for free; the rest make one charged batch draw through
+      :meth:`CountingSampler.sample_next_batch` with those uniforms.
+      Either way the successor is the one a scalar draw picks, so every
+      endpoint equals that of walking each state's walks one step at a
+      time on its own stream.
+    - Endpoint residuals are summed in walk order (``np.cumsum``, not the
+      pairwise ``np.sum``), giving the floats of a running Python sum.
+    """
+    S = residual.size
+    stored = TransitionTable.from_rows(S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()})
+    is_stored = np.zeros(S, dtype=bool)
+    is_stored[list(rows)] = True
+    per_block = max(1, WALKER_BUDGET // n_F)
+    # Room for a block's expected need, with a margin; it grows if exceeded.
+    mean_need = n_F * (1.0 + alpha / (1.0 - alpha))
+    buf = np.empty(int(1.05 * min(per_block, S) * mean_need) + _first_block_size(n_F, alpha))
+    charged = free = capped = 0
+
+    for lo in range(0, S, per_block):
+        hi = min(lo + per_block, S)
+        lengths = np.empty((hi - lo) * n_F, dtype=np.int64)
+        pos = 0
+        for s in range(lo, hi):
+            j = (s - lo) * n_F
+            buf, pos, state_capped = _parse_walks(sampler.derive("walks", s), alpha, buf, pos, lengths[j : j + n_F])
+            capped += state_capped
+
+        # Longest walks first, so the walkers still going at step i are a prefix.
+        order = np.argsort(-lengths, kind="stable")
+        x = np.repeat(np.arange(lo, hi, dtype=np.int64), n_F)[order]
+        step_at = (np.cumsum(lengths + 1) - lengths)[order]
+        live = lengths.size - np.cumsum(np.bincount(lengths))
+        for n in live[:-1].tolist():
+            at, u = x[:n], buf[step_at[:n]]
+            step_at[:n] += 1
+            free_here = is_stored[at]
+            k = int(np.count_nonzero(free_here))
+            if k == n:
+                at[:] = stored.draw_batch(at, u)
+            elif k == 0:
+                at[:] = sampler.sample_next_batch(at, u)
+            else:
+                true_here = ~free_here
+                at[free_here] = stored.draw_batch(at[free_here], u[free_here])
+                at[true_here] = sampler.sample_next_batch(at[true_here], u[true_here])
+            free += k
+            charged += n - k
+
+        endpoints = np.empty_like(x)
+        endpoints[order] = x
+        acc = np.cumsum(residual[endpoints].reshape(hi - lo, n_F), axis=1)[:, -1]
+        estimate[lo:hi] += acc / n_F
+    return charged, free, capped
+
+
 def bidirectional_epe(
     sampler: CountingSampler,
     cost: np.ndarray,
@@ -128,8 +278,8 @@ def bidirectional_epe(
 
     samples_used counts all backward draws plus only the walk steps taken
     at states outside the encountered set; steps resolved from stored
-    empirical rows are free. Each state's walk batch runs on its own
-    derived stream and private tally, merged in state order.
+    empirical rows are free. Each state's walks read their uniforms from
+    that state's own derived stream (see :func:`_walk_stage`).
     """
     cost = np.asarray(cost, dtype=float)
     S = cost.size
@@ -159,40 +309,14 @@ def bidirectional_epe(
     backward_draws = outcome.samples_used
     residual = outcome.residual
     estimate = outcome.estimate.copy()
-    cap = walk_step_cap(alpha)
 
-    counted_forward = 0
-    free_forward = 0
-    capped_walks = 0
-
+    counted_forward = free_forward = capped_walks = 0
     # A residual of exactly zero everywhere contributes exactly zero per
     # walk, so the walks are skipped (identical estimate, zero cost).
     if residual.size and residual.max() > 0.0:
-        rows = outcome.rows
-        stored = TransitionTable(S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()})
-        draw_stored = stored.draw
-        residual_at = residual.tolist()
-
-        for s in range(S):
-            child = sampler.spawn("walks", s)
-            uniform = child.rng.random
-            acc = 0.0
-            for _ in range(config.n_F):
-                steps = geometric_length(alpha, child.rng)
-                if steps > cap:
-                    steps = cap
-                    capped_walks += 1
-                x = s
-                for _ in range(steps):
-                    if x in rows:
-                        x = draw_stored(x, uniform())
-                        free_forward += 1
-                    else:
-                        x = child.sample_next(x)
-                acc += residual_at[x]
-            estimate[s] += acc / config.n_F
-            counted_forward += child.draw_count
-            sampler.absorb(child)
+        counted_forward, free_forward, capped_walks = _walk_stage(
+            sampler, outcome.rows, residual, alpha, config.n_F, estimate
+        )
 
     return EstimateReport(
         estimate=estimate,

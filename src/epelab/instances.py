@@ -124,8 +124,9 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
     if mask is None:
         raise GenerationError(f"no all-rows-supported mask after {RESAMPLE_CAP} attempts (S={S}, p={p})")
 
-    Q = weights * mask
-    Q = Q / Q.sum(axis=1, keepdims=True)
+    # In place: the product and the normalized rows reuse the weights array.
+    Q = np.multiply(weights, mask, out=weights)
+    Q /= Q.sum(axis=1, keepdims=True)
 
     if spec.cost_model == "binary":
         cost = _binary_cost(S, spec.H, rng)

@@ -129,41 +129,58 @@ class TransitionTable:
     arrays, which is several times cheaper than a numpy scalar call.
     """
 
-    def __init__(self, S: int, rows: dict):
-        """``rows`` maps a state to (ascending successors, probabilities);
-        states it omits get empty rows."""
-        degree = np.zeros(S + 1, dtype=np.int64)
-        parts = []
-        for s in sorted(rows):
-            idx, probs = rows[s]
-            probs = np.asarray(probs, dtype=float)
-            cum = np.cumsum(probs)
-            cum[-1] = 1.0
-            degree[s + 1] = probs.size
-            parts.append((np.asarray(idx, dtype=np.int64), probs, cum))
-        if not parts:
-            parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
-        self.indptr = np.cumsum(degree)
-        self.indices, self.probs, self.cum = (np.concatenate(column) for column in zip(*parts))
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
+        """Take the CSR arrays (not copied) and build ``cum`` row by row."""
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.probs = np.asarray(probs, dtype=float)
+        self.cum = np.empty_like(self.probs)
+        self._indptr = self.indptr.tolist()
+        for lo, hi in zip(self._indptr, self._indptr[1:]):
+            if hi > lo:
+                np.cumsum(self.probs[lo:hi], out=self.cum[lo:hi])
+                self.cum[hi - 1] = 1.0
         for arr in (self.indptr, self.indices, self.probs, self.cum):
             arr.setflags(write=False)
-        self._indptr = self.indptr.tolist()
         self._indices = self.indices.tolist()
         self._cum = self.cum.tolist()
         # Binary-search passes that shrink the widest row to one entry.
-        self._passes = max(int(degree.max()) - 1, 0).bit_length()
+        widest = int(np.diff(self.indptr).max()) if self.indptr.size > 1 else 0
+        self._passes = max(widest - 1, 0).bit_length()
+
+    @classmethod
+    def from_rows(cls, S: int, rows: dict) -> "TransitionTable":
+        """``rows`` maps a state to (ascending successors, probabilities);
+        states it omits get empty rows."""
+        degree = np.zeros(S + 1, dtype=np.int64)
+        indices, probs = [], []
+        for s in sorted(rows):
+            idx, p = rows[s]
+            degree[s + 1] = len(idx)
+            indices += idx
+            probs += p
+        return cls(np.cumsum(degree), np.array(indices, dtype=np.int64), np.array(probs, dtype=float))
 
     @classmethod
     def from_matrix(cls, Q: np.ndarray) -> "TransitionTable":
         """Rows of a dense matrix: the positive entries of each row,
-        renormalized to sum to one."""
-        rows = {}
-        for s in range(Q.shape[0]):
-            idx = np.flatnonzero(Q[s] > 0)
-            if idx.size:
-                probs = Q[s, idx]
-                rows[s] = (idx, probs / probs.sum())
-        return cls(Q.shape[0], rows)
+        renormalized to sum to one.
+
+        One ``np.flatnonzero`` pass finds every entry; each row is then
+        divided by its own sum on its contiguous slice, the floats of
+        ``Q[s, idx] / Q[s, idx].sum()``.
+        """
+        S = Q.shape[0]
+        flat = np.flatnonzero(Q > 0)
+        sources, indices = np.divmod(flat, Q.shape[1])
+        probs = Q[sources, indices]
+        indptr = np.searchsorted(sources, np.arange(S + 1))
+        bounds = indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > lo:
+                row = probs[lo:hi]
+                row /= row.sum()
+        return cls(indptr, indices, probs)
 
     def row(self, s: int) -> tuple:
         """(successors, probabilities, cumulative) views of row s."""
@@ -319,9 +336,16 @@ def validate_instance(instance: ProblemInstance) -> list:
 
 
 def value_function(Q: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarray:
-    """Discounted value of an arbitrary row-stochastic matrix, by dense solve."""
-    S = Q.shape[0]
-    return np.linalg.solve(np.eye(S) - alpha * Q, (1.0 - alpha) * cost)
+    """Discounted value of an arbitrary row-stochastic matrix, by dense solve.
+
+    I - alpha Q is built in one S x S array: 0.0 - alpha Q (which keeps
+    zero entries +0.0, unlike -alpha Q), then 1.0 added on the diagonal.
+    Each entry equals that of ``np.eye(S) - alpha * Q``.
+    """
+    A = alpha * Q
+    np.subtract(0.0, A, out=A)
+    A.flat[:: Q.shape[0] + 1] += 1.0
+    return np.linalg.solve(A, (1.0 - alpha) * cost)
 
 
 def discounted_occupancy(P: np.ndarray, alpha: float) -> np.ndarray:
@@ -403,16 +427,24 @@ class CountingSampler:
         self.draw_count += 1
         return t
 
-    def sample_next_batch(self, states: np.ndarray) -> np.ndarray:
+    def sample_next_batch(self, states: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
         """Vectorized successor draws, one per entry; counts len(states) samples.
 
         Consumes the underlying uniform stream in element order, so the
-        result matches a sequence of single-draw calls.
+        result matches a sequence of single-draw calls. A caller that keeps
+        its own streams may pass ``uniforms`` (one in [0, 1) per state);
+        entry i is then ``table.draw(states[i], uniforms[i])`` and this
+        sampler's stream is left untouched. The draws are charged all the
+        same.
         """
         states = np.asarray(states, dtype=np.int64)
         if states.size and (states.min() < 0 or states.max() >= self.instance.S):
             raise ContractViolation("state index out of range in batch")
-        out = self.table.draw_batch(states, self.rng.random(states.size))
+        if uniforms is None:
+            uniforms = self.rng.random(states.size)
+        elif np.shape(uniforms) != states.shape:
+            raise ContractViolation(f"{np.size(uniforms)} uniforms for {states.size} states")
+        out = self.table.draw_batch(states, uniforms)
         self.draw_count += int(states.size)
         return out
 
@@ -459,10 +491,6 @@ class CountingSampler:
     def spawn(self, *labels) -> "CountingSampler":
         """Child sampler with its own stream and a fresh draw tally."""
         return CountingSampler(self.instance, derive_entropy(self._entropy, *labels))
-
-    def absorb(self, child: "CountingSampler") -> None:
-        """Merge a spawned child's draw tally into this sampler's count."""
-        self.draw_count += child.draw_count
 
 
 def state_list(states) -> list:

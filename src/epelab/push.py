@@ -25,6 +25,9 @@ Layout of the kernel:
 - An in-neighbor whose column entry is exactly 0.0 keeps its residual,
   so the loop does not re-enter it in the max-heap: its live entry is
   still valid.
+- Selecting a state removes its heap entry; only the tied states not
+  selected go back, and the push's own ``notify`` enters the selected
+  state's new residual. No push leaves a stale entry of its own state.
 
 Tie-breaking among maximal residuals is uniform over the exact-equality
 tie set, drawn from a stream separate from the sampling stream so that
@@ -182,8 +185,10 @@ class _MaxResidualHeap:
     Entries are never deleted on update; instead each residual change
     pushes a fresh entry and stale ones are discarded when popped (stale
     means the stored value no longer equals the live residual). The live
-    residual of every state always has an entry present, so the first
-    valid pop is a true maximizer.
+    positive residual of every state has an entry present whenever the
+    loop reads the heap, so the first valid pop is a true maximizer; the
+    one state :meth:`select` hands out is re-entered by ``notify`` after
+    its push.
     """
 
     def __init__(self, residual: list):
@@ -204,16 +209,27 @@ class _MaxResidualHeap:
             heapq.heappop(self._heap)
         return None
 
-    def pop_tie_set(self, value: float) -> list:
+    def select(self, value: float, tie_rng: np.random.Generator) -> int:
+        """Remove and return one state whose residual is ``value`` (the
+        maximum), uniform over the exact-equality tie set; ``tie_rng`` is
+        drawn only when there is a tie.
+
+        The ties not selected are re-entered. The selected state is not:
+        its push changes its residual, and the caller's ``notify`` enters
+        the new value.
+        """
         ties = set()
         while self._heap and self._heap[0][0] == -value:
             _, s = heapq.heappop(self._heap)
             if self._residual[s] == value:
                 ties.add(s)
-        out = sorted(ties)
-        for s in out:
+        ties = sorted(ties)
+        if len(ties) == 1:
+            return ties[0]
+        s_k = ties.pop(int(tie_rng.integers(len(ties))))
+        for s in ties:
             heapq.heappush(self._heap, (-value, s))
-        return out
+        return s_k
 
 
 class CachedEmpiricalRows:
@@ -366,8 +382,7 @@ def run_push_loop(
                 f"push loop exceeded {cap} iterations (epsilon={epsilon}); this indicates a bug or a pathological instance"
             )
         k += 1
-        ties = heap.pop_tie_set(top)
-        s_k = ties[0] if len(ties) == 1 else ties[int(tie_rng.integers(len(ties)))]
+        s_k = heap.select(top, tie_rng)
         rho = residual[s_k]
         if trace and rho != max(residual):
             raise ContractViolation("heap selection is not a true residual maximizer")

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from epelab import (
     sample_size_backward,
     value_function,
 )
+from epelab import push
 from epelab.push import ExactRows, replay_states, run_push_loop
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
@@ -99,6 +101,58 @@ class TestTraceProperties:
         inst = random_instance(S=15, p=4, alpha=0.6, seed="term")
         _, report = run_traced(inst, 7, epsilon=0.2, n=5)
         assert report.trace.final_residual.max() <= 0.2
+
+
+class TestHeapTies:
+    """The max-heap re-enters the unselected ties only; the selected state
+    comes back through ``notify`` after its push."""
+
+    class RepushSelected(push._MaxResidualHeap):
+        # The former rule: the selected state's entry goes back too, and
+        # turns stale at the push's own notify.
+        def select(self, value, tie_rng):
+            s_k = super().select(value, tie_rng)
+            heapq.heappush(self._heap, (-value, s_k))
+            return s_k
+
+    class CheckedHeap(push._MaxResidualHeap):
+        def select(self, value, tie_rng):
+            s_k = super().select(value, tie_rng)
+            assert (-value, s_k) not in self._heap
+            return s_k
+
+    class CountingTies:
+        def __init__(self, rng):
+            self.rng, self.ties = rng, 0
+
+        def integers(self, n):
+            self.ties += 1
+            return self.rng.integers(n)
+
+    def run(self, inst, seed, monkeypatch, heap_class):
+        pops = []
+        pop = heapq.heappop
+        monkeypatch.setattr(push, "_MaxResidualHeap", heap_class)
+        monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or pop(heap))
+        sampler = CountingSampler(inst, seed)
+        tie_rng = self.CountingTies(make_rng(("ties", seed)))
+        # trace=True checks every selection against max(residual).
+        report = backward_epe(
+            sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, 0.02, 8, tie_rng=tie_rng, trace=True
+        )
+        monkeypatch.undo()
+        return report, tie_rng.ties, len(pops)
+
+    @pytest.mark.parametrize("H", [3, 12])
+    def test_binary_cost_ties_select_true_maximizers(self, monkeypatch, H):
+        inst = random_instance(S=40, p=4, alpha=0.7, seed=("ties", H), cost_model="binary", H=H)
+        report, ties, pops = self.run(inst, 1, monkeypatch, self.CheckedHeap)
+        before, ties_before, pops_before = self.run(inst, 1, monkeypatch, self.RepushSelected)
+        assert ties == ties_before >= 1
+        assert report.estimate.tobytes() == before.estimate.tobytes()
+        assert [r.state for r in report.trace.records] == [r.state for r in before.trace.records]
+        assert report.trace.final_residual.tobytes() == before.trace.final_residual.tobytes()
+        assert pops < pops_before
 
 
 class TestCompletions:

@@ -16,7 +16,10 @@ from epelab import (
     sample_size_backward_bd,
     sample_size_forward_bd,
 )
+from epelab import bidirectional as bd
+from epelab.backward import run_backward
 from epelab.bidirectional import dynamic_stop_threshold
+from epelab.model import TransitionTable
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
 
@@ -170,6 +173,110 @@ class TestBidirectionalEpe:
         with pytest.raises(ContractViolation):
             BidirectionalConfig(epsilon=0.1, n_B=1, n_F=1, termination_mode="sometimes")
         BidirectionalConfig(epsilon=None, n_B=1, n_F=1, termination_mode="dynamic")
+
+
+def scalar_walk_oracle(sampler, inst, config):
+    """Fixed-mode bidirectional run with the walk stage as a scalar loop:
+    per state, per walk, per step, one uniform at a time from the state's
+    spawned sampler. The frontier must reproduce it bit for bit."""
+    cost, alpha = inst.cost, inst.alpha
+    outcome = run_backward(sampler, cost, alpha, inst.supergraph.in_neighbors, config.epsilon, config.n_B)
+    residual, estimate = outcome.residual, outcome.estimate.copy()
+    cap = bd.walk_step_cap(alpha)
+    counted = free = capped = 0
+    if residual.max() > 0.0:
+        rows = outcome.rows
+        stored = TransitionTable.from_rows(
+            inst.S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()}
+        )
+        for s in range(inst.S):
+            child = sampler.spawn("walks", s)
+            acc = 0.0
+            for _ in range(config.n_F):
+                steps = bd.geometric_length(alpha, child.rng)
+                if steps > cap:
+                    steps = cap
+                    capped += 1
+                x = s
+                for _ in range(steps):
+                    if x in rows:
+                        x = stored.draw(x, child.rng.random())
+                        free += 1
+                    else:
+                        x = child.sample_next(x)
+                acc += float(residual[x])
+            estimate[s] += acc / config.n_F
+            counted += child.draw_count
+            sampler.draw_count += child.draw_count
+    counts = {"forward_true_draws": counted, "forward_free_draws": free, "capped_walks": capped}
+    return estimate, outcome.samples_used + counted, counts
+
+
+def stream_need(sampler, s, n_F, alpha):
+    """Uniforms state s's walks read from its stream: one per walk plus
+    one per step."""
+    rng = sampler.derive("walks", s)
+    need = 0
+    for _ in range(n_F):
+        steps = min(bd.geometric_length(alpha, rng), bd.walk_step_cap(alpha))
+        rng.random(steps)
+        need += 1 + steps
+    return need
+
+
+class TestWalkFrontier:
+    """The vectorized walk stage against the scalar loop it replaced."""
+
+    @staticmethod
+    def check(inst, config, seed=3):
+        a, b = CountingSampler(inst, seed), CountingSampler(inst, seed)
+        report = bidirectional_epe(a, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
+        estimate, samples, counts = scalar_walk_oracle(b, inst, config)
+        assert report.estimate.tobytes() == estimate.tobytes()
+        assert report.samples_used == samples == a.draw_count == b.draw_count
+        for key, value in counts.items():
+            assert report.diagnostics[key] == value, key
+        return report
+
+    def test_walks_overrunning_the_first_uniform_block(self):
+        inst = random_instance(S=25, p=4, alpha=0.99, seed="overrun")
+        config = BidirectionalConfig(epsilon=0.6, n_B=20, n_F=3)
+        report = self.check(inst, config)
+        sampler = CountingSampler(inst, 3)
+        first = bd._first_block_size(config.n_F, inst.alpha)
+        overruns = sum(stream_need(sampler, s, config.n_F, inst.alpha) > first for s in range(inst.S))
+        assert overruns >= 3
+        assert report.diagnostics["forward_true_draws"] > 0 and report.diagnostics["forward_free_draws"] > 0
+
+    def test_capped_walks(self, monkeypatch):
+        monkeypatch.setattr(bd, "walk_step_cap", lambda alpha: 3)
+        inst = random_instance(S=20, p=4, alpha=0.9, seed="capped")
+        report = self.check(inst, BidirectionalConfig(epsilon=0.2, n_B=10, n_F=15))
+        assert report.diagnostics["capped_walks"] > 0
+
+    def test_every_state_encountered(self):
+        inst = random_instance(S=12, p=4, alpha=0.8, seed="allseen")
+        report = self.check(inst, BidirectionalConfig(epsilon=0.01, n_B=15, n_F=25))
+        assert report.encountered_size == inst.S
+        assert report.diagnostics["forward_true_draws"] == 0
+        assert report.diagnostics["forward_free_draws"] > 0
+
+    def test_no_state_encountered(self):
+        inst = random_instance(S=15, p=4, alpha=0.8, seed="noneseen")
+        report = self.check(inst, BidirectionalConfig(epsilon=float(inst.cost.max()), n_B=5, n_F=25))
+        assert report.encountered_size == 0
+        assert report.diagnostics["forward_free_draws"] == 0
+        assert report.diagnostics["forward_true_draws"] > 0
+
+    @pytest.mark.parametrize("budget", [7, 45])
+    def test_many_walker_blocks(self, monkeypatch, budget):
+        # n_F = 20: a budget of 7 walks one state per block, 45 two.
+        monkeypatch.setattr(bd, "WALKER_BUDGET", budget)
+        inst = random_instance(S=40, p=5, alpha=0.9, seed="blocks")
+        config = BidirectionalConfig(epsilon=0.5, n_B=20, n_F=20)
+        assert -(-inst.S // max(1, budget // config.n_F)) >= 3
+        report = self.check(inst, config)
+        assert 0 < report.encountered_size < inst.S
 
 
 class TestSampleSizeCalculators:

@@ -13,8 +13,9 @@ from epelab import (
     instance_from_dict,
     instance_to_dict,
     validate_instance,
+    value_function,
 )
-from epelab.model import transpose_rows
+from epelab.model import TransitionTable, transpose_rows
 from conftest import instance_from, random_instance
 
 
@@ -62,6 +63,16 @@ class TestExactValue:
             v = exact_value(inst)
             assert np.all(v >= -1e-12)
             assert np.all(v <= inst.cost_inf + 1e-12)
+
+    def test_solve_equals_eye_minus_alpha_q(self):
+        # The in-place system matrix must be np.eye(S) - alpha * Q entry for
+        # entry, signed zeros included, so the solve returns the same floats.
+        inst = random_instance(S=60, p=5, alpha=0.93, seed="inplace")
+        reference = np.linalg.solve(np.eye(inst.S) - inst.alpha * inst.Q, (1.0 - inst.alpha) * inst.cost)
+        assert exact_value(inst).tobytes() == reference.tobytes()
+        assert value_function(inst.Q.T, inst.cost, 0.5).tobytes() == np.linalg.solve(
+            np.eye(inst.S) - 0.5 * inst.Q.T, 0.5 * inst.cost
+        ).tobytes()
 
 
 class TestPowerSeries:
@@ -334,6 +345,51 @@ class TestTransitionTable:
         for arr in (table.indptr, table.indices, table.probs, table.cum):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_from_matrix_equals_per_row_build(self):
+        # A random matrix with a point-mass row and an all-zero row; every
+        # array must equal a row-by-row build of the same rows.
+        rng = np.random.default_rng(11)
+        S = 200
+        Q = rng.random((S, S)) * (rng.random((S, S)) < 0.08)
+        Q[5] = 0.0
+        Q[5, 17] = 0.3
+        Q[9] = 0.0
+        Q[S - 1, :] = rng.random(S)  # a dense row, longer than a pairwise-sum block
+        rows = {}
+        for s in range(S):
+            idx = np.flatnonzero(Q[s] > 0)
+            if idx.size:
+                rows[s] = (idx.tolist(), (Q[s, idx] / Q[s, idx].sum()).tolist())
+        table = TransitionTable.from_matrix(Q)
+        reference = TransitionTable.from_rows(S, rows)
+        for name in ("indptr", "indices", "probs", "cum"):
+            assert getattr(table, name).tobytes() == getattr(reference, name).tobytes(), name
+        for s, (idx, probs) in rows.items():
+            cum = np.cumsum(probs)
+            cum[-1] = 1.0
+            assert table.row(s)[2].tobytes() == cum.tobytes()
+        assert table.row(5)[0].tolist() == [17] and table.row(5)[1].tolist() == [1.0]
+        with pytest.raises(ContractViolation, match="all-zero"):
+            table.row(9)
+
+    def test_batch_with_supplied_uniforms(self, mixed_rows):
+        table = mixed_rows.transitions
+        rng = np.random.default_rng(8)
+        states = rng.integers(0, mixed_rows.S, 5000)
+        u = rng.random(states.size)
+        sampler = CountingSampler(mixed_rows, 4)
+        untouched = CountingSampler(mixed_rows, 4)
+        out = sampler.sample_next_batch(states, u)
+        assert out.tolist() == [table.draw(int(s), float(x)) for s, x in zip(states, u)]
+        assert sampler.draw_count == states.size
+        # The sampler's own stream is not read.
+        assert sampler.rng.random() == untouched.rng.random()
+        with pytest.raises(ContractViolation, match="out of range"):
+            sampler.sample_next_batch(np.array([0, mixed_rows.S]), np.array([0.1, 0.2]))
+        with pytest.raises(ContractViolation, match="uniforms"):
+            sampler.sample_next_batch(states[:3], u[:2])
+        assert sampler.draw_count == states.size
 
     def test_all_zero_row_constructs_but_cannot_be_drawn(self):
         inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]])
