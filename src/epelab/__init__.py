@@ -15,14 +15,12 @@ from .baselines import (
     approx_contributions,
     backward_epe_alternative,
     error_process,
+    plug_in_estimate,
 )
 from .bidirectional import (
     BidirectionalConfig,
     bidirectional_epe,
     geometric_length,
-    matrix_resolver,
-    plug_in_estimate,
-    sample_geometric_endpoint,
     sample_size_backward_bd,
     sample_size_forward_bd,
 )
@@ -98,12 +96,10 @@ __all__ = [
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
-    "matrix_resolver",
     "plug_in_estimate",
     "read_csv",
     "replay_invariant",
     "run_experiment",
-    "sample_geometric_endpoint",
     "sample_size_backward",
     "sample_size_backward_bd",
     "sample_size_forward",

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, ProblemInstance, Supergraph
+from .model import CountingSampler, EstimateReport, ProblemInstance, Supergraph, densify
 from .push import CachedEmpiricalRows, PushOutcome, PushTrace, replay_errors, run_push_loop
 
 ROW_MATCH_TOL = 0.0  # completion matrices must copy estimated rows exactly
@@ -106,25 +106,11 @@ def sample_size_backward(epsilon: float, delta: float, alpha: float, c_inf: floa
     return max(1, math.ceil(value))
 
 
-def _densify_rows(rows: dict, encountered, S: int) -> np.ndarray:
-    out = np.zeros((S, S))
-    for s in encountered:
-        row = rows[s]
-        for t, p in row.items():
-            out[s, t] = p
-    return out
-
-
 def build_q_under(rows: dict, encountered, instance: ProblemInstance) -> np.ndarray:
     """Completion using true rows outside the encountered set (test-only:
     needs ground-truth access)."""
     _check_estimated_rows(rows, encountered)
-    Q = instance.Q.copy()
-    for s in encountered:
-        Q[s, :] = 0.0
-        for t, p in rows[s].items():
-            Q[s, t] = p
-    return Q
+    return densify({s: rows[s] for s in encountered}, instance.Q.copy())
 
 
 def build_q_over(
@@ -139,18 +125,15 @@ def build_q_over(
     against any sampler."""
     _check_estimated_rows(rows, encountered)
     S = instance.S
-    Q = np.zeros((S, S))
     enc = set(encountered)
+    completion = {}
     for s in range(S):
         if s in enc:
-            for t, p in rows[s].items():
-                Q[s, t] = p
+            completion[s] = rows[s]
         else:
-            idx = np.flatnonzero(instance.Q[s] > 0)
-            probs = instance.Q[s, idx]
-            counts = rng.multinomial(n, probs / probs.sum())
-            Q[s, idx] = counts / n
-    return Q
+            idx, probs, _ = instance.transitions.row(s)
+            completion[s] = dict(zip(idx.tolist(), (rng.multinomial(n, probs) / n).tolist()))
+    return densify(completion, np.zeros((S, S)))
 
 
 def _check_estimated_rows(rows: dict, encountered) -> None:
@@ -176,7 +159,7 @@ def replay_invariant(trace: PushTrace, P: np.ndarray, supergraph: Supergraph) ->
     row_sums = P.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ContractViolation("P is not row stochastic")
-    estimated = _densify_rows(trace.final_rows, trace.encountered, S)
+    estimated = densify({s: trace.final_rows[s] for s in trace.encountered}, np.zeros((S, S)))
     for s in trace.encountered:
         if np.max(np.abs(P[s] - estimated[s])) > ROW_MATCH_TOL:
             raise ContractViolation(f"P row {s} differs from the estimated row")

@@ -10,6 +10,9 @@ replayable fixed-point identity but makes the error process
 e_k(s) = v_hat_k(s) + mu_s r_k - v(s) a zero-mean martingale, so the
 final estimate is unbiased in the fixed-point sense; the price is that
 repeat visits keep drawing samples.
+
+``plug_in_estimate`` samples every row offline and solves the value of
+the resulting empirical matrix exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport
+from .model import CountingSampler, EstimateReport, densify, value_function
 from .push import ExactRows, FreshEmpiricalRows, PushTrace, replay_errors, run_push_loop
 
 
@@ -93,6 +96,24 @@ def backward_epe_alternative(
         encountered_size=None,
         trace=outcome.trace,
         diagnostics={"stop_reason": outcome.stop_reason},
+    )
+
+
+def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
+    """Value function of a fully offline empirical matrix (n draws per row,
+    all counted: samples_used = n * S)."""
+    if n < 1:
+        raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
+    instance = sampler.instance
+    S = instance.S
+    before = sampler.draw_count
+    rows = {s: sampler.sample_empirical_row(s, n) for s in range(S)}
+    estimate = value_function(densify(rows, np.zeros((S, S))), instance.cost, instance.alpha)
+    return EstimateReport(
+        estimate=estimate,
+        samples_used=sampler.draw_count - before,
+        iterations=n,
+        encountered_size=None,
     )
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .backward import run_backward
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, TransitionTable, value_function
+from .model import CountingSampler, EstimateReport, TransitionTable
 
 
 @dataclass(frozen=True)
@@ -98,39 +98,6 @@ def dynamic_stop_threshold(S: int, n_B: int, n_F: int, alpha: float) -> int:
     """
     w = n_F * alpha / (1.0 - alpha)
     return min(math.ceil(S * w / (n_B + w)), S)
-
-
-def sample_geometric_endpoint(
-    start: int,
-    alpha: float,
-    resolver,
-    rng: np.random.Generator,
-    max_steps: int | None = None,
-) -> int:
-    """Endpoint of a geometric-length walk from ``start``.
-
-    ``resolver(state) -> state`` supplies one transition; with a resolver
-    faithful to a matrix P, the endpoint is distributed as the start row of
-    the discounted occupancy of P.
-    """
-    cap = walk_step_cap(alpha) if max_steps is None else max_steps
-    steps = min(geometric_length(alpha, rng), cap)
-    x = int(start)
-    for _ in range(steps):
-        x = resolver(x)
-    return x
-
-
-def matrix_resolver(P: np.ndarray, rng: np.random.Generator):
-    """Resolver drawing each step from the rows of a dense matrix (test aid)."""
-    P = np.asarray(P, dtype=float)
-    cums = np.cumsum(P, axis=1)
-    cums[:, -1] = 1.0
-
-    def step(x: int) -> int:
-        return int(np.searchsorted(cums[x], rng.random(), side="right"))
-
-    return step
 
 
 # Walkers moved together in one frontier block. A block holds about
@@ -381,24 +348,3 @@ def sample_size_backward_bd(
         * horizon**2
     )
     return max(1, math.ceil(value))
-
-
-def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
-    """Value function of a fully offline empirical matrix (n draws per row,
-    all counted: samples_used = n * S)."""
-    if n < 1:
-        raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
-    instance = sampler.instance
-    S = instance.S
-    before = sampler.draw_count
-    Q_tilde = np.zeros((S, S))
-    for s in range(S):
-        for t, p in sampler.sample_empirical_row(s, n).items():
-            Q_tilde[s, t] = p
-    estimate = value_function(Q_tilde, instance.cost, instance.alpha)
-    return EstimateReport(
-        estimate=estimate,
-        samples_used=sampler.draw_count - before,
-        iterations=n,
-        encountered_size=None,
-    )

@@ -17,15 +17,15 @@ from .bidirectional import sample_size_backward_bd, sample_size_forward_bd
 from .backward import sample_size_backward
 from .forward import sample_size_forward
 from .harness import (
+    BOUND_HEADER,
+    SUMMARY_HEADER,
     ExperimentConfig,
     bound_report,
-    bound_report_to_csv,
     read_csv,
     records_to_csv,
     run_experiment,
     summarize,
-    summary_to_csv,
-    write_csv,
+    table_to_csv,
 )
 from .instances import EnsembleSpec, generate_instance
 from .model import save_instance
@@ -45,42 +45,34 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _write_or_print(text: str, out, what: str) -> None:
+    """Write ``text`` to the file ``out`` and say so, or print it if no file is named."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = ExperimentConfig.from_dict({**config.to_dict(), "master_seed": args.seed})
     records = run_experiment(config, threads=args.threads, timing=args.timing)
-    out = args.out or config.output
-    if out:
-        write_csv(records, out)
-        print(f"wrote {len(records)} records to {out}")
-    else:
-        sys.stdout.write(records_to_csv(records))
+    _write_or_print(records_to_csv(records), args.out or config.output, f"{len(records)} records")
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    rows = summarize(read_csv(args.csv))
-    text = summary_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote summary to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_or_print(table_to_csv(SUMMARY_HEADER, summarize(read_csv(args.csv))), args.out, "summary")
     return 0
 
 
 def _cmd_bounds(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     rows = bound_report(read_csv(args.csv), config)
-    text = bound_report_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"wrote bound report to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_or_print(table_to_csv(BOUND_HEADER, rows), args.out, "bound report")
     return 0
 
 

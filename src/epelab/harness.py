@@ -14,6 +14,10 @@ parameters take the ceiling of fractional results.
 
 Wall time is recorded only when timing is requested; the column is zero
 by default so that default output stays deterministic.
+
+The trial, summary and bound tables are all written by
+:func:`table_to_csv`: a header string fixes the columns, and a cell is
+``str`` of its value or empty for None.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .backward import backward_epe
-from .baselines import approx_contributions, backward_epe_alternative
-from .bidirectional import BidirectionalConfig, bidirectional_epe, plug_in_estimate
+from .baselines import approx_contributions, backward_epe_alternative, plug_in_estimate
+from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
 from .instances import EnsembleSpec, generate_instance
@@ -208,21 +212,6 @@ class TrialRecord:
     iterations: int
     wall_time_ms: int
 
-    def to_row(self) -> list:
-        return [
-            str(self.S),
-            str(self.p),
-            self.algorithm,
-            str(self.seed),
-            str(self.samples_used),
-            repr(self.linf_error),
-            repr(self.mean_relative_error),
-            str(self.zero_value_states),
-            "" if self.encountered_size is None else str(self.encountered_size),
-            str(self.iterations),
-            str(self.wall_time_ms),
-        ]
-
 
 def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: CountingSampler) -> EstimateReport:
     """Dispatch one algorithm run; all randomness comes from the sampler."""
@@ -330,13 +319,24 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None, timing:
     return records
 
 
-def records_to_csv(records) -> str:
+def table_to_csv(header: str, rows) -> str:
+    """CSV text of ``rows``, mappings from column name to value, under
+    ``header``, whose comma-separated names fix the column order.
+
+    A cell is ``str`` of its value, or empty for None. For a Python float
+    ``str`` is the shortest text that reads back as the same float.
+    """
+    names = header.split(",")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for rec in records:
-        writer.writerow(rec.to_row())
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow(["" if row[name] is None else str(row[name]) for name in names])
     return buf.getvalue()
+
+
+def records_to_csv(records) -> str:
+    return table_to_csv(CSV_HEADER, map(asdict, records))
 
 
 def write_csv(records, path) -> None:
@@ -344,29 +344,18 @@ def write_csv(records, path) -> None:
         fh.write(records_to_csv(records))
 
 
+_CELL_PARSERS = {"int": int, "float": float, "str": str, "int | None": lambda cell: int(cell) if cell else None}
+
+
 def read_csv(path) -> list:
-    records = []
+    """Trial records from a CSV written by :func:`write_csv`; each cell is
+    parsed by the type of its :class:`TrialRecord` field."""
+    parsers = {f.name: _CELL_PARSERS[f.type] for f in fields(TrialRecord)}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER.split(","):
             raise ContractViolation(f"unexpected CSV header in {path}")
-        for row in reader:
-            records.append(
-                TrialRecord(
-                    S=int(row["S"]),
-                    p=float(row["p"]),
-                    algorithm=row["algorithm"],
-                    seed=int(row["seed"]),
-                    samples_used=int(row["samples_used"]),
-                    linf_error=float(row["linf_error"]),
-                    mean_relative_error=float(row["mean_relative_error"]),
-                    zero_value_states=int(row["zero_value_states"]),
-                    encountered_size=int(row["encountered_size"]) if row["encountered_size"] else None,
-                    iterations=int(row["iterations"]),
-                    wall_time_ms=int(row["wall_time_ms"]),
-                )
-            )
-    return records
+        return [TrialRecord(**{name: parse(row[name]) for name, parse in parsers.items()}) for row in reader]
 
 
 SUMMARY_HEADER = (
@@ -407,7 +396,8 @@ def summarize(records) -> list:
         linf = np.array([r.linf_error for r in recs])
         rel = np.array([r.mean_relative_error for r in recs])
         ratio = None
-        if algorithm == "backward" and (S, "forward") in sample_means:
+        # A forward run of T = 1 makes no draws; its ratio is left empty.
+        if algorithm == "backward" and sample_means.get((S, "forward")):
             ratio = sample_means[(S, "backward")] / sample_means[(S, "forward")]
         rows.append(
             {
@@ -425,29 +415,6 @@ def summarize(records) -> list:
             }
         )
     return rows
-
-
-def summary_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                str(row["S"]),
-                row["algorithm"],
-                str(row["trials"]),
-                repr(row["samples_mean"]),
-                repr(row["samples_std"]),
-                repr(row["linf_mean"]),
-                repr(row["linf_std"]),
-                repr(row["rel_mean"]),
-                repr(row["rel_std"]),
-                "" if row["ratio_backward_over_forward"] is None else repr(row["ratio_backward_over_forward"]),
-                "" if row["loglog_slope"] is None else repr(row["loglog_slope"]),
-            ]
-        )
-    return buf.getvalue()
 
 
 BOUND_HEADER = "S,p,H,epsilon,alpha,trials,mean_encountered,bound,passed"
@@ -504,27 +471,6 @@ def bound_report(records, config: ExperimentConfig) -> list:
             }
         )
     return rows
-
-
-def bound_report_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BOUND_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                str(row["S"]),
-                str(row["p"]),
-                "" if row["H"] is None else str(row["H"]),
-                repr(row["epsilon"]),
-                str(row["alpha"]),
-                str(row["trials"]),
-                repr(row["mean_encountered"]),
-                repr(row["bound"]),
-                str(row["passed"]),
-            ]
-        )
-    return buf.getvalue()
 
 
 DEFAULT_MASTER_SEED = 20260808

@@ -335,6 +335,16 @@ def validate_instance(instance: ProblemInstance) -> list:
     return out
 
 
+def densify(rows: dict, out: np.ndarray) -> np.ndarray:
+    """Replace row s of the dense matrix ``out`` by the sparse row
+    ``rows[s]`` ({successor: probability}) for every s in ``rows``; returns
+    ``out``."""
+    for s, row in rows.items():
+        out[s] = 0.0
+        out[s, list(row)] = list(row.values())
+    return out
+
+
 def value_function(Q: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarray:
     """Discounted value of an arbitrary row-stochastic matrix, by dense solve.
 

@@ -344,7 +344,6 @@ def run_push_loop(
     tie_rng: np.random.Generator,
     trace: bool = False,
     stop_check=None,
-    iteration_cap: int | None = None,
 ) -> PushOutcome:
     """Run the push loop until the residual max drops to epsilon (or a
     caller-supplied stop_check fires after an iteration completes).
@@ -363,7 +362,7 @@ def run_push_loop(
     residual = cost.astype(float).tolist()
     heap = _MaxResidualHeap(residual)
     records: list[PushRecord] = [] if trace else None
-    cap = iteration_cap if iteration_cap is not None else default_iteration_cap(cost, alpha, epsilon)
+    cap = default_iteration_cap(cost, alpha, epsilon)
 
     negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
 

@@ -10,9 +10,7 @@ from epelab import (
     discounted_occupancy,
     exact_value,
     geometric_length,
-    matrix_resolver,
     plug_in_estimate,
-    sample_geometric_endpoint,
     sample_size_backward_bd,
     sample_size_forward_bd,
 )
@@ -37,25 +35,6 @@ class TestGeometricLength:
         rng = make_rng("geo0")
         draws = [geometric_length(0.5, rng) for _ in range(20_000)]
         assert abs(np.mean(np.array(draws) == 0) - 0.5) < 0.01
-
-
-class TestGeometricEndpoint:
-    def test_single_state_returns_start(self, point_mass):
-        rng = make_rng(0)
-        resolver = matrix_resolver(point_mass.Q, rng)
-        assert all(sample_geometric_endpoint(0, 0.5, resolver, rng) == 0 for _ in range(50))
-
-    def test_endpoint_distribution_matches_occupancy(self):
-        # Three-state chain: empirical endpoint law within 0.01 TV of the
-        # linear-solve occupancy row.
-        Q = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
-        alpha = 0.7
-        mu = discounted_occupancy(Q, alpha)
-        rng = make_rng("tv")
-        resolver = matrix_resolver(Q, rng)
-        draws = np.array([sample_geometric_endpoint(0, alpha, resolver, rng) for _ in range(100_000)])
-        emp = np.array([np.mean(draws == t) for t in range(3)])
-        assert 0.5 * np.sum(np.abs(emp - mu[0])) <= 0.01
 
 
 class TestBidirectionalEpe:

@@ -21,12 +21,14 @@ from epelab import (
     write_csv,
 )
 from epelab.harness import (
+    BOUND_HEADER,
     CSV_HEADER,
+    SUMMARY_HEADER,
     count_param,
     eval_param,
     loglog_slope,
     records_to_csv,
-    summary_to_csv,
+    table_to_csv,
 )
 
 
@@ -149,6 +151,34 @@ class TestRunExperiment:
             "ecce47e13379d2041c555f5ae17dcfe4ceef79803d7ce3b91dfc3b106eef30be"
         )
 
+    def test_summary_and_bound_csv_bytes_are_pinned(self):
+        # Mixed ensembles (H cell empty) and a binary one (H set); forward
+        # and plug_in rows leave the backward/forward ratio empty, and three
+        # sizes give every algorithm a slope.
+        config = ExperimentConfig(
+            ensembles=(
+                EnsembleSpec(S=20, p=4, alpha=0.6),
+                EnsembleSpec(S=30, p=5, alpha=0.5, cost_model="binary", H=3),
+                EnsembleSpec(S=40, p=5, alpha=0.8),
+            ),
+            algorithms=(
+                AlgorithmSpec("forward", {"T": 6, "m": 2}),
+                AlgorithmSpec("backward", {"epsilon": "3/S", "n": 8}),
+                AlgorithmSpec("plug_in", {"n": 5}),
+            ),
+            trials=2,
+            master_seed=31,
+        )
+        records = run_experiment(config)
+        summary = table_to_csv(SUMMARY_HEADER, summarize(records))
+        bounds = table_to_csv(BOUND_HEADER, bound_report(records, config))
+        assert hashlib.sha256(summary.encode()).hexdigest() == (
+            "c30e07a348abdef17433bc6dd9758a5cb808ff5634b3a008b5d22506f13defd2"
+        )
+        assert hashlib.sha256(bounds.encode()).hexdigest() == (
+            "16169f169d1627f5a20e0bbaecd855fc153cbd9113e0639e0dafb340f35dd757"
+        )
+
     def test_record_order_canonical(self):
         config = small_config(trials=2)
         records = run_experiment(config)
@@ -196,7 +226,7 @@ class TestSummarize:
 
     def test_summary_csv_renders(self):
         rows = summarize(run_experiment(small_config(trials=2)))
-        text = summary_to_csv(rows)
+        text = table_to_csv(SUMMARY_HEADER, rows)
         assert text.splitlines()[0].startswith("S,algorithm,trials")
 
     def test_empty_input_rejected(self):
@@ -272,6 +302,24 @@ class TestCli:
         res3 = self.run_cli("bounds", "--csv", str(csv_path), "--config", str(cfg_path))
         assert res3.returncode == 0
         assert "True" in res3.stdout
+
+    def test_summarize_zero_draw_forward(self, tmp_path):
+        # Forward with T = 1 makes no draws, so the backward/forward ratio
+        # has no value; its cell is left empty.
+        cfg = small_config(
+            algorithms=(AlgorithmSpec("backward", {"epsilon": 0.2, "n": 5}), AlgorithmSpec("forward", {"T": 1, "m": 2})),
+            trials=1,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        csv_path = tmp_path / "out.csv"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(csv_path)).returncode == 0
+        res = self.run_cli("summarize", "--csv", str(csv_path))
+        assert res.returncode == 0, res.stderr
+        header, backward_row, forward_row = (line.split(",") for line in res.stdout.splitlines())
+        ratio = header.index("ratio_backward_over_forward")
+        assert backward_row[1] == "backward" and backward_row[ratio] == ""
+        assert forward_row[3] == "0.0"
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
