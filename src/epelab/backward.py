@@ -110,7 +110,7 @@ def build_q_under(rows: dict, encountered, instance: ProblemInstance) -> np.ndar
     """Completion using true rows outside the encountered set (test-only:
     needs ground-truth access)."""
     _check_estimated_rows(rows, encountered)
-    return densify({s: rows[s] for s in encountered}, instance.Q.copy())
+    return densify({s: rows[s] for s in encountered}, instance.Q)
 
 
 def build_q_over(

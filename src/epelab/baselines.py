@@ -1,7 +1,7 @@
 """Reference push estimators used to calibrate the sampled one.
 
-``approx_contributions`` runs the push loop against the true transition
-matrix, so it draws nothing and its fixed-point identity
+``approx_contributions`` runs the push loop against the instance's true
+transition matrix, so it draws nothing and its fixed-point identity
 v_hat_k(s) + mu_s r_k = v(s) holds exactly at every iteration.
 
 ``backward_epe_alternative`` re-estimates the relevant column with fresh
@@ -22,29 +22,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, densify, value_function
+from .model import CountingSampler, EstimateReport, ProblemInstance, densify, value_function
 from .push import ExactRows, FreshEmpiricalRows, PushTrace, replay_errors, run_push_loop
 
 
 def approx_contributions(
-    Q: np.ndarray,
-    cost: np.ndarray,
-    alpha: float,
+    instance: ProblemInstance,
     epsilon: float,
     rng: np.random.Generator,
     trace: bool = False,
-    in_neighbors=None,
 ) -> EstimateReport:
-    """Known-matrix push estimator; sup-norm error at most epsilon, zero draws."""
+    """Known-matrix push estimator on the instance's Q, cost and discount;
+    sup-norm error at most epsilon, zero draws."""
     if epsilon <= 0.0:
         raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
-    rows = ExactRows(np.asarray(Q, dtype=float))
-    if in_neighbors is None:
-        in_neighbors = rows.support_in_neighbors()
+    rows = ExactRows(instance)
     outcome = run_push_loop(
-        cost=np.asarray(cost, dtype=float),
-        alpha=alpha,
-        in_neighbors=in_neighbors,
+        cost=instance.cost,
+        alpha=instance.alpha,
+        in_neighbors=rows.support_in_neighbors(),
         epsilon=epsilon,
         row_source=rows,
         tie_rng=rng,

@@ -1,7 +1,7 @@
 """Experiment runner: ensembles x algorithms x trials -> CSV.
 
-A config names one ensemble cell per size S, a list of algorithms with
-parameter blocks, a trial count, and a master seed. Every trial derives
+A config names one ensemble cell per size S (no two share an S), a list
+of algorithms with parameter blocks, a trial count, and a master seed. Every trial derives
 its instance from (master_seed, S, trial) and every algorithm run derives
 its own sampler stream from (master_seed, S, trial, algorithm), so the
 output is a pure function of the config: the CSV is byte-identical across
@@ -40,7 +40,7 @@ from .baselines import approx_contributions, backward_epe_alternative, plug_in_e
 from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
-from .instances import EnsembleSpec, generate_instance
+from .instances import EnsembleSpec, density_for_case, generate_instance
 from .model import CountingSampler, EstimateReport, ProblemInstance, exact_value
 
 CSV_HEADER = "S,p,algorithm,seed,samples_used,linf_error,mean_relative_error,zero_value_states,encountered_size,iterations,wall_time_ms"
@@ -150,22 +150,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractViolation(f"trials must be >= 1, got {self.trials}")
+        # Instance streams, summaries and bound reports are keyed by S alone.
+        sizes = [e.S for e in self.ensembles]
+        if len(set(sizes)) != len(sizes):
+            raise ContractViolation(f"two ensembles share one S (sizes {sizes}); sweep alpha in separate configs")
 
     def to_dict(self) -> dict:
         return {
             "master_seed": self.master_seed,
             "trials": self.trials,
             "output": self.output,
-            "ensembles": [
-                {
-                    "S": e.S,
-                    "p": e.p,
-                    "alpha": e.alpha,
-                    "cost_model": e.cost_model,
-                    **({"H": e.H} if e.H is not None else {}),
-                }
-                for e in self.ensembles
-            ],
+            "ensembles": [{k: v for k, v in asdict(e).items() if v is not None} for e in self.ensembles],
             "algorithms": [{"name": a.name, "params": a.params} for a in self.algorithms],
         }
 
@@ -235,9 +230,7 @@ def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: Count
         )
         return bidirectional_epe(sampler, cost, alpha, neighbors, config)
     if spec.name == "approx_contributions":
-        return approx_contributions(
-            instance.Q, cost, alpha, eval_param(p["epsilon"], S), sampler.derive("tie_break")
-        )
+        return approx_contributions(instance, eval_param(p["epsilon"], S), sampler.derive("tie_break"))
     if spec.name == "backward_alternative":
         return backward_epe_alternative(
             sampler, cost, alpha, neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
@@ -355,7 +348,13 @@ def read_csv(path) -> list:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER.split(","):
             raise ContractViolation(f"unexpected CSV header in {path}")
-        return [TrialRecord(**{name: parse(row[name]) for name, parse in parsers.items()}) for row in reader]
+        records = []
+        for row in reader:
+            # A short row's missing cells read None; a long row's extras sit under the key None.
+            if None in row or None in row.values():
+                raise ContractViolation(f"{path}, line {reader.line_num}: expected {len(parsers)} cells")
+            records.append(TrialRecord(**{name: parse(row[name]) for name, parse in parsers.items()}))
+        return records
 
 
 SUMMARY_HEADER = (
@@ -440,20 +439,9 @@ def bound_report(records, config: ExperimentConfig) -> list:
         recs = by_cell.get(ensemble.S)
         if not recs:
             continue
-        realized_dbar = float(
-            np.mean(
-                [
-                    generate_instance(
-                        ensemble, (config.master_seed, "instance", ensemble.S, rec.seed)
-                    ).supergraph.avg_degree
-                    for rec in recs
-                ]
-            )
-        )
-        if ensemble.cost_model == "binary":
-            c_bar = ensemble.H / ensemble.S
-        else:
-            c_bar = 1.5 * ensemble.p / ensemble.S
+        seeds = [(config.master_seed, "instance", ensemble.S, rec.seed) for rec in recs]
+        realized_dbar = float(np.mean([generate_instance(ensemble, seed).supergraph.avg_degree for seed in seeds]))
+        c_bar = ensemble.H / ensemble.S if ensemble.cost_model == "binary" else 1.5 * ensemble.p / ensemble.S
         epsilon = eval_param(backward_specs[0].params["epsilon"], ensemble.S)
         bound = ensemble.S * c_bar * realized_dbar / (epsilon * (1.0 - ensemble.alpha))
         mean_enc = float(np.mean([r.encountered_size for r in recs]))
@@ -486,8 +474,6 @@ def fig1_config(
 ) -> ExperimentConfig:
     """Relative-complexity sweep: cheap backward pushes against a fixed
     forward budget of 4 length-10 trajectories per state."""
-    from .instances import density_for_case
-
     return ExperimentConfig(
         ensembles=tuple(EnsembleSpec(S=S, p=density_for_case(case, S, p), alpha=alpha) for S in S_values),
         algorithms=(

@@ -4,7 +4,8 @@ Transition matrices come from elementwise products of Uniform([0,1]) and
 Bernoulli(p/S) matrices, row-normalized; the Bernoulli mask is resampled
 whole until every row has support, and the supergraph is set to exactly
 that mask, so the supergraph support equals the chain's support. The
-density knob p controls the expected average degree (E d_bar = p).
+instance keeps only the mask's entries of Q, in CSR form. The density
+knob p controls the expected average degree (E d_bar = p).
 
 Two cost models: "mixed" adds a Bernoulli(p/S) indicator vector (resampled
 until nonzero) to a Uniform[0, p/S] vector, giving E ||c||_1 = 3p/2 and
@@ -124,9 +125,13 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
     if mask is None:
         raise GenerationError(f"no all-rows-supported mask after {RESAMPLE_CAP} attempts (S={S}, p={p})")
 
-    # In place: the product and the normalized rows reuse the weights array.
+    # Q's entries are the mask's: each is divided by its row sum over the
+    # whole dense product (computed in place in the weights array), the
+    # floats of a dense row normalization.
     Q = np.multiply(weights, mask, out=weights)
-    Q /= Q.sum(axis=1, keepdims=True)
+    flat = np.flatnonzero(mask)
+    sources, indices = np.divmod(flat, S)
+    values = Q.ravel()[flat] / Q.sum(axis=1)[sources]
 
     if spec.cost_model == "binary":
         cost = _binary_cost(S, spec.H, rng)
@@ -141,10 +146,5 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
             raise GenerationError(f"no nonzero cost indicator after {RESAMPLE_CAP} attempts (S={S}, p={p})")
         cost = indicator + rng.uniform(0.0, p / S, size=S)
 
-    return ProblemInstance(
-        S=S,
-        alpha=spec.alpha,
-        cost=cost,
-        Q=Q,
-        supergraph=Supergraph.from_mask(mask),
-    )
+    supergraph = Supergraph.from_edges(S, sources, indices)
+    return ProblemInstance.from_entries(S, spec.alpha, cost, sources, indices, values, supergraph)

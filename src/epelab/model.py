@@ -3,11 +3,13 @@
 A problem instance is a discounted Markov chain: a row-stochastic
 transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 (0, 1), and a binary supergraph whose edge set contains the support of
-``Q``. Estimators never read ``Q`` directly; they see it only through a
+``Q``. The instance stores ``Q`` once, as CSR arrays; the dense view
+:attr:`ProblemInstance.Q` is for oracles and test helpers only. Estimators
+never read ``Q`` directly; they see it only through a
 :class:`CountingSampler`, which hands out next-state draws and tallies
 every one. The tally is the sample-complexity meter that experiments
 report. Samplers draw from the instance's :class:`TransitionTable`, the
-rows of ``Q`` in CSR form, built once per instance and shared.
+renormalized rows of ``Q``, built once per instance and shared.
 
 The exact solvers here (:func:`exact_value`,
 :func:`exact_value_power_series`) are the ground truth that every
@@ -48,23 +50,20 @@ class Supergraph:
 
     @classmethod
     def from_out_edges(cls, S: int, out_edges) -> "Supergraph":
-        outs = tuple(np.array(sorted(int(t) for t in row), dtype=np.int64) for row in out_edges)
-        if len(outs) != S:
-            raise ContractViolation(f"expected {S} out-edge rows, got {len(outs)}")
-        sources, targets = _edge_arrays(outs)
-        return cls._from_edges(S, outs, sources, targets)
+        rows = [sorted(int(t) for t in row) for row in out_edges]
+        if len(rows) != S:
+            raise ContractViolation(f"expected {S} out-edge rows, got {len(rows)}")
+        return cls.from_edges(S, *_edge_arrays(rows))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Supergraph":
         mask = np.asarray(mask)
-        S = mask.shape[0]
-        sources, targets = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        return cls._from_edges(S, tuple(_split_rows(targets, sources, S)), sources, targets)
+        return cls.from_edges(mask.shape[0], *np.divmod(np.flatnonzero(mask), mask.shape[1]))
 
     @classmethod
-    def _from_edges(cls, S: int, outs: tuple, sources: np.ndarray, targets: np.ndarray) -> "Supergraph":
-        """``outs`` are the ascending out-edge rows; ``sources`` and
-        ``targets`` list the same edges row by row."""
+    def from_edges(cls, S: int, sources: np.ndarray, targets: np.ndarray) -> "Supergraph":
+        """The edges (sources[i], targets[i]), listed row by row: sources
+        ascending, each row's targets ascending."""
         bad = (targets < 0) | (targets >= S)
         if bad.any():
             raise ContractViolation(f"edge target {int(targets[np.argmax(bad)])} out of range for S={S}")
@@ -72,7 +71,7 @@ class Supergraph:
         in_degrees.setflags(write=False)
         return cls(
             S=S,
-            out_edges=outs,
+            out_edges=tuple(_split_rows(targets, sources, S)),
             in_neighbors=_in_rows(S, sources, targets),
             in_degrees=in_degrees,
             avg_degree=float(in_degrees.mean()),
@@ -161,27 +160,6 @@ class TransitionTable:
             probs += p
         return cls(np.cumsum(degree), np.array(indices, dtype=np.int64), np.array(probs, dtype=float))
 
-    @classmethod
-    def from_matrix(cls, Q: np.ndarray) -> "TransitionTable":
-        """Rows of a dense matrix: the positive entries of each row,
-        renormalized to sum to one.
-
-        One ``np.flatnonzero`` pass finds every entry; each row is then
-        divided by its own sum on its contiguous slice, the floats of
-        ``Q[s, idx] / Q[s, idx].sum()``.
-        """
-        S = Q.shape[0]
-        flat = np.flatnonzero(Q > 0)
-        sources, indices = np.divmod(flat, Q.shape[1])
-        probs = Q[sources, indices]
-        indptr = np.searchsorted(sources, np.arange(S + 1))
-        bounds = indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi > lo:
-                row = probs[lo:hi]
-                row /= row.sum()
-        return cls(indptr, indices, probs)
-
     def row(self, s: int) -> tuple:
         """(successors, probabilities, cumulative) views of row s."""
         lo, hi = self._indptr[s], self._indptr[s + 1]
@@ -236,39 +214,80 @@ class TransitionTable:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Ground truth for one evaluation problem: (S, alpha, cost, Q, supergraph)."""
+    """Ground truth for one evaluation problem: (S, alpha, cost, Q, supergraph).
+
+    Q is stored once, in CSR form: with lo, hi = ``q_indptr[s : s + 2]``,
+    row s holds ``q_values[lo:hi]`` in the ascending columns
+    ``q_indices[lo:hi]``, and 0.0 everywhere else.
+    """
 
     S: int
     alpha: float
     cost: np.ndarray
-    Q: np.ndarray
+    q_indptr: np.ndarray
+    q_indices: np.ndarray
+    q_values: np.ndarray
     supergraph: Supergraph
 
     def __post_init__(self):
-        self.cost.setflags(write=False)
-        self.Q.setflags(write=False)
+        for arr in (self.cost, self.q_indptr, self.q_indices, self.q_values):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_entries(cls, S: int, alpha: float, cost, sources, indices, values, supergraph) -> "ProblemInstance":
+        """Q given by ``values[i]`` at (``sources[i]``, ``indices[i]``), listed
+        row by row: sources ascending, each row's columns ascending."""
+        indptr = np.searchsorted(sources, np.arange(S + 1))
+        return cls(S, float(alpha), cost, indptr, indices, values, supergraph)
 
     @classmethod
     def from_arrays(cls, alpha: float, cost, Q, supergraph: Supergraph | None = None) -> "ProblemInstance":
-        Q = np.array(Q, dtype=float)
-        cost = np.array(cost, dtype=float)
+        """An instance of the dense matrix Q; its nonzero entries are stored."""
+        Q = np.asarray(Q, dtype=float)
         S = Q.shape[0]
+        if Q.shape != (S, S):
+            raise ContractViolation(f"Q must be square, got shape {Q.shape}")
         if supergraph is None:
             supergraph = Supergraph.from_mask(Q > 0)
-        return cls(S=S, alpha=float(alpha), cost=cost, Q=Q, supergraph=supergraph)
+        sources, indices = np.divmod(np.flatnonzero(Q), S)
+        return cls.from_entries(S, alpha, np.array(cost, dtype=float), sources, indices, Q[sources, indices], supergraph)
+
+    def q_entries(self) -> tuple:
+        """(rows, columns, values) of Q's stored entries, row by row."""
+        return np.repeat(np.arange(self.S), np.diff(self.q_indptr)), self.q_indices, self.q_values
+
+    @property
+    def Q(self) -> np.ndarray:
+        """A new dense S x S copy of Q, which costs O(S^2) time and memory on
+        every access. For oracles and test helpers only: generation, the
+        truth and every estimator read the CSR arrays."""
+        Q = np.zeros((self.S, self.S))
+        rows, indices, values = self.q_entries()
+        Q[rows, indices] = values
+        return Q
 
     @cached_property
     def transitions(self) -> TransitionTable:
         """The instance's one row table, built on first use and shared by
-        every sampler on this instance."""
-        return TransitionTable.from_matrix(self.Q)
+        every sampler on this instance.
+
+        Row s holds the positive entries of Q's row s divided by their sum
+        on the row's contiguous slice: the floats of ``Q[s, idx] / Q[s, idx].sum()``.
+        """
+        keep = self.q_values > 0
+        probs = self.q_values[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.q_indptr]
+        bounds = indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            probs[lo:hi] /= probs[lo:hi].sum()
+        return TransitionTable(indptr, self.q_indices[keep], probs)
 
     @property
     def cost_inf(self) -> float:
         return float(np.max(self.cost)) if self.S else 0.0
 
     def min_positive_entry(self) -> float:
-        positive = self.Q[self.Q > 0]
+        positive = self.q_values[self.q_values > 0]
         if positive.size == 0:
             raise ContractViolation("transition matrix has no positive entries")
         return float(positive.min())
@@ -296,9 +315,6 @@ def validate_instance(instance: ProblemInstance) -> list:
     S, Q, cost, sg = instance.S, instance.Q, instance.cost, instance.supergraph
     if not (0.0 < instance.alpha < 1.0):
         out.append(Violation("discount_domain", (), f"alpha={instance.alpha} not in (0,1)"))
-    if Q.shape != (S, S):
-        out.append(Violation("shape", Q.shape, f"Q must be {S}x{S}"))
-        return out
     if cost.shape != (S,):
         out.append(Violation("shape", cost.shape, f"cost must have length {S}"))
         return out
@@ -365,8 +381,18 @@ def discounted_occupancy(P: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def exact_value(instance: ProblemInstance) -> np.ndarray:
-    """Solve (I - alpha Q) v = (1 - alpha) c directly."""
-    return value_function(instance.Q, instance.cost, instance.alpha)
+    """Solve (I - alpha Q) v = (1 - alpha) c directly.
+
+    I - alpha Q is filled from the CSR arrays with the floats that
+    :func:`value_function` builds from the dense Q, so the solve returns
+    the same bytes: 0.0 - alpha q at each entry, then 1.0 on the diagonal.
+    """
+    S, alpha = instance.S, instance.alpha
+    rows, indices, values = instance.q_entries()
+    A = np.zeros((S, S))
+    A[rows, indices] = 0.0 - alpha * values
+    A.flat[:: S + 1] += 1.0
+    return np.linalg.solve(A, (1.0 - alpha) * instance.cost)
 
 
 def exact_value_power_series(instance: ProblemInstance, T: int) -> np.ndarray:
@@ -515,21 +541,14 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         "S": instance.S,
         "alpha": instance.alpha,
         "cost": instance.cost.tolist(),
-        "Q": [row.tolist() for row in instance.Q],
+        "Q": instance.Q.tolist(),
         "supergraph": [row.tolist() for row in instance.supergraph.out_edges],
     }
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    S = int(doc["S"])
-    sg = Supergraph.from_out_edges(S, doc["supergraph"])
-    return ProblemInstance(
-        S=S,
-        alpha=float(doc["alpha"]),
-        cost=np.array(doc["cost"], dtype=float),
-        Q=np.array(doc["Q"], dtype=float),
-        supergraph=sg,
-    )
+    sg = Supergraph.from_out_edges(int(doc["S"]), doc["supergraph"])
+    return ProblemInstance.from_arrays(doc["alpha"], doc["cost"], doc["Q"], sg)
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

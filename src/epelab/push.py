@@ -16,9 +16,9 @@ Layout of the kernel:
   :func:`apply_push` computes on arrays, so replay reproduces a run bit
   for bit.
 - A row source hands back the column of the pushed state as a
-  {in-neighbor: entry} dict. Exact rows read column dicts built in one
-  pass over the known matrix. Empirical rows are drawn from the
-  instance's :class:`~epelab.model.TransitionTable`: cached rows through
+  {in-neighbor: entry} dict. Exact rows read column dicts built by one
+  transpose of the instance's CSR arrays of Q. Empirical rows are drawn
+  from the instance's :class:`~epelab.model.TransitionTable`: cached rows through
   the sampler's row channel, fresh ones through its column channel, which
   draws each in-neighbor's full multinomial row (so the stream is the
   row channel's) but reads out only the pushed state's entry.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, discounted_occupancy, state_list
+from .model import CountingSampler, ProblemInstance, discounted_occupancy, state_list
 
 
 @dataclass
@@ -256,21 +256,19 @@ class CachedEmpiricalRows:
 
 
 class ExactRows:
-    """Row source reading a known transition matrix. Draws nothing.
+    """Row source reading the instance's known transition matrix. Draws nothing.
 
-    ``columns[t]`` maps each s with a nonzero Q[s, t] to that raw entry
-    (not a renormalized row); all columns come from one ``np.flatnonzero``
-    pass over Q.
+    ``columns[t]`` maps each s with a stored entry Q[s, t] to that raw
+    entry (not a renormalized row); all columns come from one stable sort
+    of the instance's CSR entries by column, which keeps each column's
+    rows ascending.
     """
 
-    def __init__(self, Q: np.ndarray):
-        self.Q = Q
-        sources, targets = np.divmod(np.flatnonzero(Q), Q.shape[1])
+    def __init__(self, instance: ProblemInstance):
+        sources, targets, values = instance.q_entries()
         order = np.argsort(targets, kind="stable")
-        sources, targets = sources[order], targets[order]
-        values = Q[sources, targets].tolist()
-        bounds = np.searchsorted(targets, np.arange(Q.shape[1] + 1)).tolist()
-        sources = sources.tolist()
+        bounds = np.searchsorted(targets[order], np.arange(instance.S + 1)).tolist()
+        sources, values = sources[order].tolist(), values[order].tolist()
         self.columns = [dict(zip(sources[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         self.rows = None
         self.encountered = None

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from epelab import EnsembleSpec, ProblemInstance, generate_instance
+
+# pyproject.toml puts src/ on this process's path; the CLI tests start
+# `python -m epelab.cli` in subprocesses, which need it on PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def instance_from(alpha, cost, Q, supergraph=None):

@@ -112,9 +112,7 @@ def test_03_known_q_push_exactness():
         alpha = [0.5, 0.7][i % 2]
         spec = EnsembleSpec(S=S, p=min(4.0, S), alpha=alpha)
         inst = generate_instance(spec, (MASTER_SEED, "c3", i))
-        report = approx_contributions(
-            inst.Q, inst.cost, alpha, epsilon, make_rng((MASTER_SEED, "c3tie", i)), trace=True
-        )
+        report = approx_contributions(inst, epsilon, make_rng((MASTER_SEED, "c3tie", i)), trace=True)
         v = exact_value(inst)
         assert np.max(np.abs(report.estimate - v)) <= epsilon + 1e-10
         worst_invariant = max(worst_invariant, np.max(np.abs(error_process(report.trace, inst.Q).values)))

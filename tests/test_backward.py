@@ -259,11 +259,11 @@ class TestExactRowCoupling:
             alpha=inst.alpha,
             in_neighbors=inst.supergraph.in_neighbors,
             epsilon=0.1,
-            row_source=ExactRows(inst.Q),
+            row_source=ExactRows(inst),
             tie_rng=make_rng("ties"),
             trace=True,
         )
-        report = approx_contributions(inst.Q, inst.cost, inst.alpha, 0.1, make_rng("ties"), trace=True)
+        report = approx_contributions(inst, 0.1, make_rng("ties"), trace=True)
         assert np.array_equal(outcome.estimate, report.estimate)
         assert outcome.iterations == report.iterations
         assert [r.state for r in outcome.trace.records] == [r.state for r in report.trace.records]

@@ -17,34 +17,34 @@ from conftest import random_instance
 
 class TestApproxContributions:
     def test_single_state_hand_trace(self, point_mass):
-        report = approx_contributions(point_mass.Q, point_mass.cost, 0.5, 0.3, make_rng(0), trace=True)
+        report = approx_contributions(point_mass, 0.3, make_rng(0), trace=True)
         assert report.iterations == 2
         assert report.estimate == pytest.approx([0.75], abs=0)
         assert report.samples_used == 0
 
     def test_large_epsilon_zero_vector(self, two_cycle):
-        report = approx_contributions(two_cycle.Q, two_cycle.cost, 0.5, 1.5, make_rng(0))
+        report = approx_contributions(two_cycle, 1.5, make_rng(0))
         assert report.iterations == 0
         assert np.all(report.estimate == 0.0)
 
     def test_fixed_point_identity_every_iteration(self):
         for i in range(5):
             inst = random_instance(S=10, p=4, alpha=0.6, seed=("fp", i))
-            report = approx_contributions(inst.Q, inst.cost, inst.alpha, 0.05, make_rng(i), trace=True)
+            report = approx_contributions(inst, 0.05, make_rng(i), trace=True)
             errors = error_process(report.trace, inst.Q)
             assert np.max(np.abs(errors.values)) <= 1e-10
 
     def test_error_within_epsilon(self):
         for i in range(5):
             inst = random_instance(S=10, p=4, alpha=0.6, seed=("eps", i))
-            report = approx_contributions(inst.Q, inst.cost, inst.alpha, 0.1, make_rng(i))
+            report = approx_contributions(inst, 0.1, make_rng(i))
             assert np.max(np.abs(report.estimate - exact_value(inst))) <= 0.1 + 1e-10
 
     def test_iteration_bound_by_value_mass(self):
         epsilon, alpha = 0.1, 0.6
         for i in range(5):
             inst = random_instance(S=10, p=4, alpha=alpha, seed=("kb", i))
-            report = approx_contributions(inst.Q, inst.cost, alpha, epsilon, make_rng(i))
+            report = approx_contributions(inst, epsilon, make_rng(i))
             bound = np.sum(exact_value(inst)) / (epsilon * (1 - alpha))
             assert report.iterations <= bound + 1e-9
 
@@ -53,7 +53,7 @@ class TestExactRows:
     def test_columns_equal_dense_entries_on_superset_neighbors(self):
         # Every state is listed as a neighbor, so most have Q[s, t] = 0.
         inst = random_instance(S=12, p=3, alpha=0.5, seed="cols")
-        rows = ExactRows(inst.Q)
+        rows = ExactRows(inst)
         everyone = np.arange(12, dtype=np.int64)
         for t in range(12):
             column = rows.column(everyone, t)
@@ -64,7 +64,7 @@ class TestExactRows:
 
     def test_default_in_neighbors_are_the_column_supports(self):
         inst = random_instance(S=15, p=3, alpha=0.5, seed="supp")
-        support = ExactRows(inst.Q).support_in_neighbors()
+        support = ExactRows(inst).support_in_neighbors()
         assert support == [np.flatnonzero(inst.Q[:, t] > 0).tolist() for t in range(15)]
         assert support == [row.tolist() for row in inst.supergraph.in_neighbors]
 
@@ -143,7 +143,7 @@ class TestErrorProcess:
 
     def test_rejects_bad_epsilon(self, two_cycle):
         with pytest.raises(ContractViolation):
-            approx_contributions(two_cycle.Q, two_cycle.cost, 0.5, 0.0, make_rng(0))
+            approx_contributions(two_cycle, 0.0, make_rng(0))
         with pytest.raises(ContractViolation):
             backward_epe_alternative(
                 CountingSampler(two_cycle, 0), two_cycle.cost, 0.5,
@@ -156,6 +156,6 @@ class TestCoupledTieBreaks:
         # Equal residuals (binary costs) force ties; a shared tie stream
         # makes the known-matrix run and the exact-row run pick identically.
         inst = random_instance(S=8, p=3, alpha=0.5, seed="ties", cost_model="binary", H=4)
-        r1 = approx_contributions(inst.Q, inst.cost, 0.5, 0.2, make_rng("t"), trace=True)
-        r2 = approx_contributions(inst.Q, inst.cost, 0.5, 0.2, make_rng("t"), trace=True)
+        r1 = approx_contributions(inst, 0.2, make_rng("t"), trace=True)
+        r2 = approx_contributions(inst, 0.2, make_rng("t"), trace=True)
         assert [a.state for a in r1.trace.records] == [b.state for b in r2.trace.records]

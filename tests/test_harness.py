@@ -12,15 +12,19 @@ from epelab import (
     ContractViolation,
     EnsembleSpec,
     ExperimentConfig,
+    ProblemInstance,
     bound_report,
     fig1_config,
     fig2_config,
+    generate_instance,
     read_csv,
     run_experiment,
     summarize,
+    validate_instance,
     write_csv,
 )
 from epelab.harness import (
+    ALGORITHM_NAMES,
     BOUND_HEADER,
     CSV_HEADER,
     SUMMARY_HEADER,
@@ -200,6 +204,53 @@ class TestRunExperiment:
         config.save_json(path)
         back = ExperimentConfig.from_json(path)
         assert back == config
+
+    def test_short_or_long_csv_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(run_experiment(small_config(trials=2)), path)
+        lines = path.read_text().splitlines()
+        for bad, cells in ((lines[-1].rsplit(",", 1)[0], 10), (lines[-1] + ",7", 12)):
+            path.write_text("\n".join(lines[:-1] + [bad]) + "\n")
+            with pytest.raises(ContractViolation, match=rf"out\.csv, line {len(lines)}: expected 11 cells"):
+                read_csv(path)
+            assert len(bad.split(",")) == cells
+
+    def test_ensembles_sharing_an_S_are_refused(self):
+        # They would share instance streams, and summarize and bound_report
+        # would merge their rows.
+        twins = (EnsembleSpec(S=20, p=4, alpha=0.5), EnsembleSpec(S=20, p=4, alpha=0.9))
+        with pytest.raises(ContractViolation, match="share one S"):
+            small_config(ensembles=twins)
+        with pytest.raises(ContractViolation, match="share one S"):
+            ExperimentConfig.from_dict(dict(small_config().to_dict(), ensembles=[
+                {"S": 20, "p": 4, "alpha": 0.5}, {"S": 30, "p": 4, "alpha": 0.5}, {"S": 20, "p": 5, "alpha": 0.5}
+            ]))
+
+    def test_trial_path_never_builds_the_dense_q(self, monkeypatch):
+        # Generation, the truth and all six algorithms read Q's CSR arrays;
+        # the dense view is for oracles and test helpers only.
+        def refuse(instance):
+            raise AssertionError("the dense Q was built on the trial path")
+
+        monkeypatch.setattr(ProblemInstance, "Q", property(refuse))
+        config = small_config(
+            algorithms=(
+                AlgorithmSpec("forward", {"T": 5, "m": 2}),
+                AlgorithmSpec("backward", {"epsilon": 0.2, "n": 5}),
+                AlgorithmSpec("bidirectional", {"epsilon": 0.3, "n_B": 5, "n_F": 3}),
+                AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3, "termination_mode": "dynamic"}),
+                AlgorithmSpec("approx_contributions", {"epsilon": 0.2}),
+                AlgorithmSpec("backward_alternative", {"epsilon": 0.2, "n": 3}),
+                AlgorithmSpec("plug_in", {"n": 4}),
+            ),
+            trials=2,
+        )
+        records = run_experiment(config)
+        assert {r.algorithm for r in records} == set(ALGORITHM_NAMES)
+        assert len(records) == 2 * 7
+        # The patch is live: an oracle that reads the dense view trips it.
+        with pytest.raises(AssertionError, match="dense Q"):
+            validate_instance(generate_instance(config.ensembles[0], 1))
 
 
 class TestSummarize:

@@ -74,6 +74,23 @@ class TestExactValue:
             np.eye(inst.S) - 0.5 * inst.Q.T, 0.5 * inst.cost
         ).tobytes()
 
+    def test_generated_instances_match_the_dense_solve(self):
+        for i, (S, p, alpha) in enumerate(((1, 1, 0.5), (2, 2, 0.3), (40, 4, 0.9), (150, 10, 0.999))):
+            inst = random_instance(S=S, p=p, alpha=alpha, seed=("csr", i))
+            assert exact_value(inst).tobytes() == value_function(inst.Q, inst.cost, alpha).tobytes()
+
+    def test_absorbing_and_degree_one_rows_match_the_dense_solve(self):
+        base = random_instance(S=80, p=6, alpha=0.7, seed="csr-mixed")
+        Q = base.Q
+        Q[3] = 0.0
+        Q[3, 3] = 1.0
+        for s, t in ((0, 79), (40, 0), (79, 78)):
+            Q[s] = 0.0
+            Q[s, t] = 1.0
+        inst = instance_from(0.7, base.cost, Q)
+        assert exact_value(inst).tobytes() == value_function(inst.Q, inst.cost, 0.7).tobytes()
+        assert inst.q_indices[inst.q_indptr[3]:inst.q_indptr[4]].tolist() == [3]
+
 
 class TestPowerSeries:
     def test_single_term(self, two_cycle):
@@ -346,9 +363,10 @@ class TestTransitionTable:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_from_matrix_equals_per_row_build(self):
+    def test_instance_table_equals_per_row_build(self):
         # A random matrix with a point-mass row and an all-zero row; every
-        # array must equal a row-by-row build of the same rows.
+        # array of the table built from the instance's CSR entries must
+        # equal a row-by-row build of the dense view's rows.
         rng = np.random.default_rng(11)
         S = 200
         Q = rng.random((S, S)) * (rng.random((S, S)) < 0.08)
@@ -356,12 +374,16 @@ class TestTransitionTable:
         Q[5, 17] = 0.3
         Q[9] = 0.0
         Q[S - 1, :] = rng.random(S)  # a dense row, longer than a pairwise-sum block
+        Q[7, 3] = -0.25  # stored in the instance, left out of the table
+        inst = instance_from(0.5, np.ones(S), Q)
+        dense = inst.Q
+        assert dense.tobytes() == Q.tobytes()
         rows = {}
         for s in range(S):
-            idx = np.flatnonzero(Q[s] > 0)
+            idx = np.flatnonzero(dense[s] > 0)
             if idx.size:
-                rows[s] = (idx.tolist(), (Q[s, idx] / Q[s, idx].sum()).tolist())
-        table = TransitionTable.from_matrix(Q)
+                rows[s] = (idx.tolist(), (dense[s, idx] / dense[s, idx].sum()).tolist())
+        table = inst.transitions
         reference = TransitionTable.from_rows(S, rows)
         for name in ("indptr", "indices", "probs", "cum"):
             assert getattr(table, name).tobytes() == getattr(reference, name).tobytes(), name
