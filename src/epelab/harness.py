@@ -353,7 +353,14 @@ def read_csv(path) -> list:
             # A short row's missing cells read None; a long row's extras sit under the key None.
             if None in row or None in row.values():
                 raise ContractViolation(f"{path}, line {reader.line_num}: expected {len(parsers)} cells")
-            records.append(TrialRecord(**{name: parse(row[name]) for name, parse in parsers.items()}))
+            cells = {}
+            for name, parse in parsers.items():
+                try:
+                    cells[name] = parse(row[name])
+                except ValueError:
+                    where = f"{path}, line {reader.line_num}, column {name}"
+                    raise ContractViolation(f"{where}: cannot parse {row[name]!r}") from None
+            records.append(TrialRecord(**cells))
         return records
 
 

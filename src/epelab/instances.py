@@ -1,11 +1,12 @@
 """Random problem ensembles.
 
 Transition matrices come from elementwise products of Uniform([0,1]) and
-Bernoulli(p/S) matrices, row-normalized; the Bernoulli mask is resampled
-whole until every row has support, and the supergraph is set to exactly
-that mask, so the supergraph support equals the chain's support. The
-instance keeps only the mask's entries of Q, in CSR form. The density
-knob p controls the expected average degree (E d_bar = p).
+Bernoulli(p/S) matrices, row-normalized, with each row conditioned on
+support. Rows are drawn one by one in O(nnz) time and memory, with only
+the empty ones redrawn; no S x S array is formed. The supergraph is set to
+exactly that support, so the supergraph support equals the chain's support,
+and the instance keeps Q's entries in CSR form. The density knob p
+controls the expected average degree (E d_bar = p).
 
 Two cost models: "mixed" adds a Bernoulli(p/S) indicator vector (resampled
 until nonzero) to a Uniform[0, p/S] vector, giving E ||c||_1 = 3p/2 and
@@ -25,7 +26,6 @@ from .model import ProblemInstance, Supergraph
 from .rng import make_rng
 
 RESAMPLE_CAP = 10**6
-MIN_SUCCESS_CHANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,31 @@ def generate_binary_cost(S: int, H: int, seed) -> np.ndarray:
     return _binary_cost(S, H, make_rng(seed))
 
 
-def log_mask_success(S: int, p: float) -> float:
-    """Natural log of the chance that one S x S Bernoulli(p/S) mask gives
-    every row support: S * log(1 - (1 - p/S)^S)."""
-    if p >= S:
-        return 0.0
-    return S * math.log1p(-math.exp(S * math.log1p(-p / S)))
+def _row_supports(S: int, p: float, rng: np.random.Generator) -> tuple:
+    """CSR (indptr, indices) of a Bernoulli(p/S) mask, each row conditioned on
+    support, in O(nnz): a row's columns are Bernoulli successes, drawn as
+    geometric gaps. A row is empty iff its first gap overruns S, and later
+    gaps do not depend on it, so only empty rows' first gaps are redrawn."""
+    q = p / S
+    first, empty = np.full(S, S), np.arange(S)
+    for _ in range(RESAMPLE_CAP):
+        first[empty] = rng.geometric(q, size=empty.size) - 1
+        empty = empty[first[empty] >= S]
+        if not empty.size:
+            break
+    else:
+        raise GenerationError(f"rows still empty after {RESAMPLE_CAP} redraws (S={S}, p={p})")
+    # Round k draws the next gap of every row whose entry k is in [0, S), slot k of the row.
+    rows, cols = [np.arange(S)], [first]
+    while rows[-1].size:
+        col = cols[-1] + rng.geometric(q, size=rows[-1].size)
+        rows.append(rows[-1][col < S])
+        cols.append(col[col < S])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(np.concatenate(rows), minlength=S))))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for k, (row, col) in enumerate(zip(rows, cols)):
+        indices[indptr[row] + k] = col
+    return indptr, indices
 
 
 def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
@@ -99,50 +118,22 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
 
     All resampling loops continue on the same stream, so reproducibility
     needs no extra bookkeeping.
-
-    Raises :class:`GenerationError` before drawing anything when the mask
-    resampling is hopeless: when RESAMPLE_CAP times the per-attempt success
-    chance (:func:`log_mask_success`) is below ``MIN_SUCCESS_CHANCE`` (1e-6).
-    Such a spec would succeed with a chance under 1e-6 after a full
-    RESAMPLE_CAP attempts; S = 200, p = 1.5 has a chance near 1e-16.
     """
     S, p = spec.S, spec.p
-    log_chance = log_mask_success(S, p)
-    if log_chance + math.log(RESAMPLE_CAP) < math.log(MIN_SUCCESS_CHANCE):
-        raise GenerationError(
-            f"an all-rows-supported mask is hopeless within {RESAMPLE_CAP} attempts "
-            f"(S={S}, p={p}: per-attempt chance exp({log_chance:.1f}))"
-        )
     rng = make_rng(seed)
-    weights = rng.random((S, S))
-
-    mask = None
-    for _ in range(RESAMPLE_CAP):
-        candidate = rng.random((S, S)) < p / S
-        if candidate.any(axis=1).all():
-            mask = candidate
-            break
-    if mask is None:
-        raise GenerationError(f"no all-rows-supported mask after {RESAMPLE_CAP} attempts (S={S}, p={p})")
-
-    # Q's entries are the mask's: each is divided by its row sum over the
-    # whole dense product (computed in place in the weights array), the
-    # floats of a dense row normalization.
-    Q = np.multiply(weights, mask, out=weights)
-    flat = np.flatnonzero(mask)
-    sources, indices = np.divmod(flat, S)
-    values = Q.ravel()[flat] / Q.sum(axis=1)[sources]
+    indptr, indices = _row_supports(S, p, rng)
+    sources = np.repeat(np.arange(S), np.diff(indptr))
+    weights = rng.random(indices.size)
+    values = weights / np.add.reduceat(weights, indptr[:-1])[sources]
 
     if spec.cost_model == "binary":
         cost = _binary_cost(S, spec.H, rng)
     else:
-        indicator = None
         for _ in range(RESAMPLE_CAP):
-            candidate = (rng.random(S) < p / S).astype(float)
-            if candidate.any():
-                indicator = candidate
+            indicator = rng.random(S) < p / S
+            if indicator.any():
                 break
-        if indicator is None:
+        else:
             raise GenerationError(f"no nonzero cost indicator after {RESAMPLE_CAP} attempts (S={S}, p={p})")
         cost = indicator + rng.uniform(0.0, p / S, size=S)
 

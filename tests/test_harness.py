@@ -152,7 +152,7 @@ class TestRunExperiment:
         csv = records_to_csv(run_experiment(config))
         assert len(csv.splitlines()) == 1 + 2 * 2 * 7
         assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "ecce47e13379d2041c555f5ae17dcfe4ceef79803d7ce3b91dfc3b106eef30be"
+            "607446d7af884a6040ffd9e1c1ccf18714215f9643ea92d714c0995bb93e6746"
         )
 
     def test_summary_and_bound_csv_bytes_are_pinned(self):
@@ -177,10 +177,10 @@ class TestRunExperiment:
         summary = table_to_csv(SUMMARY_HEADER, summarize(records))
         bounds = table_to_csv(BOUND_HEADER, bound_report(records, config))
         assert hashlib.sha256(summary.encode()).hexdigest() == (
-            "c30e07a348abdef17433bc6dd9758a5cb808ff5634b3a008b5d22506f13defd2"
+            "17222a038726de3658cdba46edbf89590c06e747e96ff64d81c64ba8abfea111"
         )
         assert hashlib.sha256(bounds.encode()).hexdigest() == (
-            "16169f169d1627f5a20e0bbaecd855fc153cbd9113e0639e0dafb340f35dd757"
+            "598a08ff9aba15f1db356ffee874c24f83c1b58209af7ab7d5e41142f1f5f463"
         )
 
     def test_record_order_canonical(self):
@@ -214,6 +214,17 @@ class TestRunExperiment:
             with pytest.raises(ContractViolation, match=rf"out\.csv, line {len(lines)}: expected 11 cells"):
                 read_csv(path)
             assert len(bad.split(",")) == cells
+
+    def test_unparsable_csv_cell_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(run_experiment(small_config(trials=2)), path)
+        lines = path.read_text().splitlines()
+        column = CSV_HEADER.split(",").index("samples_used")
+        cells = lines[2].split(",")
+        cells[column] = "abc"
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ContractViolation, match=r"out\.csv, line 3, column samples_used: cannot parse 'abc'"):
+            read_csv(path)
 
     def test_ensembles_sharing_an_S_are_refused(self):
         # They would share instance streams, and summarize and bound_report

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ import pytest
 from epelab import (
     ContractViolation,
     EnsembleSpec,
-    GenerationError,
     density_for_case,
     generate_binary_cost,
     generate_instance,
     validate_instance,
 )
-from epelab.instances import log_mask_success
 
 
 class TestGenerateInstance:
@@ -40,16 +39,52 @@ class TestGenerateInstance:
         assert np.array_equal(a.Q, b.Q)
         assert np.array_equal(a.cost, b.cost)
 
-    def test_hopeless_mask_spec_fails_fast(self):
-        # One mask attempt succeeds with chance ~exp(-50) here; redrawing
-        # up to RESAMPLE_CAP masks used to take minutes.
-        spec = EnsembleSpec(S=200, p=1.5, alpha=0.5)
+    def test_sparse_specs_generate_fast_with_every_row_supported(self):
+        # A whole-mask redraw would need ~exp(50) attempts at S=200, p=1.5;
+        # redrawing only the empty rows takes a few rounds.
         started = time.perf_counter()
-        with pytest.raises(GenerationError, match="hopeless"):
-            generate_instance(spec, 0)
+        inst = generate_instance(EnsembleSpec(S=200, p=1.5, alpha=0.5), 0)
         assert time.perf_counter() - started < 1.0
-        assert log_mask_success(200, 1.5) == pytest.approx(200 * math.log(1 - (1 - 1.5 / 200) ** 200))
-        assert log_mask_success(6, 6) == 0.0
+        assert validate_instance(inst) == []
+        started = time.perf_counter()
+        inst = generate_instance(EnsembleSpec(S=20000, p=1, alpha=0.5), 0)
+        assert time.perf_counter() - started < 5.0
+        assert np.diff(inst.q_indptr).min() >= 1
+
+    def test_row_law_is_the_conditioned_bernoulli_mask(self):
+        # Each row's degree is Binomial(S, p/S) conditioned on >= 1; at
+        # p = 2 the conditioning moves the mean from 2 to 2.30.
+        S, p, trials = 40, 2.0, 200
+        degrees = []
+        for i in range(trials):
+            inst = generate_instance(EnsembleSpec(S=S, p=p, alpha=0.5), ("law", i))
+            for s in range(S):
+                lo, hi = inst.q_indptr[s], inst.q_indptr[s + 1]
+                cols, vals = inst.q_indices[lo:hi], inst.q_values[lo:hi]
+                assert np.all(np.diff(cols) > 0)
+                assert abs(vals.sum() - 1.0) <= 1e-12
+            degrees.append(np.diff(inst.q_indptr))
+        degrees = np.concatenate(degrees)
+        n, q = degrees.size, p / S
+        k = np.arange(1, S + 1)
+        pmf = np.array([math.comb(S, j) for j in k]) * q**k * (1 - q) ** (S - k)
+        pmf /= pmf.sum()
+        mean = float(k @ pmf)
+        sd_mean = math.sqrt((float(k**2 @ pmf) - mean**2) / n)
+        assert abs(degrees.mean() - mean) <= 4 * sd_mean
+        share_one = float(pmf[0])
+        assert abs(np.mean(degrees == 1) - share_one) <= 4 * math.sqrt(share_one * (1 - share_one) / n)
+
+    def test_generation_allocates_no_dense_matrix(self):
+        # One S x S float array would be 82 MB here.
+        spec = EnsembleSpec(S=3200, p=10, alpha=0.9)
+        tracemalloc.start()
+        try:
+            generate_instance(spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_mixed_cost_moments(self):
         # E d_bar = p and E ||c||_1 = 3p/2 at the stated tolerance band.
