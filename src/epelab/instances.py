@@ -3,10 +3,10 @@
 Transition matrices come from elementwise products of Uniform([0,1]) and
 Bernoulli(p/S) matrices, row-normalized, with each row conditioned on
 support. Rows are drawn one by one in O(nnz) time and memory, with only
-the empty ones redrawn; no S x S array is formed. The supergraph is set to
-exactly that support, so the supergraph support equals the chain's support,
-and the instance keeps Q's entries in CSR form. The density knob p
-controls the expected average degree (E d_bar = p).
+the empty ones redrawn; no S x S array is formed. The instance keeps Q's
+entries in CSR form, and the supergraph is exactly their support: it
+shares Q's index arrays. The density knob p controls the expected
+average degree (E d_bar = p).
 
 Two cost models: "mixed" adds a Bernoulli(p/S) indicator vector (resampled
 until nonzero) to a Uniform[0, p/S] vector, giving E ||c||_1 = 3p/2 and
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, GenerationError
-from .model import ProblemInstance, Supergraph
+from .model import ProblemInstance, Supergraph, csr_rows
 from .rng import make_rng
 
 RESAMPLE_CAP = 10**6
@@ -122,9 +122,8 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
     S, p = spec.S, spec.p
     rng = make_rng(seed)
     indptr, indices = _row_supports(S, p, rng)
-    sources = np.repeat(np.arange(S), np.diff(indptr))
     weights = rng.random(indices.size)
-    values = weights / np.add.reduceat(weights, indptr[:-1])[sources]
+    values = weights / np.add.reduceat(weights, indptr[:-1])[csr_rows(indptr)]
 
     if spec.cost_model == "binary":
         cost = _binary_cost(S, spec.H, rng)
@@ -137,5 +136,4 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
             raise GenerationError(f"no nonzero cost indicator after {RESAMPLE_CAP} attempts (S={S}, p={p})")
         cost = indicator + rng.uniform(0.0, p / S, size=S)
 
-    supergraph = Supergraph.from_edges(S, sources, indices)
-    return ProblemInstance.from_entries(S, spec.alpha, cost, sources, indices, values, supergraph)
+    return ProblemInstance(S, spec.alpha, cost, indptr, indices, values, Supergraph(S, indptr, indices))

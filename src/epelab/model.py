@@ -3,13 +3,17 @@
 A problem instance is a discounted Markov chain: a row-stochastic
 transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 (0, 1), and a binary supergraph whose edge set contains the support of
-``Q``. The instance stores ``Q`` once, as CSR arrays; the dense view
-:attr:`ProblemInstance.Q` is for oracles and test helpers only. Estimators
-never read ``Q`` directly; they see it only through a
-:class:`CountingSampler`, which hands out next-state draws and tallies
-every one. The tally is the sample-complexity meter that experiments
-report. Samplers draw from the instance's :class:`TransitionTable`, the
-renormalized rows of ``Q``, built once per instance and shared.
+``Q``. The instance stores ``Q`` once, as CSR arrays, and the supergraph
+as one CSR pair of out-edges (for a generated instance, the same arrays
+as ``Q``'s); the transpose that backward estimators walk is derived from
+that pair by :func:`csr_transpose` on first use. Validation and the JSON
+form read the CSR arrays too; the dense view :attr:`ProblemInstance.Q`
+is for oracles and test helpers only. Estimators never read ``Q``
+directly; they see it only through a :class:`CountingSampler`, which
+hands out next-state draws and tallies every one. The tally is the
+sample-complexity meter that experiments report. Samplers draw from the
+instance's :class:`TransitionTable`, the renormalized rows of ``Q``,
+built once per instance and shared.
 
 The exact solvers here (:func:`exact_value`,
 :func:`exact_value_power_series`) are the ground truth that every
@@ -33,83 +37,95 @@ from .rng import as_entropy, derive_entropy, make_rng
 ROW_SUM_TOL = 1e-12
 
 
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row of every stored entry of a CSR matrix with row pointers ``indptr``."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def csr_transpose(S: int, indices: np.ndarray) -> tuple:
+    """(colptr, order) of a CSR matrix with S columns and column ``indices``.
+
+    Column t holds the entries ``order[colptr[t]:colptr[t + 1]]``. The sort
+    by column is stable, so each column lists its rows ascending.
+    """
+    colptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=S))))
+    return colptr, np.argsort(indices, kind="stable")
+
+
+def check_csr(S: int, indptr: np.ndarray, indices: np.ndarray, prefix: str) -> None:
+    """Raise :class:`ContractViolation` naming the field (``prefix`` and
+    "indptr" or "indices") unless the pair is a CSR matrix with S rows and
+    S columns whose rows are strictly ascending."""
+    if indptr.shape != (S + 1,) or indices.ndim != 1:
+        raise ContractViolation(f"{prefix}indptr needs S + 1 = {S + 1} entries and {prefix}indices one dimension")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise ContractViolation(f"{prefix}indptr must rise from 0 to nnz = {indices.size} without decreasing")
+    bad = (indices < 0) | (indices >= S)
+    if bad.any():
+        raise ContractViolation(f"{prefix}indices: {int(indices[np.argmax(bad)])} out of range for S={S}")
+    # Rows and their columns are ascending together iff row * S + column is.
+    rows = csr_rows(indptr)
+    bad = np.diff(rows * S + indices) <= 0
+    if bad.any():
+        raise ContractViolation(f"{prefix}indices: row {int(rows[np.argmax(bad)])} is not strictly ascending")
+
+
+def _store_read_only(obj, dtypes: dict) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a read-only
+    array of its dtype; an array that already has it is not copied."""
+    for name, dtype in dtypes.items():
+        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class Supergraph:
-    """Adjacency structure giving, for each state, who can reach it in one step.
+    """Adjacency structure: the out-edges of every state, in CSR form.
 
-    ``out_edges[s]`` lists the states s may transition to; ``in_neighbors[s]``
-    is the exact transpose. Backward exploration iterates ``in_neighbors``,
-    so both orientations are precomputed and kept sorted.
+    Row s, ``indices[indptr[s]:indptr[s + 1]]``, lists the states s may
+    transition to, strictly ascending; both arrays are read-only. Backward
+    exploration reads the transpose, ``in_neighbors``, which is derived
+    from them on first use, as are the in-degrees and the average degree.
     """
 
     S: int
-    out_edges: tuple
-    in_neighbors: tuple
-    in_degrees: np.ndarray
-    avg_degree: float
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    @classmethod
-    def from_out_edges(cls, S: int, out_edges) -> "Supergraph":
-        rows = [sorted(int(t) for t in row) for row in out_edges]
-        if len(rows) != S:
-            raise ContractViolation(f"expected {S} out-edge rows, got {len(rows)}")
-        return cls.from_edges(S, *_edge_arrays(rows))
+    def __post_init__(self):
+        _store_read_only(self, {"indptr": np.int64, "indices": np.int64})
+        check_csr(self.S, self.indptr, self.indices, "supergraph.")
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Supergraph":
-        mask = np.asarray(mask)
-        return cls.from_edges(mask.shape[0], *np.divmod(np.flatnonzero(mask), mask.shape[1]))
+        mask = np.asarray(mask, dtype=bool)
+        return cls(mask.shape[0], np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), np.nonzero(mask)[1])
 
-    @classmethod
-    def from_edges(cls, S: int, sources: np.ndarray, targets: np.ndarray) -> "Supergraph":
-        """The edges (sources[i], targets[i]), listed row by row: sources
-        ascending, each row's targets ascending."""
-        bad = (targets < 0) | (targets >= S)
-        if bad.any():
-            raise ContractViolation(f"edge target {int(targets[np.argmax(bad)])} out of range for S={S}")
-        in_degrees = np.bincount(targets, minlength=S).astype(np.int64)
-        in_degrees.setflags(write=False)
-        return cls(
-            S=S,
-            out_edges=tuple(_split_rows(targets, sources, S)),
-            in_neighbors=_in_rows(S, sources, targets),
-            in_degrees=in_degrees,
-            avg_degree=float(in_degrees.mean()),
-        )
+    @cached_property
+    def in_neighbors(self) -> list:
+        """``in_neighbors[t]`` lists, ascending and as Python ints, every s
+        with an edge to t."""
+        colptr, order = csr_transpose(self.S, self.indices)
+        sources, bounds = csr_rows(self.indptr)[order].tolist(), colptr.tolist()
+        return [sources[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        degrees = np.bincount(self.indices, minlength=self.S)
+        degrees.setflags(write=False)
+        return degrees
+
+    @property
+    def avg_degree(self) -> float:
+        """Mean in-degree (equally, mean out-degree)."""
+        return self.indices.size / self.S
 
     def edge_mask(self) -> np.ndarray:
-        m = np.zeros((self.S, self.S), dtype=bool)
-        for s, row in enumerate(self.out_edges):
-            m[s, row] = True
-        return m
-
-
-def _split_rows(values: np.ndarray, keys: np.ndarray, S: int) -> list:
-    """Split ``values`` into S runs by their ascending ``keys`` in [0, S)."""
-    return np.split(values, np.searchsorted(keys, np.arange(1, S)))[:S]
-
-
-def _edge_arrays(rows) -> tuple:
-    """(sources, targets) of every edge of the out-edge ``rows``, row by row."""
-    rows = [np.asarray(row, dtype=np.int64) for row in rows]
-    targets = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    return np.repeat(np.arange(len(rows), dtype=np.int64), [row.size for row in rows]), targets
-
-
-def _in_rows(S: int, sources: np.ndarray, targets: np.ndarray) -> tuple:
-    # A stable sort by target keeps each target's sources ascending.
-    order = np.argsort(targets, kind="stable")
-    return tuple(_split_rows(sources[order], targets[order], S))
-
-
-def transpose_rows(S: int, rows) -> tuple:
-    """In-neighbor arrays of the out-edge ``rows`` of an S-state graph.
-
-    Entry t lists, in ascending order, every s whose row holds t (a state
-    repeated in a row is listed as often). One stable sort of the edge
-    list replaces a per-edge Python loop.
-    """
-    return _in_rows(S, *_edge_arrays(rows))
+        """Dense S x S adjacency, an O(S^2) oracle for :func:`~epelab.backward.replay_invariant`."""
+        mask = np.zeros((self.S, self.S), dtype=bool)
+        mask[csr_rows(self.indptr), self.indices] = True
+        return mask
 
 
 class TransitionTable:
@@ -230,15 +246,10 @@ class ProblemInstance:
     supergraph: Supergraph
 
     def __post_init__(self):
-        for arr in (self.cost, self.q_indptr, self.q_indices, self.q_values):
-            arr.setflags(write=False)
-
-    @classmethod
-    def from_entries(cls, S: int, alpha: float, cost, sources, indices, values, supergraph) -> "ProblemInstance":
-        """Q given by ``values[i]`` at (``sources[i]``, ``indices[i]``), listed
-        row by row: sources ascending, each row's columns ascending."""
-        indptr = np.searchsorted(sources, np.arange(S + 1))
-        return cls(S, float(alpha), cost, indptr, indices, values, supergraph)
+        _store_read_only(self, {"cost": float, "q_indptr": np.int64, "q_indices": np.int64, "q_values": float})
+        check_csr(self.S, self.q_indptr, self.q_indices, "q_")
+        if self.q_values.shape != self.q_indices.shape:
+            raise ContractViolation(f"q_values has {self.q_values.size} entries, q_indices {self.q_indices.size}")
 
     @classmethod
     def from_arrays(cls, alpha: float, cost, Q, supergraph: Supergraph | None = None) -> "ProblemInstance":
@@ -249,12 +260,12 @@ class ProblemInstance:
             raise ContractViolation(f"Q must be square, got shape {Q.shape}")
         if supergraph is None:
             supergraph = Supergraph.from_mask(Q > 0)
-        sources, indices = np.divmod(np.flatnonzero(Q), S)
-        return cls.from_entries(S, alpha, np.array(cost, dtype=float), sources, indices, Q[sources, indices], supergraph)
+        stored = Supergraph.from_mask(Q != 0)
+        return cls(S, float(alpha), np.array(cost, dtype=float), stored.indptr, stored.indices, Q[Q != 0], supergraph)
 
     def q_entries(self) -> tuple:
         """(rows, columns, values) of Q's stored entries, row by row."""
-        return np.repeat(np.arange(self.S), np.diff(self.q_indptr)), self.q_indices, self.q_values
+        return csr_rows(self.q_indptr), self.q_indices, self.q_values
 
     @property
     def Q(self) -> np.ndarray:
@@ -308,46 +319,31 @@ class Violation:
 def validate_instance(instance: ProblemInstance) -> list:
     """Check every instance invariant; return [] iff all hold.
 
-    Validation never raises: callers get the full list of problems,
-    each naming the invariant and the offending index pair.
+    Validation never raises: callers get the full list of problems, each
+    naming the invariant and the offending index pair. O(nnz log nnz).
     """
     out = []
-    S, Q, cost, sg = instance.S, instance.Q, instance.cost, instance.supergraph
+    S, cost, sg = instance.S, instance.cost, instance.supergraph
     if not (0.0 < instance.alpha < 1.0):
         out.append(Violation("discount_domain", (), f"alpha={instance.alpha} not in (0,1)"))
     if cost.shape != (S,):
         out.append(Violation("shape", cost.shape, f"cost must have length {S}"))
         return out
 
-    row_sums = Q.sum(axis=1)
+    rows, cols, values = instance.q_entries()
+    row_sums = np.bincount(rows, weights=values, minlength=S)
     for s in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         out.append(Violation("row_sum", (int(s),), f"row sums to {row_sums[s]!r}"))
-    neg_q = np.argwhere(Q < 0)
-    for s, t in neg_q:
-        out.append(Violation("negative_entry", (int(s), int(t)), f"Q entry {Q[s, t]!r}"))
+    for i in np.flatnonzero(values < 0):
+        out.append(Violation("negative_entry", (int(rows[i]), int(cols[i])), f"Q entry {values[i]!r}"))
     for s in np.flatnonzero(cost < 0):
         out.append(Violation("negative_cost", (int(s),), f"cost entry {cost[s]!r}"))
 
-    mask = sg.edge_mask()
-    leaked = np.argwhere((~mask) & (Q > 0))
-    for s, t in leaked:
-        out.append(
-            Violation(
-                "absolute_continuity",
-                (int(s), int(t)),
-                f"supergraph has no edge but Q={Q[s, t]!r}",
-            )
-        )
-
-    # Supergraph internal consistency (transpose, degrees, average).
-    incoming = transpose_rows(S, sg.out_edges)
-    for s in range(S):
-        if not np.array_equal(incoming[s], sg.in_neighbors[s]):
-            out.append(Violation("in_neighbor_transpose", (s,), "in_neighbors is not the transpose"))
-        if sg.in_degrees[s] != len(sg.in_neighbors[s]):
-            out.append(Violation("in_degree", (s,), "d_in(s) != |N_in(s)|"))
-    if S and abs(sg.avg_degree - float(np.mean(sg.in_degrees))) > 1e-12:
-        out.append(Violation("avg_degree", (), "avg_degree is not the mean in-degree"))
+    # check_csr made both key arrays strictly ascending, hence unique.
+    on_edge = np.isin(rows * S + cols, csr_rows(sg.indptr) * S + sg.indices, assume_unique=True)
+    for i in np.flatnonzero((values > 0) & ~on_edge):
+        where = (int(rows[i]), int(cols[i]))
+        out.append(Violation("absolute_continuity", where, f"supergraph has no edge but Q={values[i]!r}"))
     return out
 
 
@@ -530,30 +526,36 @@ class CountingSampler:
 
 
 def state_list(states) -> list:
-    """States as a list of Python ints; numpy arrays convert in one call."""
-    if isinstance(states, np.ndarray):
-        return states.tolist()
-    return [int(s) for s in states]
+    """States as a list of Python ints: a list is taken as it is, anything
+    else converts through numpy in one call."""
+    return states if isinstance(states, list) else np.asarray(states).tolist()
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
+    """The instance as a JSON-ready document: Q and the supergraph in CSR form."""
+    sg = instance.supergraph
     return {
         "S": instance.S,
         "alpha": instance.alpha,
         "cost": instance.cost.tolist(),
-        "Q": instance.Q.tolist(),
-        "supergraph": [row.tolist() for row in instance.supergraph.out_edges],
+        "q_indptr": instance.q_indptr.tolist(),
+        "q_indices": instance.q_indices.tolist(),
+        "q_values": instance.q_values.tolist(),
+        "supergraph": {"indptr": sg.indptr.tolist(), "indices": sg.indices.tolist()},
     }
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    sg = Supergraph.from_out_edges(int(doc["S"]), doc["supergraph"])
-    return ProblemInstance.from_arrays(doc["alpha"], doc["cost"], doc["Q"], sg)
+    """Inverse of :func:`instance_to_dict`; reads the CSR form only. A
+    malformed CSR field raises :class:`ContractViolation` naming it."""
+    S, graph = int(doc["S"]), doc["supergraph"]
+    sg = Supergraph(S, graph["indptr"], graph["indices"])
+    return ProblemInstance(S, float(doc["alpha"]), doc["cost"], doc["q_indptr"], doc["q_indices"], doc["q_values"], sg)
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh)
+        fh.write(json.dumps(instance_to_dict(instance)))  # json.dump would skip the C encoder
 
 
 def load_instance(path) -> ProblemInstance:

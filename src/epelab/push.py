@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, ProblemInstance, discounted_occupancy, state_list
+from .model import CountingSampler, ProblemInstance, csr_transpose, discounted_occupancy, state_list
 
 
 @dataclass
@@ -266,9 +266,8 @@ class ExactRows:
 
     def __init__(self, instance: ProblemInstance):
         sources, targets, values = instance.q_entries()
-        order = np.argsort(targets, kind="stable")
-        bounds = np.searchsorted(targets[order], np.arange(instance.S + 1)).tolist()
-        sources, values = sources[order].tolist(), values[order].tolist()
+        colptr, order = csr_transpose(instance.S, targets)
+        bounds, sources, values = colptr.tolist(), sources[order].tolist(), values[order].tolist()
         self.columns = [dict(zip(sources[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         self.rows = None
         self.encountered = None

@@ -1,7 +1,6 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from epelab import EnsembleSpec, ProblemInstance, generate_instance
@@ -31,11 +30,3 @@ def two_cycle():
 def random_instance(S, p, alpha, seed, cost_model="mixed", H=None):
     spec = EnsembleSpec(S=S, p=p, alpha=alpha, cost_model=cost_model, H=H)
     return generate_instance(spec, seed)
-
-
-def dense_rows(rows, S):
-    out = np.zeros((S, S))
-    for s, row in rows.items():
-        for t, q in row.items():
-            out[s, t] = q
-    return out

@@ -66,7 +66,7 @@ class TestExactRows:
         inst = random_instance(S=15, p=3, alpha=0.5, seed="supp")
         support = ExactRows(inst).support_in_neighbors()
         assert support == [np.flatnonzero(inst.Q[:, t] > 0).tolist() for t in range(15)]
-        assert support == [row.tolist() for row in inst.supergraph.in_neighbors]
+        assert support == inst.supergraph.in_neighbors
 
 
 class TestBackwardAlternative:

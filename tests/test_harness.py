@@ -14,11 +14,14 @@ from epelab import (
     ExperimentConfig,
     ProblemInstance,
     bound_report,
+    exact_value_power_series,
     fig1_config,
     fig2_config,
     generate_instance,
+    load_instance,
     read_csv,
     run_experiment,
+    save_instance,
     summarize,
     validate_instance,
     write_csv,
@@ -237,9 +240,10 @@ class TestRunExperiment:
                 {"S": 20, "p": 4, "alpha": 0.5}, {"S": 30, "p": 4, "alpha": 0.5}, {"S": 20, "p": 5, "alpha": 0.5}
             ]))
 
-    def test_trial_path_never_builds_the_dense_q(self, monkeypatch):
-        # Generation, the truth and all six algorithms read Q's CSR arrays;
-        # the dense view is for oracles and test helpers only.
+    def test_trial_path_never_builds_the_dense_q(self, monkeypatch, tmp_path):
+        # Generation, the truth, all six algorithms, validation, the bound
+        # report and instance JSON read Q's CSR arrays; the dense view is
+        # for oracles and test helpers only.
         def refuse(instance):
             raise AssertionError("the dense Q was built on the trial path")
 
@@ -259,9 +263,15 @@ class TestRunExperiment:
         records = run_experiment(config)
         assert {r.algorithm for r in records} == set(ALGORITHM_NAMES)
         assert len(records) == 2 * 7
+        assert [row["trials"] for row in bound_report(records, config)] == [2]
+        instance = generate_instance(config.ensembles[0], 1)
+        assert validate_instance(instance) == []
+        save_instance(instance, tmp_path / "instance.json")
+        back = load_instance(tmp_path / "instance.json")
+        assert np.array_equal(back.q_values, instance.q_values) and np.array_equal(back.q_indices, instance.q_indices)
         # The patch is live: an oracle that reads the dense view trips it.
         with pytest.raises(AssertionError, match="dense Q"):
-            validate_instance(generate_instance(config.ensembles[0], 1))
+            exact_value_power_series(instance, 5)
 
 
 class TestSummarize:
@@ -349,7 +359,7 @@ class TestCli:
         assert res.returncode == 0
         doc = json.loads(out.read_text())
         assert doc["S"] == 8
-        assert len(doc["Q"]) == 8
+        assert len(doc["q_indptr"]) == 9
 
     def test_run_summarize_bounds_pipeline(self, tmp_path):
         cfg = small_config(trials=2).to_dict()

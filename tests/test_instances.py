@@ -19,7 +19,7 @@ class TestGenerateInstance:
     def test_full_density_complete_supergraph(self):
         spec = EnsembleSpec(S=6, p=6, alpha=0.5)
         inst = generate_instance(spec, 0)
-        assert all(len(row) == 6 for row in inst.supergraph.out_edges)
+        assert np.all(np.diff(inst.supergraph.indptr) == 6)
         assert inst.supergraph.avg_degree == 6.0
 
     def test_every_instance_validates(self):
@@ -76,11 +76,14 @@ class TestGenerateInstance:
         assert abs(np.mean(degrees == 1) - share_one) <= 4 * math.sqrt(share_one * (1 - share_one) / n)
 
     def test_generation_allocates_no_dense_matrix(self):
-        # One S x S float array would be 82 MB here.
+        # One S x S float array would be 82 MB here; generation, validation
+        # and the in-neighbor lists stay far below it.
         spec = EnsembleSpec(S=3200, p=10, alpha=0.9)
         tracemalloc.start()
         try:
-            generate_instance(spec, 0)
+            inst = generate_instance(spec, 0)
+            assert validate_instance(inst) == []
+            assert len(inst.supergraph.in_neighbors) == spec.S
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,7 +15,7 @@ from epelab import (
     validate_instance,
     value_function,
 )
-from epelab.model import TransitionTable, transpose_rows
+from epelab.model import TransitionTable
 from conftest import instance_from, random_instance
 
 
@@ -24,7 +24,7 @@ class TestValidate:
         assert validate_instance(point_mass) == []
 
     def test_absolute_continuity_violation(self):
-        sg = Supergraph.from_out_edges(2, [[0], [0]])
+        sg = Supergraph(2, [0, 1, 2], [0, 0])
         inst = ProblemInstance.from_arrays(0.5, [1.0, 1.0], [[0.5, 0.5], [1.0, 0.0]], sg)
         violations = validate_instance(inst)
         assert any(v.kind == "absolute_continuity" and v.where == (0, 1) for v in violations)
@@ -236,6 +236,10 @@ class TestEmpiricalColumn:
             CountingSampler(inst, 0).sample_empirical_column([1], 0, 5)
 
 
+def out_rows(sg):
+    return [sg.indices[lo:hi].tolist() for lo, hi in zip(sg.indptr, sg.indptr[1:])]
+
+
 def loop_transpose(S, out_edges):
     incoming = [[] for _ in range(S)]
     for s, row in enumerate(out_edges):
@@ -246,25 +250,23 @@ def loop_transpose(S, out_edges):
 
 class TestSupergraph:
     def check_transpose(self, sg):
-        expected = loop_transpose(sg.S, sg.out_edges)
+        expected = loop_transpose(sg.S, out_rows(sg))
         assert len(sg.in_neighbors) == sg.S
-        assert [row.tolist() for row in sg.in_neighbors] == expected
-        assert [row.tolist() for row in transpose_rows(sg.S, sg.out_edges)] == expected
-        assert all(row.dtype == np.int64 for row in sg.in_neighbors)
+        assert sg.in_neighbors == expected
+        assert all(type(s) is int for row in sg.in_neighbors for s in row)
         assert sg.in_degrees.tolist() == [len(row) for row in expected]
 
     def test_transpose_matches_loop_on_random_graph(self):
         mask = np.random.default_rng(5).random((60, 60)) < 0.08
         sg = Supergraph.from_mask(mask)
-        assert [row.tolist() for row in sg.out_edges] == [np.flatnonzero(r).tolist() for r in mask]
+        assert out_rows(sg) == [np.flatnonzero(r).tolist() for r in mask]
         self.check_transpose(sg)
-        self.check_transpose(Supergraph.from_out_edges(60, [row.tolist()[::-1] for row in sg.out_edges]))
 
     def test_transpose_with_empty_in_rows(self):
         # Nobody reaches states 0, 3 and 5; state 5 also has no out-edges.
-        sg = Supergraph.from_out_edges(6, [[2, 1], [2], [1, 4], [4, 1], [2], []])
+        sg = Supergraph(6, [0, 2, 3, 5, 7, 8, 8], [1, 2, 2, 1, 4, 1, 4, 2])
         self.check_transpose(sg)
-        assert [row.size for row in sg.in_neighbors] == [0, 3, 3, 0, 2, 0]
+        assert [len(row) for row in sg.in_neighbors] == [0, 3, 3, 0, 2, 0]
         mask = np.zeros((4, 4), dtype=bool)
         mask[:, 2] = True
         self.check_transpose(Supergraph.from_mask(mask))
@@ -272,16 +274,15 @@ class TestSupergraph:
     def test_out_of_range_target_rejected(self):
         for bad in (2, -1):
             with pytest.raises(ContractViolation, match="out of range"):
-                Supergraph.from_out_edges(2, [[0], [1, bad]])
+                Supergraph(2, [0, 1, 3], [0, 1, bad])
 
-    def test_validate_flags_a_wrong_transpose(self):
-        good = Supergraph.from_out_edges(3, [[1], [2], [0, 1]])
-        bad = Supergraph(S=3, out_edges=good.out_edges, in_neighbors=good.in_neighbors[::-1],
-                         in_degrees=good.in_degrees, avg_degree=good.avg_degree)
-        Q = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
-        assert validate_instance(ProblemInstance.from_arrays(0.5, [1.0] * 3, Q, good)) == []
-        kinds = {v.kind for v in validate_instance(ProblemInstance.from_arrays(0.5, [1.0] * 3, Q, bad))}
-        assert "in_neighbor_transpose" in kinds
+    def test_arrays_are_shared_read_only_and_derived_once(self):
+        inst = random_instance(S=30, p=4, alpha=0.5, seed="shared")
+        sg = inst.supergraph
+        assert sg.indptr is inst.q_indptr and sg.indices is inst.q_indices
+        assert not sg.indptr.flags.writeable and not sg.indices.flags.writeable
+        assert sg.in_neighbors is sg.in_neighbors
+        assert sg.avg_degree == sg.indices.size / sg.S
 
 
 def searchsorted_reference(Q, states, u):
@@ -436,10 +437,8 @@ class TestSerialization:
         assert back.alpha == inst.alpha
         assert np.array_equal(back.cost, inst.cost)
         assert np.array_equal(back.Q, inst.Q)
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(back.supergraph.out_edges, inst.supergraph.out_edges)
-        )
+        assert np.array_equal(back.supergraph.indptr, inst.supergraph.indptr)
+        assert np.array_equal(back.supergraph.indices, inst.supergraph.indices)
 
     def test_supergraph_fields_consistent(self):
         inst = random_instance(S=9, p=3, alpha=0.5, seed="sg")
@@ -447,3 +446,33 @@ class TestSerialization:
         assert sg.avg_degree == pytest.approx(float(np.mean(sg.in_degrees)))
         for s in range(9):
             assert sg.in_degrees[s] == len(sg.in_neighbors[s])
+
+    # One case per rule: (field, position, new entry or None to delete it,
+    # expected message). The valid document below has q_indptr [0, 2, 4, 5]
+    # and q_indices [0, 1, 1, 2, 0], and its supergraph is the same pair.
+    MALFORMED = [
+        ("q_indptr", -1, None, r"q_indptr needs S \+ 1 = 4 entries"),
+        ("q_values", -1, None, "q_values has 4 entries, q_indices 5"),
+        ("q_indptr", 0, 1, "q_indptr must rise from 0"),
+        ("q_indptr", 2, 1, "q_indptr must rise"),
+        ("q_indptr", 3, 4, "q_indptr must rise from 0 to nnz = 5"),
+        ("q_indices", 0, 3, "q_indices: 3 out of range"),
+        ("q_indices", 4, -1, "q_indices: -1 out of range"),
+        ("q_indices", 1, 0, "q_indices: row 0 is not strictly ascending"),
+        ("supergraph.indptr", 0, None, r"supergraph.indptr needs S \+ 1"),
+        ("supergraph.indptr", 3, 4, "supergraph.indptr must rise"),
+        ("supergraph.indices", 2, 3, "supergraph.indices: 3 out of range"),
+        ("supergraph.indices", 3, 1, "supergraph.indices: row 1 is not strictly ascending"),
+    ]
+
+    @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
+    def test_malformed_csr_names_the_field(self, field, position, value, message):
+        inst = instance_from(0.5, [1.0, 1.0, 0.0], [[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        doc = json.loads(json.dumps(instance_to_dict(inst)))
+        entries = doc["supergraph"][field[11:]] if field.startswith("supergraph.") else doc[field]
+        if value is None:
+            del entries[position]
+        else:
+            entries[position] = value
+        with pytest.raises(ContractViolation, match=message):
+            instance_from_dict(doc)
