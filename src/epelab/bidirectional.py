@@ -18,18 +18,17 @@ draw counts.
 
 Layout of the walk stage (:func:`_walk_stage`):
 
-- Per-state uniform blocks. State s's walks read the stream derived from
-  ("walks", s): each walk its length uniform, then one uniform per step.
-  The stage draws each state's uniforms as a block (more when its walks
-  run past it) and parses the lengths from it in Python floats, so every
-  length and every step uniform is the one a scalar loop would read.
-- One frontier. All walkers of a block of states move together, one step
-  at a time. Walkers at encountered states step through the stored rows
-  for free; the rest take one charged batch draw on the true table,
-  with their own uniforms passed in. Draw counts (charged, free, capped)
-  and endpoints equal the scalar loop's.
-- A walker budget. States are walked in blocks of at most
-  ``WALKER_BUDGET`` walkers, so memory stays bounded as S grows.
+- Two streams. Walk lengths and free steps read one stream derived from
+  ("walks"); charged steps read the sampler's own stream, as every other
+  charged draw does.
+- Walker blocks. States are walked in blocks of at most
+  ``WALKER_BUDGET`` walkers, so memory stays bounded as S grows. A
+  block's walks are numbered state by state, and their lengths come from
+  one vector of uniforms through :func:`geometric_length`.
+- One frontier. All walkers of a block move together, one step at a
+  time, longest walks first (ties in walk order). Walkers at encountered
+  states step through the stored rows for free, with uniforms from the
+  walks stream; the rest take one charged batch draw on the true table.
 
 Endpoint residuals are summed per state in walk order, so the estimate
 is bit-identical to a per-walk running sum.
@@ -63,17 +62,17 @@ class BidirectionalConfig:
             raise ContractViolation(f"fixed mode needs epsilon > 0, got {self.epsilon}")
 
 
-def geometric_length(alpha: float, rng: np.random.Generator) -> int:
-    """Walk length L with P(L = t) = (1 - alpha) * alpha^t on {0, 1, 2, ...}.
+def geometric_length(alpha: float, u: np.ndarray) -> np.ndarray:
+    """Walk lengths L with P(L = t) = (1 - alpha) * alpha^t on {0, 1, 2, ...},
+    one per uniform in ``u``.
 
-    Sampled by inversion: L = floor(log(U) / log(alpha)). A zero uniform
-    (possible only at the stream's resolution floor) maps to the cap
-    handled by callers.
+    Sampled by inversion: L = floor(log(U) / log(alpha)), cut at
+    :func:`walk_step_cap`. A zero uniform (possible only at the stream's
+    resolution floor) maps to the cap.
     """
-    u = rng.random()
-    if u <= 0.0:
-        return walk_step_cap(alpha)
-    return int(math.log(u) / math.log(alpha))
+    with np.errstate(divide="ignore"):
+        steps = np.log(u) / math.log(alpha)
+    return np.minimum(steps, walk_step_cap(alpha)).astype(np.int64)
 
 
 def walk_step_cap(alpha: float) -> int:
@@ -100,67 +99,10 @@ def dynamic_stop_threshold(S: int, n_B: int, n_F: int, alpha: float) -> int:
     return min(math.ceil(S * w / (n_B + w)), S)
 
 
-# Walkers moved together in one frontier block. A block holds about
-# WALKER_BUDGET * (1 + alpha / (1 - alpha)) uniforms (5 MB at alpha 0.9), so
-# memory stays bounded however large S grows.
+# Walkers moved together in one frontier block. A block holds a few arrays
+# of WALKER_BUDGET entries (0.5 MB each), so memory stays bounded however
+# large S grows.
 WALKER_BUDGET = 1 << 16
-
-
-def _first_block_size(n_F: int, alpha: float) -> int:
-    """Uniforms drawn up front for one state's walks: each walk's length
-    draw plus 1.5 times its mean length, and a margin. A state whose walks
-    need more draws more from the same stream."""
-    return int(n_F * (1.0 + 1.5 * alpha / (1.0 - alpha))) + 16
-
-
-def _parse_walks(rng: np.random.Generator, alpha: float, buf: np.ndarray, pos: int, lengths: np.ndarray) -> tuple:
-    """Lay one state's walks out on its stream, from ``buf[pos]`` on.
-
-    Walk j reads its length uniform, then one uniform per step, and the
-    next walk starts right after it. The uniforms are drawn into ``buf``
-    a block at a time, more as the walks need them; ``buf`` is
-    reallocated only when it is full. Walk j's length goes to
-    ``lengths[j]`` (one slot per walk), computed as
-    :func:`geometric_length` does, in Python floats (``np.log`` need not
-    match ``math.log`` bit for bit), and capped at :func:`walk_step_cap`.
-
-    Returns (buf, end, capped): ``end`` is one past the last uniform used
-    and ``capped`` counts the walks cut at the cap.
-    """
-    cap = walk_step_cap(alpha)
-    log_alpha = math.log(alpha)
-    block = _first_block_size(lengths.size, alpha)
-    filled = pos
-    capped = 0
-
-    def fill(need):
-        nonlocal buf, filled
-        while filled < need:
-            more = max(block, need - filled)
-            if filled + more > buf.size:
-                grown = np.empty(max(filled + more, 2 * buf.size))
-                grown[:filled] = buf[:filled]
-                buf = grown
-            rng.random(out=buf[filled : filled + more])
-            filled += more
-
-    log = math.log
-    p = pos
-    for j in range(lengths.size):
-        if p >= filled:
-            fill(p + 1)
-        u = float(buf[p])
-        if u <= 0.0:
-            steps = cap
-        else:
-            steps = int(log(u) / log_alpha)
-            if steps > cap:
-                steps = cap
-                capped += 1
-        lengths[j] = steps
-        p += 1 + steps
-    fill(p)
-    return buf, p, capped
 
 
 def _walk_stage(
@@ -168,60 +110,52 @@ def _walk_stage(
 ) -> tuple:
     """Add each state's mean endpoint residual over n_F walks to ``estimate``.
 
-    Returns the (charged, free, capped) walk counts. States are walked in
-    blocks of at most ``WALKER_BUDGET`` walkers (at least one state each):
+    Returns the (charged, free, capped) walk step and walk counts; a walk
+    is capped when its length is :func:`walk_step_cap`. States are walked
+    in blocks of at most ``WALKER_BUDGET`` walkers (at least one state
+    each). In a block, walk j of state s is walker (s - lo) * n_F + j, and
+    the lengths are :func:`geometric_length` of one vector of uniforms
+    from ``sampler.derive("walks")``. Then, step by step, the walkers still
+    going, ordered by decreasing length and then by walker number:
 
-    - State s reads the stream ``sampler.derive("walks", s)``, the one
-      ``sampler.spawn("walks", s)`` would hold. :func:`_parse_walks` lays
-      the block's walks out one after another on one flat array of
-      uniforms, so each walk's first step uniform follows from the lengths.
-    - At step i every walker still going reads its (i+1)-th step
-      uniform. Walkers at stored (encountered) rows step through the stored
-      table for free; the rest make one charged batch draw through
-      :meth:`CountingSampler.sample_next_batch` with those uniforms.
-      Either way the successor is the one a scalar draw picks, so every
-      endpoint equals that of walking each state's walks one step at a
-      time on its own stream.
-    - Endpoint residuals are summed in walk order (``np.cumsum``, not the
-      pairwise ``np.sum``), giving the floats of a running Python sum.
+    - those at stored (encountered) rows step through the stored table
+      for free, reading the next uniforms of the walks stream in that
+      order;
+    - the rest make one charged draw through
+      :meth:`CountingSampler.sample_next_batch`, in that order.
+
+    Endpoint residuals are summed in walk order (``np.cumsum``, not the
+    pairwise ``np.sum``), giving the floats of a running Python sum.
     """
     S = residual.size
     stored = TransitionTable.from_rows(S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()})
     is_stored = np.zeros(S, dtype=bool)
     is_stored[list(rows)] = True
+    walks = sampler.derive("walks")
+    cap = walk_step_cap(alpha)
     per_block = max(1, WALKER_BUDGET // n_F)
-    # Room for a block's expected need, with a margin; it grows if exceeded.
-    mean_need = n_F * (1.0 + alpha / (1.0 - alpha))
-    buf = np.empty(int(1.05 * min(per_block, S) * mean_need) + _first_block_size(n_F, alpha))
     charged = free = capped = 0
 
     for lo in range(0, S, per_block):
         hi = min(lo + per_block, S)
-        lengths = np.empty((hi - lo) * n_F, dtype=np.int64)
-        pos = 0
-        for s in range(lo, hi):
-            j = (s - lo) * n_F
-            buf, pos, state_capped = _parse_walks(sampler.derive("walks", s), alpha, buf, pos, lengths[j : j + n_F])
-            capped += state_capped
-
+        lengths = geometric_length(alpha, walks.random((hi - lo) * n_F))
+        capped += int(np.count_nonzero(lengths == cap))
         # Longest walks first, so the walkers still going at step i are a prefix.
         order = np.argsort(-lengths, kind="stable")
         x = np.repeat(np.arange(lo, hi, dtype=np.int64), n_F)[order]
-        step_at = (np.cumsum(lengths + 1) - lengths)[order]
         live = lengths.size - np.cumsum(np.bincount(lengths))
         for n in live[:-1].tolist():
-            at, u = x[:n], buf[step_at[:n]]
-            step_at[:n] += 1
+            at = x[:n]
             free_here = is_stored[at]
             k = int(np.count_nonzero(free_here))
             if k == n:
-                at[:] = stored.draw_batch(at, u)
+                at[:] = stored.draw_batch(at, walks.random(n))
             elif k == 0:
-                at[:] = sampler.sample_next_batch(at, u)
+                at[:] = sampler.sample_next_batch(at)
             else:
                 true_here = ~free_here
-                at[free_here] = stored.draw_batch(at[free_here], u[free_here])
-                at[true_here] = sampler.sample_next_batch(at[true_here], u[true_here])
+                at[free_here] = stored.draw_batch(at[free_here], walks.random(k))
+                at[true_here] = sampler.sample_next_batch(at[true_here])
             free += k
             charged += n - k
 
@@ -245,8 +179,9 @@ def bidirectional_epe(
 
     samples_used counts all backward draws plus only the walk steps taken
     at states outside the encountered set; steps resolved from stored
-    empirical rows are free. Each state's walks read their uniforms from
-    that state's own derived stream (see :func:`_walk_stage`).
+    empirical rows are free. Walk lengths and free steps read the stream
+    ``sampler.derive("walks")``; charged steps read the sampler's own
+    (see :func:`_walk_stage`).
     """
     cost = np.asarray(cost, dtype=float)
     S = cost.size

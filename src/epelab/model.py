@@ -42,6 +42,18 @@ def csr_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def csr_row_blocks(indptr: np.ndarray):
+    """Entry positions of a CSR matrix's non-empty rows, grouped by length:
+    one (k, d) array for each row length d, whose rows are the positions of
+    the k rows of that length, in row order."""
+    degree = np.diff(indptr)
+    rows = np.argsort(degree, kind="stable")
+    lengths, first = np.unique(degree[rows], return_index=True)
+    for d, group in zip(lengths.tolist(), np.split(rows, first[1:])):
+        if d:
+            yield indptr[group][:, None] + np.arange(d)
+
+
 def csr_transpose(S: int, indices: np.ndarray) -> tuple:
     """(colptr, order) of a CSR matrix with S columns and column ``indices``.
 
@@ -138,23 +150,24 @@ class TransitionTable:
     without successors is empty; drawing from it raises
     :class:`ContractViolation`.
 
-    Each row's floats come from one ``np.cumsum`` over that row alone, so a
-    draw is bit-identical to ``searchsorted(cum_row, u, side="right")``
+    Each row's floats are those of one ``np.cumsum`` over that row alone
+    (a cumulative sum along the rows of a block is sequential), so a draw is
+    bit-identical to ``searchsorted(cum_row, u, side="right")``
     capped at the row end. Scalar draws bisect Python-list copies of the
     arrays, which is several times cheaper than a numpy scalar call.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
-        """Take the CSR arrays (not copied) and build ``cum`` row by row."""
+        """Take the CSR arrays (not copied) and build ``cum``, a block of
+        equal-length rows at a time."""
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=float)
         self.cum = np.empty_like(self.probs)
+        for pos in csr_row_blocks(self.indptr):
+            self.cum[pos] = np.cumsum(self.probs[pos], axis=1)
+            self.cum[pos[:, -1]] = 1.0
         self._indptr = self.indptr.tolist()
-        for lo, hi in zip(self._indptr, self._indptr[1:]):
-            if hi > lo:
-                np.cumsum(self.probs[lo:hi], out=self.cum[lo:hi])
-                self.cum[hi - 1] = 1.0
         for arr in (self.indptr, self.indices, self.probs, self.cum):
             arr.setflags(write=False)
         self._indices = self.indices.tolist()
@@ -288,9 +301,10 @@ class ProblemInstance:
         keep = self.q_values > 0
         probs = self.q_values[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[self.q_indptr]
-        bounds = indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            probs[lo:hi] /= probs[lo:hi].sum()
+        # A block's row sums are those of each row alone: one pairwise sum each.
+        for pos in csr_row_blocks(indptr):
+            block = probs[pos]
+            probs[pos] = block / block.sum(axis=1, keepdims=True)
         return TransitionTable(indptr, self.q_indices[keep], probs)
 
     @property
@@ -459,24 +473,16 @@ class CountingSampler:
         self.draw_count += 1
         return t
 
-    def sample_next_batch(self, states: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
+    def sample_next_batch(self, states: np.ndarray) -> np.ndarray:
         """Vectorized successor draws, one per entry; counts len(states) samples.
 
         Consumes the underlying uniform stream in element order, so the
-        result matches a sequence of single-draw calls. A caller that keeps
-        its own streams may pass ``uniforms`` (one in [0, 1) per state);
-        entry i is then ``table.draw(states[i], uniforms[i])`` and this
-        sampler's stream is left untouched. The draws are charged all the
-        same.
+        result matches a sequence of single-draw calls.
         """
         states = np.asarray(states, dtype=np.int64)
         if states.size and (states.min() < 0 or states.max() >= self.instance.S):
             raise ContractViolation("state index out of range in batch")
-        if uniforms is None:
-            uniforms = self.rng.random(states.size)
-        elif np.shape(uniforms) != states.shape:
-            raise ContractViolation(f"{np.size(uniforms)} uniforms for {states.size} states")
-        out = self.table.draw_batch(states, uniforms)
+        out = self.table.draw_batch(states, self.rng.random(states.size))
         self.draw_count += int(states.size)
         return out
 
@@ -545,12 +551,22 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _integers(doc: dict, key: str, prefix: str = "") -> np.ndarray:
+    """``doc[key]`` as an array, refused unless every entry is an integer."""
+    arr = np.asarray(doc[key])
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ContractViolation(f"{prefix}{key}: every entry must be an integer")
+    return arr
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Inverse of :func:`instance_to_dict`; reads the CSR form only. A
-    malformed CSR field raises :class:`ContractViolation` naming it."""
+    malformed CSR field, or an index or pointer entry that is not an
+    integer, raises :class:`ContractViolation` naming the field."""
     S, graph = int(doc["S"]), doc["supergraph"]
-    sg = Supergraph(S, graph["indptr"], graph["indices"])
-    return ProblemInstance(S, float(doc["alpha"]), doc["cost"], doc["q_indptr"], doc["q_indices"], doc["q_values"], sg)
+    sg = Supergraph(S, _integers(graph, "indptr", "supergraph."), _integers(graph, "indices", "supergraph."))
+    indptr, indices = _integers(doc, "q_indptr"), _integers(doc, "q_indices")
+    return ProblemInstance(S, float(doc["alpha"]), doc["cost"], indptr, indices, doc["q_values"], sg)
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

@@ -26,14 +26,14 @@ class TestGeometricLength:
     def test_distribution_matches_geometric(self):
         alpha = 0.6
         rng = make_rng("geo")
-        draws = np.array([geometric_length(alpha, rng) for _ in range(50_000)])
+        draws = geometric_length(alpha, rng.random(50_000))
         for t in range(4):
             freq = np.mean(draws == t)
             assert abs(freq - (1 - alpha) * alpha**t) < 0.01
 
     def test_zero_length_probability(self):
         rng = make_rng("geo0")
-        draws = [geometric_length(0.5, rng) for _ in range(20_000)]
+        draws = geometric_length(0.5, rng.random(20_000))
         assert abs(np.mean(np.array(draws) == 0) - 0.5) < 0.01
 
 
@@ -156,55 +156,50 @@ class TestBidirectionalEpe:
 
 def scalar_walk_oracle(sampler, inst, config):
     """Fixed-mode bidirectional run with the walk stage as a scalar loop:
-    per state, per walk, per step, one uniform at a time from the state's
-    spawned sampler. The frontier must reproduce it bit for bit."""
-    cost, alpha = inst.cost, inst.alpha
+    per walker block, per step, one walker at a time in the documented
+    order, each free step one uniform from the walks stream and each
+    charged step one ``sample_next``. The frontier must reproduce it bit
+    for bit."""
+    cost, alpha, n_F = inst.cost, inst.alpha, config.n_F
     outcome = run_backward(sampler, cost, alpha, inst.supergraph.in_neighbors, config.epsilon, config.n_B)
     residual, estimate = outcome.residual, outcome.estimate.copy()
     cap = bd.walk_step_cap(alpha)
-    counted = free = capped = 0
+    before = sampler.draw_count
+    free = capped = 0
     if residual.max() > 0.0:
         rows = outcome.rows
         stored = TransitionTable.from_rows(
             inst.S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()}
         )
-        for s in range(inst.S):
-            child = sampler.spawn("walks", s)
-            acc = 0.0
-            for _ in range(config.n_F):
-                steps = bd.geometric_length(alpha, child.rng)
-                if steps > cap:
-                    steps = cap
-                    capped += 1
-                x = s
-                for _ in range(steps):
-                    if x in rows:
-                        x = stored.draw(x, child.rng.random())
+        walks = sampler.derive("walks")
+        per_block = max(1, bd.WALKER_BUDGET // n_F)
+        for lo in range(0, inst.S, per_block):
+            hi = min(lo + per_block, inst.S)
+            lengths = bd.geometric_length(alpha, walks.random((hi - lo) * n_F)).tolist()
+            capped += lengths.count(cap)
+            at = [lo + j // n_F for j in range(len(lengths))]
+            order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
+            for step in range(max(lengths)):
+                for j in order:
+                    if lengths[j] <= step:
+                        break
+                    if at[j] in rows:
+                        at[j] = stored.draw(at[j], walks.random())
                         free += 1
                     else:
-                        x = child.sample_next(x)
-                acc += float(residual[x])
-            estimate[s] += acc / config.n_F
-            counted += child.draw_count
-            sampler.draw_count += child.draw_count
+                        at[j] = sampler.sample_next(at[j])
+            for s in range(lo, hi):
+                acc = 0.0
+                for j in range((s - lo) * n_F, (s - lo + 1) * n_F):
+                    acc += float(residual[at[j]])
+                estimate[s] += acc / n_F
+    counted = sampler.draw_count - before
     counts = {"forward_true_draws": counted, "forward_free_draws": free, "capped_walks": capped}
     return estimate, outcome.samples_used + counted, counts
 
 
-def stream_need(sampler, s, n_F, alpha):
-    """Uniforms state s's walks read from its stream: one per walk plus
-    one per step."""
-    rng = sampler.derive("walks", s)
-    need = 0
-    for _ in range(n_F):
-        steps = min(bd.geometric_length(alpha, rng), bd.walk_step_cap(alpha))
-        rng.random(steps)
-        need += 1 + steps
-    return need
-
-
 class TestWalkFrontier:
-    """The vectorized walk stage against the scalar loop it replaced."""
+    """The vectorized walk stage against a scalar loop over the same layout."""
 
     @staticmethod
     def check(inst, config, seed=3):
@@ -221,10 +216,6 @@ class TestWalkFrontier:
         inst = random_instance(S=25, p=4, alpha=0.99, seed="overrun")
         config = BidirectionalConfig(epsilon=0.6, n_B=20, n_F=3)
         report = self.check(inst, config)
-        sampler = CountingSampler(inst, 3)
-        first = bd._first_block_size(config.n_F, inst.alpha)
-        overruns = sum(stream_need(sampler, s, config.n_F, inst.alpha) > first for s in range(inst.S))
-        assert overruns >= 3
         assert report.diagnostics["forward_true_draws"] > 0 and report.diagnostics["forward_free_draws"] > 0
 
     def test_capped_walks(self, monkeypatch):
@@ -256,6 +247,24 @@ class TestWalkFrontier:
         assert -(-inst.S // max(1, budget // config.n_F)) >= 3
         report = self.check(inst, config)
         assert 0 < report.encountered_size < inst.S
+
+    def test_stream_count_does_not_grow_with_S(self, monkeypatch):
+        labels = []
+        derive = CountingSampler.derive
+
+        def recorded(sampler, *args):
+            labels.append(args)
+            return derive(sampler, *args)
+
+        monkeypatch.setattr(CountingSampler, "derive", recorded)
+        monkeypatch.setattr(bd, "WALKER_BUDGET", 20)  # several walker blocks
+        config = BidirectionalConfig(epsilon=0.3, n_B=10, n_F=6)
+        for S in (30, 240):
+            labels.clear()
+            inst = random_instance(S=S, p=4, alpha=0.8, seed=("streams", S))
+            report = bidirectional_epe(CountingSampler(inst, 2), inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
+            assert report.diagnostics["forward_true_draws"] > 0
+            assert labels == [("tie_break",), ("walks",)], S
 
 
 class TestSampleSizeCalculators:

@@ -155,7 +155,7 @@ class TestRunExperiment:
         csv = records_to_csv(run_experiment(config))
         assert len(csv.splitlines()) == 1 + 2 * 2 * 7
         assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "607446d7af884a6040ffd9e1c1ccf18714215f9643ea92d714c0995bb93e6746"
+            "f4e1e4f09aacd956e19a9dcba6b4e5c23a45fe437f718d4d993a8c00dd789f34"
         )
 
     def test_summary_and_bound_csv_bytes_are_pinned(self):

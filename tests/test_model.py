@@ -332,6 +332,9 @@ class TestTransitionTable:
         assert np.array_equal(batch, singles)
         assert a.draw_count == b.draw_count == n
         assert set(batch[:300].tolist()) == {7, 250, 0, 298}
+        with pytest.raises(ContractViolation, match="out of range"):
+            a.sample_next_batch(np.array([0, S]))
+        assert a.draw_count == n
 
     def test_draws_equal_reference_on_cdf_boundaries(self, mixed_rows):
         # Uniforms on and one ulp either side of a row's CDF entries are
@@ -396,24 +399,6 @@ class TestTransitionTable:
         with pytest.raises(ContractViolation, match="all-zero"):
             table.row(9)
 
-    def test_batch_with_supplied_uniforms(self, mixed_rows):
-        table = mixed_rows.transitions
-        rng = np.random.default_rng(8)
-        states = rng.integers(0, mixed_rows.S, 5000)
-        u = rng.random(states.size)
-        sampler = CountingSampler(mixed_rows, 4)
-        untouched = CountingSampler(mixed_rows, 4)
-        out = sampler.sample_next_batch(states, u)
-        assert out.tolist() == [table.draw(int(s), float(x)) for s, x in zip(states, u)]
-        assert sampler.draw_count == states.size
-        # The sampler's own stream is not read.
-        assert sampler.rng.random() == untouched.rng.random()
-        with pytest.raises(ContractViolation, match="out of range"):
-            sampler.sample_next_batch(np.array([0, mixed_rows.S]), np.array([0.1, 0.2]))
-        with pytest.raises(ContractViolation, match="uniforms"):
-            sampler.sample_next_batch(states[:3], u[:2])
-        assert sampler.draw_count == states.size
-
     def test_all_zero_row_constructs_but_cannot_be_drawn(self):
         inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]])
         assert [v.kind for v in validate_instance(inst)] == ["row_sum"]
@@ -463,6 +448,13 @@ class TestSerialization:
         ("supergraph.indptr", 3, 4, "supergraph.indptr must rise"),
         ("supergraph.indices", 2, 3, "supergraph.indices: 3 out of range"),
         ("supergraph.indices", 3, 1, "supergraph.indices: row 1 is not strictly ascending"),
+        # Entries that would truncate or parse to a valid index.
+        ("q_indices", 2, 1.7, "q_indices: every entry must be an integer"),
+        ("q_indices", 2, "1", "q_indices: every entry must be an integer"),
+        ("q_indptr", 1, 2.5, "q_indptr: every entry must be an integer"),
+        ("q_indptr", 1, "2", "q_indptr: every entry must be an integer"),
+        ("supergraph.indptr", 2, 4.0, "supergraph.indptr: every entry must be an integer"),
+        ("supergraph.indices", 1, "1", "supergraph.indices: every entry must be an integer"),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
