@@ -11,8 +11,8 @@ e_k(s) = v_hat_k(s) + mu_s r_k - v(s) a zero-mean martingale, so the
 final estimate is unbiased in the fixed-point sense; the price is that
 repeat visits keep drawing samples.
 
-``plug_in_estimate`` samples every row offline and solves the value of
-the resulting empirical matrix exactly.
+``plug_in_estimate`` samples every row offline and computes the value of
+the resulting empirical matrix with the solver of the truth.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, ProblemInstance, densify, value_function
+from .model import CountingSampler, EstimateReport, ProblemInstance, TransitionTable, certified_value, csr_rows
 from .push import ExactRows, FreshEmpiricalRows, PushTrace, replay_errors, run_push_loop
 
 
@@ -101,10 +101,10 @@ def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
     if n < 1:
         raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
     instance = sampler.instance
-    S = instance.S
     before = sampler.draw_count
-    rows = {s: sampler.sample_empirical_row(s, n) for s in range(S)}
-    estimate = value_function(densify(rows, np.zeros((S, S))), instance.cost, instance.alpha)
+    rows = [sampler.sample_empirical_row(s, n) for s in range(instance.S)]
+    table = TransitionTable.from_rows(instance.S, {s: (list(row), list(row.values())) for s, row in enumerate(rows)})
+    estimate = certified_value(csr_rows(table.indptr), table.indices, table.probs, instance.cost, instance.alpha)
     return EstimateReport(
         estimate=estimate,
         samples_used=sampler.draw_count - before,

@@ -6,18 +6,17 @@ transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 ``Q``. The instance stores ``Q`` once, as CSR arrays, and the supergraph
 as one CSR pair of out-edges (for a generated instance, the same arrays
 as ``Q``'s); the transpose that backward estimators walk is derived from
-that pair by :func:`csr_transpose` on first use. Validation and the JSON
-form read the CSR arrays too; the dense view :attr:`ProblemInstance.Q`
-is for oracles and test helpers only. Estimators never read ``Q``
-directly; they see it only through a :class:`CountingSampler`, which
-hands out next-state draws and tallies every one. The tally is the
-sample-complexity meter that experiments report. Samplers draw from the
-instance's :class:`TransitionTable`, the renormalized rows of ``Q``,
-built once per instance and shared.
+that pair by :func:`csr_transpose` on first use. Validation, the JSON
+form and the truth read the CSR arrays too; the dense view
+:attr:`ProblemInstance.Q` is for oracles and test helpers only.
+Estimators never read ``Q`` directly; they see it only through a
+:class:`CountingSampler`, which hands out next-state draws and tallies
+every one. The tally is the sample-complexity meter that experiments
+report. Samplers draw from the instance's :class:`TransitionTable`, the
+renormalized rows of ``Q``, built once per instance and shared.
 
-The exact solvers here (:func:`exact_value`,
-:func:`exact_value_power_series`) are the ground truth that every
-estimator and test is measured against.
+The truth, :func:`exact_value`, is value iteration with certified bounds;
+the dense solve :func:`value_function` is the oracle it is tested against.
 
 States are 0-based everywhere, including on disk.
 """
@@ -25,6 +24,7 @@ States are 0-based everywhere, including on disk.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -86,7 +86,10 @@ def _store_read_only(obj, dtypes: dict) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a read-only
     array of its dtype; an array that already has it is not copied."""
     for name, dtype in dtypes.items():
-        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        try:
+            arr = np.asarray(getattr(obj, name), dtype=dtype)
+        except (OverflowError, ValueError) as exc:  # ragged nesting, or an entry that is no number
+            raise ContractViolation(f"{name}: {exc}") from None
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
@@ -372,16 +375,8 @@ def densify(rows: dict, out: np.ndarray) -> np.ndarray:
 
 
 def value_function(Q: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarray:
-    """Discounted value of an arbitrary row-stochastic matrix, by dense solve.
-
-    I - alpha Q is built in one S x S array: 0.0 - alpha Q (which keeps
-    zero entries +0.0, unlike -alpha Q), then 1.0 added on the diagonal.
-    Each entry equals that of ``np.eye(S) - alpha * Q``.
-    """
-    A = alpha * Q
-    np.subtract(0.0, A, out=A)
-    A.flat[:: Q.shape[0] + 1] += 1.0
-    return np.linalg.solve(A, (1.0 - alpha) * cost)
+    """Value of a row-stochastic matrix by an O(S^3) dense solve: the oracle for :func:`exact_value`."""
+    return np.linalg.solve(np.eye(Q.shape[0]) - alpha * Q, (1.0 - alpha) * cost)
 
 
 def discounted_occupancy(P: np.ndarray, alpha: float) -> np.ndarray:
@@ -390,31 +385,46 @@ def discounted_occupancy(P: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * np.linalg.inv(np.eye(S) - alpha * P)
 
 
-def exact_value(instance: ProblemInstance) -> np.ndarray:
-    """Solve (I - alpha Q) v = (1 - alpha) c directly.
+def certified_value(rows, indices, values, cost: np.ndarray, alpha: float) -> np.ndarray:
+    """Value of the stochastic matrix with stored entries (rows, indices, values)
+    by value iteration with MacQueen's bounds: after a sweep w = c + alpha Q v, with
+    c = (1 - alpha) cost, d = w - v and k = alpha / (1 - alpha), the value lies in
+    [w + k min d, w + k max d]. Returns their midpoint once they are tau = 2^-50
+    max(||c||_inf, 1) apart (rate alpha |lambda_2| on ergodic chains), or after T
+    sweeps with alpha^T <= 2^-50 (rate alpha if periodic or reducible). A sweep adds
+    alpha Q d to w by compensated summation; w - v would magnify w's rounding by k."""
+    if not 0.0 < alpha < 1.0:
+        raise ContractViolation(f"alpha must lie in (0, 1), got {alpha}")
+    c = (1.0 - alpha) * cost
+    tau = 2.0**-50 * max(float(np.max(np.abs(c))), 1.0)
+    k = alpha / (1.0 - alpha)
+    w, d, carry = c, c, 0.0
+    for _ in range(math.ceil(math.log(2.0**-50) / math.log(alpha))):
+        d = alpha * np.bincount(rows, values * d[indices], minlength=c.size)
+        lo, hi = k * float(d.min()), k * float(d.max())
+        step = d - carry
+        total = w + step
+        carry, w = (total - w) - step, total
+        if hi - lo <= tau:
+            break
+    return w + ((lo + hi) / 2.0 - carry)
 
-    I - alpha Q is filled from the CSR arrays with the floats that
-    :func:`value_function` builds from the dense Q, so the solve returns
-    the same bytes: 0.0 - alpha q at each entry, then 1.0 on the diagonal.
-    """
-    S, alpha = instance.S, instance.alpha
-    rows, indices, values = instance.q_entries()
-    A = np.zeros((S, S))
-    A[rows, indices] = 0.0 - alpha * values
-    A.flat[:: S + 1] += 1.0
-    return np.linalg.solve(A, (1.0 - alpha) * instance.cost)
+
+def exact_value(instance: ProblemInstance) -> np.ndarray:
+    """The truth: :func:`certified_value` on the CSR arrays, in O(nnz) memory."""
+    return certified_value(*instance.q_entries(), instance.cost, instance.alpha)
 
 
 def exact_value_power_series(instance: ProblemInstance, T: int) -> np.ndarray:
     """Truncated series (1-a) * sum_{t<T} a^t Q^t c; bias at most ||c||_inf a^T."""
     if T < 1:
         raise ContractViolation(f"T must be >= 1, got {T}")
-    alpha, Q = instance.alpha, instance.Q
+    alpha, (rows, indices, values) = instance.alpha, instance.q_entries()
     term = instance.cost.copy()
     acc = (1.0 - alpha) * term
     scale = 1.0
     for _ in range(1, T):
-        term = Q @ term
+        term = np.bincount(rows, values * term[indices], minlength=term.size)  # Q @ term
         scale *= alpha
         acc = acc + (1.0 - alpha) * scale * term
     return acc
@@ -551,12 +561,12 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
-def _integers(doc: dict, key: str, prefix: str = "") -> np.ndarray:
-    """``doc[key]`` as an array, refused unless every entry is an integer."""
-    arr = np.asarray(doc[key])
-    if arr.size and arr.dtype.kind not in "iu":
+def _integers(doc: dict, key: str, prefix: str = "") -> list:
+    """``doc[key]``, refused unless a list of ints (not bools, which numpy reads as 0 or 1)."""
+    entries = doc[key]
+    if not isinstance(entries, list) or not all(type(t) is int for t in entries):
         raise ContractViolation(f"{prefix}{key}: every entry must be an integer")
-    return arr
+    return entries
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:

@@ -113,20 +113,22 @@ class PushTrace:
                         column={int(t): float(q) for t, q in doc["col"].items()},
                     )
                 )
-        cost = np.array(header["cost"], dtype=float)
-        v, r = replay_final_state(float(header["alpha"]), cost, records)
-        return cls(
+        trace = cls(
             alpha=float(header["alpha"]),
-            cost=cost,
+            cost=np.array(header["cost"], dtype=float),
             records=records,
-            final_estimate=v,
-            final_residual=r,
+            final_estimate=None,
+            final_residual=None,
             encountered=frozenset(int(s) for s in header["encountered"]),
             final_rows={
                 int(s): {int(t): float(p) for t, p in row.items()}
                 for s, row in header["final_rows"].items()
             },
         )
+        for _, v, r in replay_states(trace):
+            pass
+        trace.final_estimate, trace.final_residual = v, r
+        return trace
 
 
 def apply_push(v_hat: np.ndarray, residual: np.ndarray, alpha: float, s_k: int, column: dict) -> None:
@@ -152,14 +154,6 @@ def replay_states(trace: PushTrace):
             )
         apply_push(v, r, trace.alpha, rec.state, rec.column)
         yield k, v, r
-
-
-def replay_final_state(alpha: float, cost: np.ndarray, records) -> tuple:
-    v = np.zeros_like(cost, dtype=float)
-    r = cost.astype(float).copy()
-    for rec in records:
-        apply_push(v, r, alpha, rec.state, rec.column)
-    return v, r
 
 
 def replay_errors(trace: PushTrace, P: np.ndarray) -> np.ndarray:

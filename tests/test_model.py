@@ -1,4 +1,8 @@
 import json
+import math
+import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +16,25 @@ from epelab import (
     exact_value_power_series,
     instance_from_dict,
     instance_to_dict,
+    plug_in_estimate,
     validate_instance,
     value_function,
 )
 from epelab.model import TransitionTable
 from conftest import instance_from, random_instance
+
+
+def certified_tau(inst):
+    """The bound within which exact_value's sweeps stop."""
+    return 2.0**-50 * max((1.0 - inst.alpha) * inst.cost_inf, 1.0)
+
+
+def assert_matches_dense_solve(inst):
+    """exact_value within tau of the dense solve, plus the solve's own forward
+    error: cond_inf(I - alpha Q) <= (1 + alpha) / (1 - alpha) ulps of ||v||."""
+    v, dense = exact_value(inst), value_function(inst.Q, inst.cost, inst.alpha)
+    oracle = (1.0 + inst.alpha) / (1.0 - inst.alpha) * 2.0**-52 * max(np.max(np.abs(dense)), 1.0)
+    assert np.max(np.abs(v - dense)) <= certified_tau(inst) + oracle
 
 
 class TestValidate:
@@ -64,22 +82,15 @@ class TestExactValue:
             assert np.all(v >= -1e-12)
             assert np.all(v <= inst.cost_inf + 1e-12)
 
-    def test_solve_equals_eye_minus_alpha_q(self):
-        # The in-place system matrix must be np.eye(S) - alpha * Q entry for
-        # entry, signed zeros included, so the solve returns the same floats.
-        inst = random_instance(S=60, p=5, alpha=0.93, seed="inplace")
-        reference = np.linalg.solve(np.eye(inst.S) - inst.alpha * inst.Q, (1.0 - inst.alpha) * inst.cost)
-        assert exact_value(inst).tobytes() == reference.tobytes()
-        assert value_function(inst.Q.T, inst.cost, 0.5).tobytes() == np.linalg.solve(
-            np.eye(inst.S) - 0.5 * inst.Q.T, 0.5 * inst.cost
-        ).tobytes()
-
-    def test_generated_instances_match_the_dense_solve(self):
+    def test_agrees_with_the_dense_solve(self):
+        cases = [random_instance(S=60, p=5, alpha=0.93, seed="inplace")]
         for i, (S, p, alpha) in enumerate(((1, 1, 0.5), (2, 2, 0.3), (40, 4, 0.9), (150, 10, 0.999))):
-            inst = random_instance(S=S, p=p, alpha=alpha, seed=("csr", i))
-            assert exact_value(inst).tobytes() == value_function(inst.Q, inst.cost, alpha).tobytes()
+            cases.append(random_instance(S=S, p=p, alpha=alpha, seed=("csr", i)))
+        cases.append(random_instance(S=40, p=4, alpha=1e-3, seed="small-alpha"))
+        for inst in cases:
+            assert_matches_dense_solve(inst)
 
-    def test_absorbing_and_degree_one_rows_match_the_dense_solve(self):
+    def test_absorbing_and_degree_one_rows(self):
         base = random_instance(S=80, p=6, alpha=0.7, seed="csr-mixed")
         Q = base.Q
         Q[3] = 0.0
@@ -88,8 +99,92 @@ class TestExactValue:
             Q[s] = 0.0
             Q[s, t] = 1.0
         inst = instance_from(0.7, base.cost, Q)
-        assert exact_value(inst).tobytes() == value_function(inst.Q, inst.cost, 0.7).tobytes()
+        assert_matches_dense_solve(inst)
         assert inst.q_indices[inst.q_indptr[3]:inst.q_indptr[4]].tolist() == [3]
+
+    def test_point_mass_rows_only(self):
+        # A deterministic chain: a 3-cycle, a fixed point, and a path into each.
+        succ = [1, 2, 0, 3, 3, 0, 5]
+        Q = np.zeros((7, 7))
+        Q[np.arange(7), succ] = 1.0
+        for alpha in (1e-3, 0.5, 0.999):
+            assert_matches_dense_solve(instance_from(alpha, [0.3, 1.0, 0.0, 2.0, 0.0, 0.7, 0.1], Q))
+
+    def test_periodic_two_cycle_at_high_alpha(self):
+        # Periodic, so the bounds close at rate alpha only; the closed form is
+        # v = (1/(1 + alpha), alpha/(1 + alpha)).
+        inst = instance_from(0.999, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
+        a = Fraction(0.999)
+        exact = np.array([float(1 / (1 + a)), float(a / (1 + a))])
+        assert np.max(np.abs(exact_value(inst) - exact)) <= certified_tau(inst)
+        assert_matches_dense_solve(inst)
+
+    def test_zero_cost_absorbing_class(self):
+        # States 0-2 form a closed class with zero cost; the rest drain into it.
+        rng = np.random.default_rng(7)
+        Q = rng.random((30, 30))
+        Q[:3, 3:] = 0.0
+        Q /= Q.sum(axis=1, keepdims=True)
+        cost = rng.random(30)
+        cost[:3] = 0.0
+        inst = instance_from(0.99, cost, Q)
+        v = exact_value(inst)
+        assert np.all(np.abs(v[:3]) <= certified_tau(inst))
+        threshold = 1e-12 * max(inst.cost_inf, 1.0)
+        dense = value_function(inst.Q, inst.cost, 0.99)
+        assert np.count_nonzero(v <= threshold) == np.count_nonzero(dense <= threshold) == 3
+        assert_matches_dense_solve(inst)
+
+    def test_sweeps_stop_early_on_ergodic_chains_and_at_the_cap_otherwise(self, monkeypatch):
+        sweeps = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: sweeps.append(1) or bincount(*a, **k))
+        for alpha in (1e-3, 0.5, 0.999):
+            cap = math.ceil(math.log(2.0**-50) / math.log(alpha))
+            sweeps.clear()
+            exact_value(instance_from(alpha, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]))
+            assert 1 <= len(sweeps) <= cap
+            inst = random_instance(S=200, p=10, alpha=alpha, seed="sweeps")
+            sweeps.clear()
+            exact_value(inst)
+            assert len(sweeps) <= min(cap, 60)
+        # Two absorbing states, one of cost 100: the bounds close at rate
+        # alpha from 100 apart, so only the cap stops the sweeps.
+        inst = instance_from(0.99, [100.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        sweeps.clear()
+        v = exact_value(inst)
+        assert len(sweeps) == math.ceil(math.log(2.0**-50) / math.log(0.99))
+        assert np.max(np.abs(v - [100.0, 0.0])) <= 2.0**-50 * 100.0
+
+    def test_rejects_alpha_outside_the_open_unit_interval(self):
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ContractViolation, match="alpha must lie in"):
+                exact_value(instance_from(alpha, [1.0], [[1.0]]))
+
+    def test_allocates_no_dense_matrix(self):
+        # The truth and the plug-in estimate, which shares its solver.
+        inst = random_instance(S=3200, p=10, alpha=0.9, seed="memory")
+        sampler = CountingSampler(inst, "memory")
+        tracemalloc.start()
+        try:
+            exact_value(inst)
+            plug_in_estimate(sampler, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # one dense S x S float array is 82 MB
+
+    def test_large_S_at_high_alpha(self):
+        inst = random_instance(S=20000, p=10, alpha=0.999, seed="large")
+        started = time.perf_counter()
+        v = exact_value(inst)
+        assert time.perf_counter() - started < 10.0
+        # A level error delta would leave a fixed-point residual (1 - alpha) delta.
+        rows, indices, values = inst.q_entries()
+        qv = np.bincount(rows, values * v[indices], minlength=inst.S)
+        residual = (1.0 - inst.alpha) * inst.cost + inst.alpha * qv - v
+        assert np.max(np.abs(residual)) <= 8 * 2.0**-52 * np.max(v)
+        assert np.all(v >= 0.0) and np.all(v <= inst.cost_inf)
 
 
 class TestPowerSeries:
@@ -455,6 +550,13 @@ class TestSerialization:
         ("q_indptr", 1, "2", "q_indptr: every entry must be an integer"),
         ("supergraph.indptr", 2, 4.0, "supergraph.indptr: every entry must be an integer"),
         ("supergraph.indices", 1, "1", "supergraph.indices: every entry must be an integer"),
+        # A bool among integers, which numpy reads as 0 or 1, and ragged nesting.
+        ("q_indices", 2, True, "q_indices: every entry must be an integer"),
+        ("supergraph.indptr", 1, False, "supergraph.indptr: every entry must be an integer"),
+        ("q_indices", 0, [0, 1], "q_indices: every entry must be an integer"),
+        ("supergraph.indices", 1, [1, 2], "supergraph.indices: every entry must be an integer"),
+        ("q_values", 1, [0.5, 0.5], "q_values: "),
+        ("cost", 0, [1.0], "cost: "),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
