@@ -82,13 +82,23 @@ class TestExactValue:
             assert np.all(v >= -1e-12)
             assert np.all(v <= inst.cost_inf + 1e-12)
 
-    def test_agrees_with_the_dense_solve(self):
-        cases = [random_instance(S=60, p=5, alpha=0.93, seed="inplace")]
+    def test_solve_equals_eye_minus_alpha_q(self):
+        # The oracle is the solve of np.eye(S) - alpha * Q, byte for byte; the
+        # certified value agrees with it within tau plus the solve's own error.
+        inst = random_instance(S=60, p=5, alpha=0.93, seed="inplace")
+        reference = np.linalg.solve(np.eye(inst.S) - inst.alpha * inst.Q, (1.0 - inst.alpha) * inst.cost)
+        assert value_function(inst.Q, inst.cost, inst.alpha).tobytes() == reference.tobytes()
+        assert value_function(inst.Q.T, inst.cost, 0.5).tobytes() == np.linalg.solve(
+            np.eye(inst.S) - 0.5 * inst.Q.T, 0.5 * inst.cost
+        ).tobytes()
+        assert_matches_dense_solve(inst)
+
+    def test_generated_instances_match_the_dense_solve(self):
         for i, (S, p, alpha) in enumerate(((1, 1, 0.5), (2, 2, 0.3), (40, 4, 0.9), (150, 10, 0.999))):
-            cases.append(random_instance(S=S, p=p, alpha=alpha, seed=("csr", i)))
-        cases.append(random_instance(S=40, p=4, alpha=1e-3, seed="small-alpha"))
-        for inst in cases:
-            assert_matches_dense_solve(inst)
+            assert_matches_dense_solve(random_instance(S=S, p=p, alpha=alpha, seed=("csr", i)))
+
+    def test_agrees_with_the_dense_solve_at_small_alpha(self):
+        assert_matches_dense_solve(random_instance(S=40, p=4, alpha=1e-3, seed="small-alpha"))
 
     def test_absorbing_and_degree_one_rows(self):
         base = random_instance(S=80, p=6, alpha=0.7, seed="csr-mixed")
