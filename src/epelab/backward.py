@@ -25,6 +25,7 @@ from .model import CountingSampler, EstimateReport, ProblemInstance, Supergraph,
 from .push import CachedEmpiricalRows, PushOutcome, PushTrace, replay_errors, run_push_loop
 
 ROW_MATCH_TOL = 0.0  # completion matrices must copy estimated rows exactly
+DENSE_ORACLE_MAX_S = 1000  # the dense S x S oracles refuse larger S (8 MB per matrix)
 
 
 def run_backward(
@@ -109,6 +110,7 @@ def sample_size_backward(epsilon: float, delta: float, alpha: float, c_inf: floa
 def build_q_under(rows: dict, encountered, instance: ProblemInstance) -> np.ndarray:
     """Completion using true rows outside the encountered set (test-only:
     needs ground-truth access)."""
+    _check_dense_size(instance.S)
     _check_estimated_rows(rows, encountered)
     return densify({s: rows[s] for s in encountered}, instance.Q)
 
@@ -123,6 +125,7 @@ def build_q_over(
     """Completion using fresh offline empirical rows outside the encountered
     set. The offline draws are an analysis device and are not counted
     against any sampler."""
+    _check_dense_size(instance.S)
     _check_estimated_rows(rows, encountered)
     S = instance.S
     enc = set(encountered)
@@ -134,6 +137,11 @@ def build_q_over(
             idx, probs, _ = instance.transitions.row(s)
             completion[s] = dict(zip(idx.tolist(), (rng.multinomial(n, probs) / n).tolist()))
     return densify(completion, np.zeros((S, S)))
+
+
+def _check_dense_size(S: int) -> None:
+    if S > DENSE_ORACLE_MAX_S:
+        raise ContractViolation(f"S={S} is above DENSE_ORACLE_MAX_S={DENSE_ORACLE_MAX_S} for a dense oracle")
 
 
 def _check_estimated_rows(rows: dict, encountered) -> None:
@@ -154,6 +162,7 @@ def replay_invariant(trace: PushTrace, P: np.ndarray, supergraph: Supergraph) ->
     supergraph; outside those hypotheses the identity is not claimed.
     """
     S = trace.cost.size
+    _check_dense_size(S)
     if P.shape != (S, S):
         raise ContractViolation(f"P must be {S}x{S}")
     row_sums = P.sum(axis=1)

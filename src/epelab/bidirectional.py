@@ -189,8 +189,8 @@ def bidirectional_epe(
     if config.termination_mode == "dynamic":
         threshold = dynamic_stop_threshold(S, config.n_B, config.n_F, alpha)
 
-        def stop_check(_k, encountered):
-            return len(encountered) >= threshold
+        def stop_check(_k, rows):
+            return len(rows) >= threshold
 
         epsilon = 0.0
     else:

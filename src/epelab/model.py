@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -156,8 +156,10 @@ class TransitionTable:
     Each row's floats are those of one ``np.cumsum`` over that row alone
     (a cumulative sum along the rows of a block is sequential), so a draw is
     bit-identical to ``searchsorted(cum_row, u, side="right")``
-    capped at the row end. Scalar draws bisect Python-list copies of the
-    arrays, which is several times cheaper than a numpy scalar call.
+    capped at the row end. :meth:`draw_batch` is the one draw routine. The
+    column channel's Python lookups (for :meth:`offset` and :meth:`row_probs`)
+    are built on first use, so a table that only draws keeps no Python object
+    of nnz size.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
@@ -173,8 +175,6 @@ class TransitionTable:
         self._indptr = self.indptr.tolist()
         for arr in (self.indptr, self.indices, self.probs, self.cum):
             arr.setflags(write=False)
-        self._indices = self.indices.tolist()
-        self._cum = self.cum.tolist()
         # Binary-search passes that shrink the widest row to one entry.
         widest = int(np.diff(self.indptr).max()) if self.indptr.size > 1 else 0
         self._passes = max(widest - 1, 0).bit_length()
@@ -200,6 +200,10 @@ class TransitionTable:
         return self.indices[lo:hi], self.probs[lo:hi], self.cum[lo:hi]
 
     @cached_property
+    def _indices(self) -> list:
+        return self.indices.tolist()
+
+    @cached_property
     def _prob_rows(self) -> list:
         return [self.probs[lo:hi] for lo, hi in zip(self._indptr, self._indptr[1:])]
 
@@ -215,14 +219,6 @@ class TransitionTable:
         lo, hi = self._indptr[s], self._indptr[s + 1]
         i = bisect_left(self._indices, t, lo, hi)
         return i - lo if i < hi and self._indices[i] == t else -1
-
-    def draw(self, s: int, u: float) -> int:
-        """Successor of s selected by the uniform u in [0, 1)."""
-        lo, hi = self._indptr[s], self._indptr[s + 1]
-        if lo == hi:
-            raise ContractViolation(f"state {s} has an all-zero transition row")
-        # Searching [lo, hi - 1) caps the position at the row's last entry.
-        return self._indices[bisect_right(self._cum, u, lo, hi - 1)]
 
     def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i.
@@ -451,9 +447,9 @@ class EstimateReport:
 class CountingSampler:
     """The only channel through which estimators observe the chain.
 
-    Wraps one seeded stream. ``sample_next`` draws a successor of ``s``
-    distributed as Q(s, .) and bumps ``draw_count`` by exactly 1; the batch,
-    row and column channels bump it by the number of draws they represent. Two
+    Wraps one seeded stream. ``sample_next_batch`` draws a successor of each
+    state s, distributed as Q(s, .), and bumps ``draw_count`` by 1 per state;
+    the row and column channels bump it by the number of draws they represent. Two
     samplers built with the same seed produce identical draw sequences for
     identical call sequences.
 
@@ -476,12 +472,8 @@ class CountingSampler:
             raise ContractViolation(f"state index {s} out of range [0, {self.instance.S})")
 
     def sample_next(self, s: int) -> int:
-        """One draw from Q(s, .); counts as one sample."""
-        s = int(s)
-        self._check_state(s)
-        t = self.table.draw(s, self.rng.random())
-        self.draw_count += 1
-        return t
+        """One draw from Q(s, .) as a one-element batch; off the trial path, kept for ``bench/spans.py``."""
+        return int(self.sample_next_batch([s])[0])
 
     def sample_next_batch(self, states: np.ndarray) -> np.ndarray:
         """Vectorized successor draws, one per entry; counts len(states) samples.
@@ -537,7 +529,7 @@ class CountingSampler:
         return make_rng(derive_entropy(self._entropy, *labels))
 
     def spawn(self, *labels) -> "CountingSampler":
-        """Child sampler with its own stream and a fresh draw tally."""
+        """Child sampler with its own stream and a fresh draw tally; off the trial path, kept for ``bench/spans.py``."""
         return CountingSampler(self.instance, derive_entropy(self._entropy, *labels))
 
 

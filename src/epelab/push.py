@@ -236,7 +236,6 @@ class CachedEmpiricalRows:
         self.sampler = sampler
         self.n = n
         self.rows: dict[int, dict] = {}
-        self.encountered: set[int] = set()
 
     def column(self, neighbors, s_k: int) -> dict:
         col = {}
@@ -244,7 +243,6 @@ class CachedEmpiricalRows:
             row = self.rows.get(s)
             if row is None:
                 row = self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
-                self.encountered.add(s)
             col[s] = row.get(s_k, 0.0)
         return col
 
@@ -264,7 +262,6 @@ class ExactRows:
         bounds, sources, values = colptr.tolist(), sources[order].tolist(), values[order].tolist()
         self.columns = [dict(zip(sources[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         self.rows = None
-        self.encountered = None
 
     def support_in_neighbors(self) -> list:
         """For each state t, the states s with Q[s, t] > 0, ascending."""
@@ -284,7 +281,6 @@ class FreshEmpiricalRows:
         self.sampler = sampler
         self.n = n
         self.rows = None
-        self.encountered = None
 
     def column(self, neighbors, s_k: int) -> dict:
         return self.sampler.sample_empirical_column(neighbors, s_k, self.n)
@@ -337,7 +333,8 @@ def run_push_loop(
     stop_check=None,
 ) -> PushOutcome:
     """Run the push loop until the residual max drops to epsilon (or a
-    caller-supplied stop_check fires after an iteration completes).
+    caller-supplied ``stop_check(k, rows)`` fires after an iteration
+    completes; ``rows`` maps each encountered state to its estimated row).
 
     The loop also stops, with stop_reason "negligible", once the residual
     max is at most ``NEGLIGIBLE_RESIDUAL * ||c||_inf``. That matters only
@@ -387,14 +384,14 @@ def run_push_loop(
             if q != 0.0 and s != s_k:
                 heap.notify(s)
 
-        if stop_check is not None and stop_check(k, row_source.encountered):
+        if stop_check is not None and stop_check(k, row_source.rows):
             stop_reason = "dynamic"
             break
 
     v_hat = np.array(v_hat, dtype=float)
     residual = np.array(residual, dtype=float)
-    encountered = frozenset(row_source.encountered) if row_source.encountered is not None else frozenset()
-    rows = dict(row_source.rows) if row_source.rows is not None else {}
+    encountered = frozenset(row_source.rows or ())
+    rows = dict(row_source.rows or {})
     push_trace = None
     if trace:
         push_trace = PushTrace(

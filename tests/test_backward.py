@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from epelab import (
     sample_size_backward,
     value_function,
 )
-from epelab import push
+from epelab import backward, push
 from epelab.push import ExactRows, replay_states, run_push_loop
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
@@ -183,6 +184,26 @@ class TestCompletions:
             assert np.array_equal(q_under[s], q_over[s])
         assert np.allclose(q_under.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(q_over.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_dense_oracles_refuse_large_S_before_allocating(self):
+        S = backward.DENSE_ORACLE_MAX_S + 1
+        inst = random_instance(S=S, p=4, alpha=0.5, seed="too large")
+        _, report = run_traced(inst, 1, epsilon=inst.cost_inf, n=2)
+        P = np.eye(S)
+        calls = (
+            lambda: build_q_under({}, frozenset(), inst),
+            lambda: build_q_over({}, frozenset(), inst, 5, make_rng("large")),
+            lambda: replay_invariant(report.trace, P, inst.supergraph),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ContractViolation, match=f"S={S} is above DENSE_ORACLE_MAX_S={S - 1}"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
 
 class TestReplayInvariant:

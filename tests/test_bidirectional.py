@@ -157,9 +157,9 @@ class TestBidirectionalEpe:
 def scalar_walk_oracle(sampler, inst, config):
     """Fixed-mode bidirectional run with the walk stage as a scalar loop:
     per walker block, per step, one walker at a time in the documented
-    order, each free step one uniform from the walks stream and each
-    charged step one ``sample_next``. The frontier must reproduce it bit
-    for bit."""
+    order, each free step a one-element ``draw_batch`` on one uniform from
+    the walks stream and each charged step one ``sample_next``. The
+    frontier must reproduce it bit for bit."""
     cost, alpha, n_F = inst.cost, inst.alpha, config.n_F
     outcome = run_backward(sampler, cost, alpha, inst.supergraph.in_neighbors, config.epsilon, config.n_B)
     residual, estimate = outcome.residual, outcome.estimate.copy()
@@ -184,7 +184,7 @@ def scalar_walk_oracle(sampler, inst, config):
                     if lengths[j] <= step:
                         break
                     if at[j] in rows:
-                        at[j] = stored.draw(at[j], walks.random())
+                        at[j] = int(stored.draw_batch(np.array([at[j]]), walks.random(1))[0])
                         free += 1
                     else:
                         at[j] = sampler.sample_next(at[j])

@@ -197,7 +197,8 @@ class TestRunExperiment:
         records = run_experiment(config)
         path = tmp_path / "out.csv"
         write_csv(records, path)
-        assert open(path).readline().strip() == CSV_HEADER
+        with open(path) as fh:
+            assert fh.readline().strip() == CSV_HEADER
         back = read_csv(path)
         assert records_to_csv(back) == records_to_csv(records)
 
