@@ -37,26 +37,21 @@ def run_backward(
     n: int,
     trace: bool = False,
     tie_rng: np.random.Generator | None = None,
-    stop_check=None,
+    max_rows: int | None = None,
 ) -> PushOutcome:
     """Push loop with sample-once empirical rows; returns the full outcome."""
-    if epsilon <= 0.0 and stop_check is None:
-        raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
-    if n < 1:
-        raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
     if tie_rng is None:
         tie_rng = sampler.derive("tie_break")
-    rows = CachedEmpiricalRows(sampler, n)
+    rows = CachedEmpiricalRows(sampler, in_neighbors, n)
     before = sampler.draw_count
     outcome = run_push_loop(
         cost=np.asarray(cost, dtype=float),
         alpha=alpha,
-        in_neighbors=in_neighbors,
-        epsilon=max(epsilon, 0.0),
+        epsilon=epsilon,
         row_source=rows,
         tie_rng=tie_rng,
         trace=trace,
-        stop_check=stop_check,
+        max_rows=max_rows,
     )
     outcome.samples_used = sampler.draw_count - before
     return outcome
@@ -82,7 +77,7 @@ def backward_epe(
         estimate=outcome.estimate,
         samples_used=outcome.samples_used,
         iterations=outcome.iterations,
-        encountered_size=len(outcome.encountered),
+        encountered_size=len(outcome.rows),
         trace=outcome.trace,
         diagnostics={
             "stop_reason": outcome.stop_reason,

@@ -34,15 +34,11 @@ def approx_contributions(
 ) -> EstimateReport:
     """Known-matrix push estimator on the instance's Q, cost and discount;
     sup-norm error at most epsilon, zero draws."""
-    if epsilon <= 0.0:
-        raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
-    rows = ExactRows(instance)
     outcome = run_push_loop(
         cost=instance.cost,
         alpha=instance.alpha,
-        in_neighbors=rows.support_in_neighbors(),
         epsilon=epsilon,
-        row_source=rows,
+        row_source=ExactRows(instance),
         tie_rng=rng,
         trace=trace,
     )
@@ -71,17 +67,14 @@ def backward_epe_alternative(
     samples_used is n times the total in-degree of the pushed sequence, so
     revisited neighborhoods keep costing draws.
     """
-    if epsilon <= 0.0:
-        raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
     if tie_rng is None:
         tie_rng = sampler.derive("tie_break")
     before = sampler.draw_count
     outcome = run_push_loop(
         cost=np.asarray(cost, dtype=float),
         alpha=alpha,
-        in_neighbors=in_neighbors,
         epsilon=epsilon,
-        row_source=FreshEmpiricalRows(sampler, n),
+        row_source=FreshEmpiricalRows(sampler, in_neighbors, n),
         tie_rng=tie_rng,
         trace=trace,
     )
@@ -102,8 +95,8 @@ def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
         raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
     instance = sampler.instance
     before = sampler.draw_count
-    rows = [sampler.sample_empirical_row(s, n) for s in range(instance.S)]
-    table = TransitionTable.from_rows(instance.S, {s: (list(row), list(row.values())) for s, row in enumerate(rows)})
+    rows = {s: sampler.sample_empirical_row(s, n) for s in range(instance.S)}
+    table = TransitionTable.from_rows(instance.S, rows)
     estimate = certified_value(csr_rows(table.indptr), table.indices, table.probs, instance.cost, instance.alpha)
     return EstimateReport(
         estimate=estimate,

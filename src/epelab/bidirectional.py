@@ -128,7 +128,7 @@ def _walk_stage(
     pairwise ``np.sum``), giving the floats of a running Python sum.
     """
     S = residual.size
-    stored = TransitionTable.from_rows(S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()})
+    stored = TransitionTable.from_rows(S, rows)
     is_stored = np.zeros(S, dtype=bool)
     is_stored[list(rows)] = True
     walks = sampler.derive("walks")
@@ -184,29 +184,13 @@ def bidirectional_epe(
     (see :func:`_walk_stage`).
     """
     cost = np.asarray(cost, dtype=float)
-    S = cost.size
-
     if config.termination_mode == "dynamic":
-        threshold = dynamic_stop_threshold(S, config.n_B, config.n_F, alpha)
-
-        def stop_check(_k, rows):
-            return len(rows) >= threshold
-
-        epsilon = 0.0
+        epsilon, max_rows = 0.0, dynamic_stop_threshold(cost.size, config.n_B, config.n_F, alpha)
     else:
-        stop_check = None
-        epsilon = config.epsilon
+        epsilon, max_rows = config.epsilon, None
 
     outcome = run_backward(
-        sampler,
-        cost,
-        alpha,
-        in_neighbors,
-        epsilon,
-        config.n_B,
-        trace=trace,
-        tie_rng=tie_rng,
-        stop_check=stop_check,
+        sampler, cost, alpha, in_neighbors, epsilon, config.n_B, trace=trace, tie_rng=tie_rng, max_rows=max_rows
     )
     backward_draws = outcome.samples_used
     residual = outcome.residual
@@ -224,7 +208,7 @@ def bidirectional_epe(
         estimate=estimate,
         samples_used=backward_draws + counted_forward,
         iterations=outcome.iterations,
-        encountered_size=len(outcome.encountered),
+        encountered_size=len(outcome.rows),
         trace=outcome.trace,
         diagnostics={
             "stop_reason": outcome.stop_reason,

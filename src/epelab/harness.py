@@ -71,30 +71,25 @@ _EXPR_OPERATORS = {
     ast.Pow: operator.pow,
 }
 
-# Exponents are capped so that an expression such as "9**9**9" is refused
-# instead of building a huge integer.
-_MAX_EXPONENT = 64
 
-
-def _eval_expr(node, S: int):
+def _eval_expr(node, S: int) -> float:
+    """Every value is a float, so no expression builds a huge integer: a
+    power out of float range raises ``OverflowError`` at once."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return node.value
+        return float(node.value)
     if isinstance(node, ast.Name) and node.id == "S":
-        return S
+        return float(S)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return -_eval_expr(node.operand, S)
     if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
-        left, right = _eval_expr(node.left, S), _eval_expr(node.right, S)
-        if isinstance(node.op, ast.Pow) and abs(right) > _MAX_EXPONENT:
-            raise ContractViolation(f"exponent {right!r} exceeds {_MAX_EXPONENT}")
-        return _EXPR_OPERATORS[type(node.op)](left, right)
+        return _EXPR_OPERATORS[type(node.op)](_eval_expr(node.left, S), _eval_expr(node.right, S))
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in _EXPR_NAMES
         and not node.keywords
     ):
-        return _EXPR_NAMES[node.func.id](*(_eval_expr(arg, S) for arg in node.args))
+        return float(_EXPR_NAMES[node.func.id](*(_eval_expr(arg, S) for arg in node.args)))
     raise ContractViolation(f"{ast.unparse(node)!r} is not allowed in a parameter expression")
 
 
@@ -102,21 +97,26 @@ def eval_param(value, S: int) -> float:
     """Evaluate a parameter that may be a number or an expression in S.
 
     Expressions are read, not executed: numbers, ``S``, ``+ - * / **``,
-    unary minus and calls of the names in ``_EXPR_NAMES`` are allowed;
-    anything else raises :class:`ContractViolation`.
+    unary minus and calls of the names in ``_EXPR_NAMES`` are allowed, all
+    evaluated in floats; anything else, and a result that is not finite,
+    raises :class:`ContractViolation`.
     """
-    if not isinstance(value, str):
-        return float(value)
-    try:
-        tree = ast.parse(value, mode="eval")
-    except SyntaxError as exc:
-        raise ContractViolation(f"cannot parse parameter expression {value!r}: {exc.msg}") from None
-    try:
-        return float(_eval_expr(tree.body, S))
-    except ContractViolation:
-        raise
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        raise ContractViolation(f"parameter expression {value!r} failed: {exc}") from None
+    if isinstance(value, str):
+        try:
+            tree = ast.parse(value, mode="eval")
+        except SyntaxError as exc:
+            raise ContractViolation(f"cannot parse parameter expression {value!r}: {exc.msg}") from None
+        try:
+            result = _eval_expr(tree.body, S)
+        except ContractViolation:
+            raise
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise ContractViolation(f"parameter expression {value!r} failed: {exc}") from None
+    else:
+        result = float(value)
+    if not math.isfinite(result):
+        raise ContractViolation(f"parameter {value!r} is not finite: {result!r}")
+    return result
 
 
 def count_param(value, S: int) -> int:
@@ -212,13 +212,14 @@ def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: Count
     """Dispatch one algorithm run; all randomness comes from the sampler."""
     S = instance.S
     cost, alpha = instance.cost, instance.alpha
-    neighbors = instance.supergraph.in_neighbors
     p = spec.params
     if spec.name == "forward":
         config = ForwardConfig(T=count_param(p["T"], S), m=count_param(p["m"], S))
         return forward_epe(sampler, cost, alpha, config)
     if spec.name == "backward":
-        return backward_epe(sampler, cost, alpha, neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S))
+        return backward_epe(
+            sampler, cost, alpha, instance.supergraph.in_neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
+        )
     if spec.name == "bidirectional":
         mode = p.get("termination_mode", "fixed")
         eps = eval_param(p["epsilon"], S) if "epsilon" in p and p["epsilon"] is not None else None
@@ -228,12 +229,12 @@ def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: Count
             n_F=count_param(p["n_F"], S),
             termination_mode=mode,
         )
-        return bidirectional_epe(sampler, cost, alpha, neighbors, config)
+        return bidirectional_epe(sampler, cost, alpha, instance.supergraph.in_neighbors, config)
     if spec.name == "approx_contributions":
         return approx_contributions(instance, eval_param(p["epsilon"], S), sampler.derive("tie_break"))
     if spec.name == "backward_alternative":
         return backward_epe_alternative(
-            sampler, cost, alpha, neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
+            sampler, cost, alpha, instance.supergraph.in_neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
         )
     if spec.name == "plug_in":
         return plug_in_estimate(sampler, count_param(p["n"], S))

@@ -181,15 +181,16 @@ class TransitionTable:
 
     @classmethod
     def from_rows(cls, S: int, rows: dict) -> "TransitionTable":
-        """``rows`` maps a state to (ascending successors, probabilities);
-        states it omits get empty rows."""
+        """``rows`` maps a state to its row, a {successor: probability} dict
+        with ascending keys (as :meth:`CountingSampler.sample_empirical_row`
+        returns); states it omits get empty rows."""
         degree = np.zeros(S + 1, dtype=np.int64)
         indices, probs = [], []
         for s in sorted(rows):
-            idx, p = rows[s]
-            degree[s + 1] = len(idx)
-            indices += idx
-            probs += p
+            row = rows[s]
+            degree[s + 1] = len(row)
+            indices += row
+            probs += row.values()
         return cls(np.cumsum(degree), np.array(indices, dtype=np.int64), np.array(probs, dtype=float))
 
     def row(self, s: int) -> tuple:

@@ -15,11 +15,14 @@ Layout of the kernel:
   scalars; they become arrays when the loop ends. Every float is the one
   :func:`apply_push` computes on arrays, so replay reproduces a run bit
   for bit.
-- A row source hands back the column of the pushed state as a
-  {in-neighbor: entry} dict. Exact rows read column dicts built by one
-  transpose of the instance's CSR arrays of Q. Empirical rows are drawn
-  from the instance's :class:`~epelab.model.TransitionTable`: cached rows through
-  the sampler's row channel, fresh ones through its column channel, which
+- A row source knows which states feed a column: ``column(s_k)``
+  returns the pushed state's column as an {in-neighbor: entry} dict,
+  which the loop only reads, and ``rows`` holds the rows it has cached
+  (empty if it caches none). Exact rows return the column dicts of one
+  transpose of the positive CSR entries of Q. Empirical rows take the
+  in-neighbor lists and draw from the instance's
+  :class:`~epelab.model.TransitionTable`: cached rows through the
+  sampler's row channel, fresh ones through its column channel, which
   draws each in-neighbor's full multinomial row (so the stream is the
   row channel's) but reads out only the pushed state's entry.
 - An in-neighbor whose column entry is exactly 0.0 keeps its residual,
@@ -67,12 +70,16 @@ class PushTrace:
     records: list
     final_estimate: np.ndarray
     final_residual: np.ndarray
-    encountered: frozenset
     final_rows: dict
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+    @property
+    def encountered(self) -> frozenset:
+        """The states whose rows were estimated."""
+        return frozenset(self.final_rows)
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -119,12 +126,13 @@ class PushTrace:
             records=records,
             final_estimate=None,
             final_residual=None,
-            encountered=frozenset(int(s) for s in header["encountered"]),
             final_rows={
                 int(s): {int(t): float(p) for t, p in row.items()}
                 for s, row in header["final_rows"].items()
             },
         )
+        if sorted(trace.encountered) != header["encountered"]:
+            raise ContractViolation(f"{path}: the encountered states differ from the final rows' states")
         for _, v, r in replay_states(trace):
             pass
         trace.final_estimate, trace.final_residual = v, r
@@ -226,20 +234,26 @@ class _MaxResidualHeap:
         return s_k
 
 
-class CachedEmpiricalRows:
-    """Row source for the sample-once scheme: the first time a state is
-    encountered its row is estimated with n draws and kept forever."""
+class _EmpiricalRows:
+    """A row source drawing n samples per row of each in-neighbor of the
+    pushed state, through ``sampler``."""
 
-    def __init__(self, sampler: CountingSampler, n: int):
+    def __init__(self, sampler: CountingSampler, in_neighbors, n: int):
         if n < 1:
             raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
         self.sampler = sampler
+        self.in_neighbors = in_neighbors
         self.n = n
         self.rows: dict[int, dict] = {}
 
-    def column(self, neighbors, s_k: int) -> dict:
+
+class CachedEmpiricalRows(_EmpiricalRows):
+    """Row source for the sample-once scheme: the first time a state is
+    encountered its row is estimated with n draws and kept forever."""
+
+    def column(self, s_k: int) -> dict:
         col = {}
-        for s in state_list(neighbors):
+        for s in state_list(self.in_neighbors[s_k]):
             row = self.rows.get(s)
             if row is None:
                 row = self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
@@ -250,40 +264,31 @@ class CachedEmpiricalRows:
 class ExactRows:
     """Row source reading the instance's known transition matrix. Draws nothing.
 
-    ``columns[t]`` maps each s with a stored entry Q[s, t] to that raw
+    ``columns[t]`` maps each s with a positive entry Q[s, t] to that raw
     entry (not a renormalized row); all columns come from one stable sort
-    of the instance's CSR entries by column, which keeps each column's
-    rows ascending.
+    of the instance's positive CSR entries by column, which keeps each
+    column's rows ascending.
     """
 
     def __init__(self, instance: ProblemInstance):
         sources, targets, values = instance.q_entries()
+        positive = values > 0.0
+        sources, targets, values = sources[positive], targets[positive], values[positive]
         colptr, order = csr_transpose(instance.S, targets)
         bounds, sources, values = colptr.tolist(), sources[order].tolist(), values[order].tolist()
         self.columns = [dict(zip(sources[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-        self.rows = None
+        self.rows: dict[int, dict] = {}
 
-    def support_in_neighbors(self) -> list:
-        """For each state t, the states s with Q[s, t] > 0, ascending."""
-        return [[s for s, q in col.items() if q > 0.0] for col in self.columns]
-
-    def column(self, neighbors, s_k: int) -> dict:
-        entries = self.columns[s_k]
-        return {s: entries.get(s, 0.0) for s in state_list(neighbors)}
+    def column(self, s_k: int) -> dict:
+        return self.columns[s_k]
 
 
-class FreshEmpiricalRows:
-    """Row source that re-estimates with n fresh draws at every visit."""
+class FreshEmpiricalRows(_EmpiricalRows):
+    """Row source that re-estimates with n fresh draws at every visit; it
+    caches no row."""
 
-    def __init__(self, sampler: CountingSampler, n: int):
-        if n < 1:
-            raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
-        self.sampler = sampler
-        self.n = n
-        self.rows = None
-
-    def column(self, neighbors, s_k: int) -> dict:
-        return self.sampler.sample_empirical_column(neighbors, s_k, self.n)
+    def column(self, s_k: int) -> dict:
+        return self.sampler.sample_empirical_column(self.in_neighbors[s_k], s_k, self.n)
 
 
 # A residual at most this share of ||c||_inf is below the float resolution
@@ -315,7 +320,6 @@ class PushOutcome:
     estimate: np.ndarray
     residual: np.ndarray
     iterations: int
-    encountered: frozenset
     rows: dict
     trace: PushTrace | None
     stop_reason: str
@@ -325,24 +329,24 @@ class PushOutcome:
 def run_push_loop(
     cost: np.ndarray,
     alpha: float,
-    in_neighbors,
     epsilon: float,
     row_source,
     tie_rng: np.random.Generator,
     trace: bool = False,
-    stop_check=None,
+    max_rows: int | None = None,
 ) -> PushOutcome:
-    """Run the push loop until the residual max drops to epsilon (or a
-    caller-supplied ``stop_check(k, rows)`` fires after an iteration
-    completes; ``rows`` maps each encountered state to its estimated row).
+    """Run the push loop until the residual max drops to epsilon, or, with
+    ``max_rows``, until ``row_source.rows`` holds that many rows after a
+    push (stop_reason "dynamic"). Epsilon must be positive, or 0 with
+    ``max_rows``.
 
     The loop also stops, with stop_reason "negligible", once the residual
     max is at most ``NEGLIGIBLE_RESIDUAL * ||c||_inf``. That matters only
     for epsilon below it, as in the dynamic mode's epsilon = 0: a residual
     on a self-loop decays by alpha per push but never reaches zero.
     """
-    if epsilon < 0.0:
-        raise ContractViolation(f"termination threshold must be >= 0, got {epsilon}")
+    if not (epsilon > 0.0 or (epsilon == 0.0 and max_rows is not None)):
+        raise ContractViolation(f"termination threshold must be > 0 (or 0 with max_rows), got {epsilon}")
     if not (0.0 < alpha < 1.0):
         raise ContractViolation(f"discount must lie in (0,1), got {alpha}")
 
@@ -351,6 +355,7 @@ def run_push_loop(
     heap = _MaxResidualHeap(residual)
     records: list[PushRecord] = [] if trace else None
     cap = default_iteration_cap(cost, alpha, epsilon)
+    rows = row_source.rows
 
     negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
 
@@ -374,7 +379,7 @@ def run_push_loop(
         if trace and rho != max(residual):
             raise ContractViolation("heap selection is not a true residual maximizer")
 
-        column = row_source.column(in_neighbors[s_k], s_k)
+        column = row_source.column(s_k)
         if records is not None:
             records.append(PushRecord(state=s_k, residual=rho, column=dict(column)))
         apply_push(v_hat, residual, alpha, s_k, column)
@@ -384,14 +389,12 @@ def run_push_loop(
             if q != 0.0 and s != s_k:
                 heap.notify(s)
 
-        if stop_check is not None and stop_check(k, row_source.rows):
+        if max_rows is not None and len(rows) >= max_rows:
             stop_reason = "dynamic"
             break
 
     v_hat = np.array(v_hat, dtype=float)
     residual = np.array(residual, dtype=float)
-    encountered = frozenset(row_source.rows or ())
-    rows = dict(row_source.rows or {})
     push_trace = None
     if trace:
         push_trace = PushTrace(
@@ -400,14 +403,12 @@ def run_push_loop(
             records=records,
             final_estimate=v_hat.copy(),
             final_residual=residual.copy(),
-            encountered=encountered,
             final_rows={s: dict(r) for s, r in rows.items()},
         )
     return PushOutcome(
         estimate=v_hat,
         residual=residual,
         iterations=k,
-        encountered=encountered,
         rows=rows,
         trace=push_trace,
         stop_reason=stop_reason,

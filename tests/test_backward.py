@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 import tracemalloc
 
@@ -247,6 +248,19 @@ class TestTraceSerialization:
         q_under = build_q_under(back.final_rows, back.encountered, inst)
         assert replay_invariant(back, q_under, inst.supergraph) <= 1e-9
 
+    def test_header_encountered_must_match_final_rows(self, tmp_path):
+        inst = random_instance(S=10, p=4, alpha=0.6, seed="jsonl")
+        _, report = run_traced(inst, 8, epsilon=0.15, n=4)
+        path = tmp_path / "trace.jsonl"
+        report.trace.to_jsonl(path)
+        header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        doc = json.loads(header)
+        assert doc["encountered"] == sorted(int(s) for s in doc["final_rows"])
+        doc["encountered"] = doc["encountered"][1:]
+        path.write_text(json.dumps(doc) + "\n" + "".join(records), encoding="utf-8")
+        with pytest.raises(ContractViolation, match="encountered"):
+            type(report.trace).from_jsonl(path)
+
 
 class TestSampleSizeBackward:
     def test_frozen_formula_value(self):
@@ -278,7 +292,6 @@ class TestExactRowCoupling:
         outcome = run_push_loop(
             cost=inst.cost,
             alpha=inst.alpha,
-            in_neighbors=inst.supergraph.in_neighbors,
             epsilon=0.1,
             row_source=ExactRows(inst),
             tie_rng=make_rng("ties"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from epelab import (
     error_process,
     exact_value,
 )
-from epelab.push import ExactRows
+from epelab.push import CachedEmpiricalRows, ExactRows, run_push_loop
 from epelab.rng import make_rng
-from conftest import random_instance
+from conftest import instance_from, random_instance
 
 
 class TestApproxContributions:
@@ -50,23 +52,22 @@ class TestApproxContributions:
 
 
 class TestExactRows:
-    def test_columns_equal_dense_entries_on_superset_neighbors(self):
-        # Every state is listed as a neighbor, so most have Q[s, t] = 0.
-        inst = random_instance(S=12, p=3, alpha=0.5, seed="cols")
+    def test_columns_are_the_positive_dense_entries(self):
+        # One state's row carries a negative entry, stored in the instance
+        # but left out of every column.
+        base = random_instance(S=15, p=3, alpha=0.5, seed="supp")
+        Q = base.Q.copy()
+        Q[4, np.flatnonzero(Q[4] == 0)[0]] = -0.25
+        inst = instance_from(0.5, base.cost, Q)
         rows = ExactRows(inst)
-        everyone = np.arange(12, dtype=np.int64)
-        for t in range(12):
-            column = rows.column(everyone, t)
-            assert list(column) == everyone.tolist()
-            assert [column[s] for s in range(12)] == inst.Q[:, t].tolist()
+        assert rows.rows == {}
+        for t in range(15):
+            column = rows.column(t)
+            assert column is rows.columns[t]
+            support = np.flatnonzero(Q[:, t] > 0).tolist()
+            assert list(column) == support == base.supergraph.in_neighbors[t]
+            assert [column[s] for s in support] == Q[support, t].tolist()
             assert all(type(q) is float for q in column.values())
-            assert rows.column(everyone[::-1].tolist(), t) == column
-
-    def test_default_in_neighbors_are_the_column_supports(self):
-        inst = random_instance(S=15, p=3, alpha=0.5, seed="supp")
-        support = ExactRows(inst).support_in_neighbors()
-        assert support == [np.flatnonzero(inst.Q[:, t] > 0).tolist() for t in range(15)]
-        assert support == inst.supergraph.in_neighbors
 
 
 class TestBackwardAlternative:
@@ -149,6 +150,35 @@ class TestErrorProcess:
                 CountingSampler(two_cycle, 0), two_cycle.cost, 0.5,
                 two_cycle.supergraph.in_neighbors, -0.1, 3,
             )
+
+
+class TestThresholdRule:
+    """The push loop alone checks the threshold, before any draw."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+    def test_refused_before_any_draw(self, two_cycle, epsilon):
+        cost, neighbors = two_cycle.cost, two_cycle.supergraph.in_neighbors
+        runs = {
+            "backward": lambda s: backward_epe(s, cost, 0.5, neighbors, epsilon, 3),
+            "backward_alternative": lambda s: backward_epe_alternative(s, cost, 0.5, neighbors, epsilon, 3),
+            "approx_contributions": lambda s: approx_contributions(two_cycle, epsilon, s.derive("tie_break")),
+        }
+        for name, run in runs.items():
+            sampler = CountingSampler(two_cycle, 0)
+            with pytest.raises(ContractViolation, match="termination threshold"):
+                run(sampler)
+            assert sampler.draw_count == 0, name
+            assert sampler.rng.random() == CountingSampler(two_cycle, 0).rng.random(), name
+
+    def test_zero_epsilon_needs_max_rows(self):
+        inst = random_instance(S=20, p=4, alpha=0.6, seed="maxrows")
+        rows = CachedEmpiricalRows(CountingSampler(inst, 0), inst.supergraph.in_neighbors, 3)
+        with pytest.raises(ContractViolation, match="termination threshold"):
+            run_push_loop(inst.cost, inst.alpha, 0.0, rows, make_rng(0))
+        assert rows.rows == {}
+        outcome = run_push_loop(inst.cost, inst.alpha, 0.0, rows, make_rng(0), max_rows=5)
+        assert outcome.stop_reason == "dynamic"
+        assert outcome.rows is rows.rows and len(rows.rows) >= 5
 
 
 class TestCoupledTieBreaks:

@@ -168,9 +168,7 @@ def scalar_walk_oracle(sampler, inst, config):
     free = capped = 0
     if residual.max() > 0.0:
         rows = outcome.rows
-        stored = TransitionTable.from_rows(
-            inst.S, {s: (sorted(row), [row[t] for t in sorted(row)]) for s, row in rows.items()}
-        )
+        stored = TransitionTable.from_rows(inst.S, rows)
         walks = sampler.derive("walks")
         per_block = max(1, bd.WALKER_BUDGET // n_F)
         for lo in range(0, inst.S, per_block):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from epelab import (
     EnsembleSpec,
     ExperimentConfig,
     ProblemInstance,
+    Supergraph,
     bound_report,
     exact_value_power_series,
     fig1_config,
@@ -109,6 +111,19 @@ class TestParamExpressions:
     def test_anything_else_is_rejected(self, text):
         with pytest.raises(ContractViolation):
             eval_param(text, 10)
+
+    @pytest.mark.parametrize("value", ["1e308*10", "-1e308*10", "1e308*10 - 1e308*10", math.inf, math.nan])
+    def test_non_finite_values_are_refused(self, value):
+        with pytest.raises(ContractViolation, match="not finite"):
+            eval_param(value, 10)
+        with pytest.raises(ContractViolation, match="not finite"):
+            count_param(value, 10)
+
+    def test_nested_powers_are_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ContractViolation):
+            eval_param("((((10**64)**64)**64)**64)", 10)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRunExperiment:
@@ -274,6 +289,25 @@ class TestRunExperiment:
         # The patch is live: reading the dense view trips it.
         with pytest.raises(AssertionError, match="dense Q"):
             instance.Q
+
+    def test_only_backward_algorithms_build_the_transpose(self, monkeypatch):
+        # Forward, plug_in and the known-matrix push read no in-neighbor lists.
+        def refuse(supergraph):
+            raise AssertionError("in_neighbors was built")
+
+        monkeypatch.setattr(Supergraph, "in_neighbors", property(refuse))
+        config = small_config(
+            algorithms=(
+                AlgorithmSpec("forward", {"T": 5, "m": 2}),
+                AlgorithmSpec("plug_in", {"n": 4}),
+                AlgorithmSpec("approx_contributions", {"epsilon": 0.2}),
+            ),
+            trials=2,
+        )
+        assert len(run_experiment(config)) == 2 * 3
+        # The patch is live: the backward estimator trips it.
+        with pytest.raises(AssertionError, match="in_neighbors"):
+            run_experiment(small_config(trials=1))
 
 
 class TestSummarize:

@@ -21,6 +21,7 @@ from epelab import (
     value_function,
 )
 from epelab.model import TransitionTable
+from epelab.rng import make_rng
 from conftest import instance_from, random_instance
 
 
@@ -270,6 +271,15 @@ class TestCountingSampler:
         support = set(np.flatnonzero(inst.Q[2] > 0))
         assert set(row) <= support
 
+    def test_empirical_row_keys_ascend(self):
+        # TransitionTable.from_rows takes these dicts as they are.
+        inst = random_instance(S=40, p=8, alpha=0.5, seed="rowkeys")
+        sampler = CountingSampler(inst, 2)
+        for s in range(inst.S):
+            for n in (1, 5, 1000):
+                keys = list(sampler.sample_empirical_row(s, n))
+                assert keys == sorted(set(keys))
+
     def test_invalid_state_rejected(self, two_cycle):
         sampler = CountingSampler(two_cycle, 0)
         with pytest.raises(ContractViolation):
@@ -433,9 +443,13 @@ class TestTransitionTable:
         a = CountingSampler(mixed_rows, 3)
         b = CountingSampler(mixed_rows, 3)
         batch = a.sample_next_batch(states)
-        singles = np.array([b.sample_next(s) for s in states])
-        assert np.array_equal(batch, singles)
-        assert a.draw_count == b.draw_count == n
+        assert np.array_equal(batch, mixed_rows.transitions.draw_batch(states, make_rng(3).random(n)))
+        # Single draws on a prefix that visits every state.
+        prefix = 4000
+        assert set(states[:prefix].tolist()) == set(range(S))
+        singles = np.array([b.sample_next(s) for s in states[:prefix]])
+        assert np.array_equal(batch[:prefix], singles)
+        assert a.draw_count == n and b.draw_count == prefix
         assert set(batch[:300].tolist()) == {7, 250, 0, 298}
         with pytest.raises(ContractViolation, match="out of range"):
             a.sample_next_batch(np.array([0, S]))
@@ -510,13 +524,13 @@ class TestTransitionTable:
         for s in range(S):
             idx = np.flatnonzero(dense[s] > 0)
             if idx.size:
-                rows[s] = (idx.tolist(), (dense[s, idx] / dense[s, idx].sum()).tolist())
+                rows[s] = dict(zip(idx.tolist(), (dense[s, idx] / dense[s, idx].sum()).tolist()))
         table = inst.transitions
         reference = TransitionTable.from_rows(S, rows)
         for name in ("indptr", "indices", "probs", "cum"):
             assert getattr(table, name).tobytes() == getattr(reference, name).tobytes(), name
-        for s, (idx, probs) in rows.items():
-            cum = np.cumsum(probs)
+        for s, row in rows.items():
+            cum = np.cumsum(list(row.values()))
             cum[-1] = 1.0
             assert table.row(s)[2].tobytes() == cum.tobytes()
         assert table.row(5)[0].tolist() == [17] and table.row(5)[1].tolist() == [1.0]
