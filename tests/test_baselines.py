@@ -52,7 +52,19 @@ class TestApproxContributions:
 
 
 class TestExactRows:
-    def test_columns_are_the_positive_dense_entries(self):
+    def test_columns_equal_dense_entries_on_superset_neighbors(self):
+        # Looked up over every state, a column gives the dense entry Q[s, t]
+        # wherever that entry is positive and nothing (read as 0) elsewhere.
+        inst = random_instance(S=12, p=3, alpha=0.5, seed="cols")
+        rows = ExactRows(inst)
+        assert rows.rows == {}
+        for t in range(12):
+            column = rows.column(t)
+            assert column is rows.columns[t]
+            assert [column.get(s, 0.0) for s in range(12)] == inst.Q[:, t].tolist()
+            assert all(type(q) is float for q in column.values())
+
+    def test_default_in_neighbors_are_the_column_supports(self):
         # One state's row carries a negative entry, stored in the instance
         # but left out of every column.
         base = random_instance(S=15, p=3, alpha=0.5, seed="supp")
@@ -60,14 +72,11 @@ class TestExactRows:
         Q[4, np.flatnonzero(Q[4] == 0)[0]] = -0.25
         inst = instance_from(0.5, base.cost, Q)
         rows = ExactRows(inst)
-        assert rows.rows == {}
         for t in range(15):
             column = rows.column(t)
-            assert column is rows.columns[t]
             support = np.flatnonzero(Q[:, t] > 0).tolist()
             assert list(column) == support == base.supergraph.in_neighbors[t]
             assert [column[s] for s in support] == Q[support, t].tolist()
-            assert all(type(q) is float for q in column.values())
 
 
 class TestBackwardAlternative:
