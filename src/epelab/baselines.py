@@ -60,22 +60,20 @@ def backward_epe_alternative(
     epsilon: float,
     n: int,
     trace: bool = False,
-    tie_rng: np.random.Generator | None = None,
 ) -> EstimateReport:
     """Resampling push estimator: n fresh draws per in-neighbor per iteration.
 
     samples_used is n times the total in-degree of the pushed sequence, so
-    revisited neighborhoods keep costing draws.
+    revisited neighborhoods keep costing draws. Ties read the stream
+    ``sampler.derive("tie_break")``.
     """
-    if tie_rng is None:
-        tie_rng = sampler.derive("tie_break")
     before = sampler.draw_count
     outcome = run_push_loop(
         cost=np.asarray(cost, dtype=float),
         alpha=alpha,
         epsilon=epsilon,
         row_source=FreshEmpiricalRows(sampler, in_neighbors, n),
-        tie_rng=tie_rng,
+        tie_rng=sampler.derive("tie_break"),
         trace=trace,
     )
     return EstimateReport(

@@ -172,7 +172,6 @@ def bidirectional_epe(
     alpha: float,
     in_neighbors,
     config: BidirectionalConfig,
-    tie_rng: np.random.Generator | None = None,
     trace: bool = False,
 ) -> EstimateReport:
     """Backward stage plus per-state residual correction from n_F walks.
@@ -189,9 +188,7 @@ def bidirectional_epe(
     else:
         epsilon, max_rows = config.epsilon, None
 
-    outcome = run_backward(
-        sampler, cost, alpha, in_neighbors, epsilon, config.n_B, trace=trace, tie_rng=tie_rng, max_rows=max_rows
-    )
+    outcome = run_backward(sampler, cost, alpha, in_neighbors, epsilon, config.n_B, trace=trace, max_rows=max_rows)
     backward_draws = outcome.samples_used
     residual = outcome.residual
     estimate = outcome.estimate.copy()

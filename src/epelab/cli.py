@@ -32,15 +32,8 @@ from .model import save_instance
 
 
 def _cmd_generate(args) -> int:
-    spec = EnsembleSpec(
-        S=args.S,
-        p=args.p,
-        alpha=args.alpha,
-        cost_model=args.cost_model,
-        H=args.H,
-    )
-    instance = generate_instance(spec, args.seed)
-    save_instance(instance, args.out)
+    spec = EnsembleSpec(args.S, args.p, args.alpha, args.cost_model, args.H)
+    save_instance(generate_instance(spec, args.seed), args.out)
     print(f"wrote instance S={args.S} to {args.out}")
     return 0
 

@@ -45,14 +45,16 @@ from .model import CountingSampler, EstimateReport, ProblemInstance, exact_value
 
 CSV_HEADER = "S,p,algorithm,seed,samples_used,linf_error,mean_relative_error,zero_value_states,encountered_size,iterations,wall_time_ms"
 
-ALGORITHM_NAMES = (
-    "forward",
-    "backward",
-    "bidirectional",
-    "approx_contributions",
-    "backward_alternative",
-    "plug_in",
-)
+# The parameter keys of each algorithm: (required, optional).
+ALGORITHM_PARAMS = {
+    "forward": ({"T", "m"}, set()),
+    "backward": ({"epsilon", "n"}, set()),
+    "bidirectional": ({"n_B", "n_F"}, {"epsilon", "termination_mode"}),
+    "approx_contributions": ({"epsilon"}, set()),
+    "backward_alternative": ({"epsilon", "n"}, set()),
+    "plug_in": ({"n"}, set()),
+}
+ALGORITHM_NAMES = tuple(ALGORITHM_PARAMS)
 
 _EXPR_NAMES = {
     "sqrt": math.sqrt,
@@ -75,7 +77,7 @@ _EXPR_OPERATORS = {
 def _eval_expr(node, S: int) -> float:
     """Every value is a float, so no expression builds a huge integer: a
     power out of float range raises ``OverflowError`` at once."""
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
         return float(node.value)
     if isinstance(node, ast.Name) and node.id == "S":
         return float(S)
@@ -94,7 +96,8 @@ def _eval_expr(node, S: int) -> float:
 
 
 def eval_param(value, S: int) -> float:
-    """Evaluate a parameter that may be a number or an expression in S.
+    """Evaluate a parameter that may be a number (int or float, not bool)
+    or a string expression in S; a number reads as a one-constant expression.
 
     Expressions are read, not executed: numbers, ``S``, ``+ - * / **``,
     unary minus and calls of the names in ``_EXPR_NAMES`` are allowed, all
@@ -103,17 +106,17 @@ def eval_param(value, S: int) -> float:
     """
     if isinstance(value, str):
         try:
-            tree = ast.parse(value, mode="eval")
+            node = ast.parse(value, mode="eval").body
         except SyntaxError as exc:
             raise ContractViolation(f"cannot parse parameter expression {value!r}: {exc.msg}") from None
-        try:
-            result = _eval_expr(tree.body, S)
-        except ContractViolation:
-            raise
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            raise ContractViolation(f"parameter expression {value!r} failed: {exc}") from None
     else:
-        result = float(value)
+        node = ast.Constant(value)
+    try:
+        result = _eval_expr(node, S)
+    except ContractViolation:
+        raise
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise ContractViolation(f"parameter {value!r} failed: {exc}") from None
     if not math.isfinite(result):
         raise ContractViolation(f"parameter {value!r} is not finite: {result!r}")
     return result
@@ -135,8 +138,14 @@ class AlgorithmSpec:
     params: dict
 
     def __post_init__(self):
-        if self.name not in ALGORITHM_NAMES:
+        if self.name not in ALGORITHM_PARAMS:
             raise ContractViolation(f"unknown algorithm {self.name!r}; expected one of {ALGORITHM_NAMES}")
+        required, optional = ALGORITHM_PARAMS[self.name]
+        missing, unknown = required - self.params.keys(), self.params.keys() - required - optional
+        if missing:
+            raise ContractViolation(f"{self.name} needs the parameter {min(missing)!r}")
+        if unknown:
+            raise ContractViolation(f"{self.name} takes no parameter {min(unknown)!r}; it takes {sorted(required | optional)}")
 
 
 @dataclass(frozen=True)
@@ -166,22 +175,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            ensembles=tuple(
-                EnsembleSpec(
-                    S=int(e["S"]),
-                    p=float(e["p"]),
-                    alpha=float(e["alpha"]),
-                    cost_model=e.get("cost_model", "mixed"),
-                    H=int(e["H"]) if "H" in e and e["H"] is not None else None,
-                )
-                for e in doc["ensembles"]
-            ),
-            algorithms=tuple(AlgorithmSpec(a["name"], dict(a.get("params", {}))) for a in doc["algorithms"]),
-            trials=int(doc["trials"]),
-            master_seed=int(doc["master_seed"]),
-            output=doc.get("output"),
-        )
+        """A missing field raises :class:`ContractViolation` naming it."""
+        try:
+            return cls(
+                ensembles=tuple(
+                    EnsembleSpec(e["S"], e["p"], e["alpha"], e.get("cost_model", "mixed"), e.get("H"))
+                    for e in doc["ensembles"]
+                ),
+                algorithms=tuple(AlgorithmSpec(a["name"], dict(a.get("params", {}))) for a in doc["algorithms"]),
+                trials=int(doc["trials"]),
+                master_seed=int(doc["master_seed"]),
+                output=doc.get("output"),
+            )
+        except KeyError as exc:
+            raise ContractViolation(f"config field {exc.args[0]!r} is missing") from None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -221,14 +228,9 @@ def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: Count
             sampler, cost, alpha, instance.supergraph.in_neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
         )
     if spec.name == "bidirectional":
+        eps = None if p.get("epsilon") is None else eval_param(p["epsilon"], S)
         mode = p.get("termination_mode", "fixed")
-        eps = eval_param(p["epsilon"], S) if "epsilon" in p and p["epsilon"] is not None else None
-        config = BidirectionalConfig(
-            epsilon=eps,
-            n_B=count_param(p["n_B"], S),
-            n_F=count_param(p["n_F"], S),
-            termination_mode=mode,
-        )
+        config = BidirectionalConfig(eps, count_param(p["n_B"], S), count_param(p["n_F"], S), mode)
         return bidirectional_epe(sampler, cost, alpha, instance.supergraph.in_neighbors, config)
     if spec.name == "approx_contributions":
         return approx_contributions(instance, eval_param(p["epsilon"], S), sampler.derive("tie_break"))

@@ -2,11 +2,11 @@
 
 Transition matrices come from elementwise products of Uniform([0,1]) and
 Bernoulli(p/S) matrices, row-normalized, with each row conditioned on
-support. Rows are drawn one by one in O(nnz) time and memory, with only
-the empty ones redrawn; no S x S array is formed. The instance keeps Q's
-entries in CSR form, and the supergraph is exactly their support: it
-shares Q's index arrays. The density knob p controls the expected
-average degree (E d_bar = p).
+support. The supports are drawn in O(nnz) time and memory, with only
+the empty rows redrawn; no S x S array is formed. They become the
+instance's supergraph, one CSR pair, and Q's values are stored on its
+edges, so the supergraph is exactly Q's support. The density knob p
+controls the expected average degree (E d_bar = p).
 
 Two cost models: "mixed" adds a Bernoulli(p/S) indicator vector (resampled
 until nonzero) to a Uniform[0, p/S] vector, giving E ||c||_1 = 3p/2 and
@@ -136,4 +136,4 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
             raise GenerationError(f"no nonzero cost indicator after {RESAMPLE_CAP} attempts (S={S}, p={p})")
         cost = indicator + rng.uniform(0.0, p / S, size=S)
 
-    return ProblemInstance(S, spec.alpha, cost, indptr, indices, values, Supergraph(S, indptr, indices))
+    return ProblemInstance(S, spec.alpha, cost, Supergraph(S, indptr, indices), values)

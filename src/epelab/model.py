@@ -3,17 +3,18 @@
 A problem instance is a discounted Markov chain: a row-stochastic
 transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 (0, 1), and a binary supergraph whose edge set contains the support of
-``Q``. The instance stores ``Q`` once, as CSR arrays, and the supergraph
-as one CSR pair of out-edges (for a generated instance, the same arrays
-as ``Q``'s); the transpose that backward estimators walk is derived from
-that pair by :func:`csr_transpose` on first use. Validation, the JSON
-form and the truth read the CSR arrays too; the dense view
-:attr:`ProblemInstance.Q` is for oracles and test helpers only.
+``Q``. The supergraph is one CSR pair of out-edges, checked once when it
+is built, and ``Q`` is stored on its edges: one value per edge, 0.0
+allowed, so ``Q``'s support lies in the supergraph by construction. The
+transpose that backward estimators walk is derived from that pair by
+:func:`csr_transpose` on first use. Validation, the JSON form and the
+truth read the CSR arrays too; the dense view :attr:`ProblemInstance.Q`
+is for oracles and test helpers only.
 Estimators never read ``Q`` directly; they see it only through a
 :class:`CountingSampler`, which hands out next-state draws and tallies
 every one. The tally is the sample-complexity meter that experiments
 report. Samplers draw from the instance's :class:`TransitionTable`, the
-renormalized rows of ``Q``, built once per instance and shared.
+renormalized positive rows of ``Q``, built once per instance and shared.
 
 The truth, :func:`exact_value`, is value iteration with certified bounds;
 the dense solve :func:`value_function` is the oracle it is tested against.
@@ -64,22 +65,22 @@ def csr_transpose(S: int, indices: np.ndarray) -> tuple:
     return colptr, np.argsort(indices, kind="stable")
 
 
-def check_csr(S: int, indptr: np.ndarray, indices: np.ndarray, prefix: str) -> None:
-    """Raise :class:`ContractViolation` naming the field (``prefix`` and
-    "indptr" or "indices") unless the pair is a CSR matrix with S rows and
-    S columns whose rows are strictly ascending."""
+def check_csr(S: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise :class:`ContractViolation` naming the field
+    (``supergraph.indptr`` or ``supergraph.indices``) unless the pair is a
+    CSR matrix with S rows and S columns whose rows are strictly ascending."""
     if indptr.shape != (S + 1,) or indices.ndim != 1:
-        raise ContractViolation(f"{prefix}indptr needs S + 1 = {S + 1} entries and {prefix}indices one dimension")
+        raise ContractViolation(f"supergraph.indptr needs S + 1 = {S + 1} entries and supergraph.indices one dimension")
     if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-        raise ContractViolation(f"{prefix}indptr must rise from 0 to nnz = {indices.size} without decreasing")
+        raise ContractViolation(f"supergraph.indptr must rise from 0 to nnz = {indices.size} without decreasing")
     bad = (indices < 0) | (indices >= S)
     if bad.any():
-        raise ContractViolation(f"{prefix}indices: {int(indices[np.argmax(bad)])} out of range for S={S}")
+        raise ContractViolation(f"supergraph.indices: {int(indices[np.argmax(bad)])} out of range for S={S}")
     # Rows and their columns are ascending together iff row * S + column is.
     rows = csr_rows(indptr)
     bad = np.diff(rows * S + indices) <= 0
     if bad.any():
-        raise ContractViolation(f"{prefix}indices: row {int(rows[np.argmax(bad)])} is not strictly ascending")
+        raise ContractViolation(f"supergraph.indices: row {int(rows[np.argmax(bad)])} is not strictly ascending")
 
 
 def _store_read_only(obj, dtypes: dict) -> None:
@@ -99,9 +100,10 @@ class Supergraph:
     """Adjacency structure: the out-edges of every state, in CSR form.
 
     Row s, ``indices[indptr[s]:indptr[s + 1]]``, lists the states s may
-    transition to, strictly ascending; both arrays are read-only. Backward
-    exploration reads the transpose, ``in_neighbors``, which is derived
-    from them on first use, as are the in-degrees and the average degree.
+    transition to, strictly ascending; both arrays are read-only, and the
+    constructor is the one place they are checked. Backward exploration
+    reads the transpose, ``in_neighbors``, which is derived from them on
+    first use, as are the in-degrees and the average degree.
     """
 
     S: int
@@ -110,7 +112,7 @@ class Supergraph:
 
     def __post_init__(self):
         _store_read_only(self, {"indptr": np.int64, "indices": np.int64})
-        check_csr(self.S, self.indptr, self.indices, "supergraph.")
+        check_csr(self.S, self.indptr, self.indices)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Supergraph":
@@ -243,42 +245,48 @@ class TransitionTable:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Ground truth for one evaluation problem: (S, alpha, cost, Q, supergraph).
+    """Ground truth for one evaluation problem: (S, alpha, cost, supergraph, Q).
 
-    Q is stored once, in CSR form: with lo, hi = ``q_indptr[s : s + 2]``,
-    row s holds ``q_values[lo:hi]`` in the ascending columns
-    ``q_indices[lo:hi]``, and 0.0 everywhere else.
+    Q is stored on the supergraph's edges: ``q_values[i]`` is Q's entry on
+    edge i, so with lo, hi = ``supergraph.indptr[s : s + 2]``, row s holds
+    ``q_values[lo:hi]`` in the columns ``supergraph.indices[lo:hi]`` and
+    0.0 everywhere else. An edge may carry 0.0; Q has no entry off the
+    supergraph, so absolute continuity holds by construction.
     """
 
     S: int
     alpha: float
     cost: np.ndarray
-    q_indptr: np.ndarray
-    q_indices: np.ndarray
-    q_values: np.ndarray
     supergraph: Supergraph
+    q_values: np.ndarray
 
     def __post_init__(self):
-        _store_read_only(self, {"cost": float, "q_indptr": np.int64, "q_indices": np.int64, "q_values": float})
-        check_csr(self.S, self.q_indptr, self.q_indices, "q_")
-        if self.q_values.shape != self.q_indices.shape:
-            raise ContractViolation(f"q_values has {self.q_values.size} entries, q_indices {self.q_indices.size}")
+        _store_read_only(self, {"cost": float, "q_values": float})
+        if self.supergraph.S != self.S:
+            raise ContractViolation(f"supergraph has {self.supergraph.S} states, the instance S={self.S}")
+        if self.q_values.shape != self.supergraph.indices.shape:
+            raise ContractViolation(f"q_values has {self.q_values.size} entries for {self.supergraph.indices.size} edges")
 
     @classmethod
     def from_arrays(cls, alpha: float, cost, Q, supergraph: Supergraph | None = None) -> "ProblemInstance":
-        """An instance of the dense matrix Q; its nonzero entries are stored."""
+        """An instance of the dense matrix Q, stored on ``supergraph``
+        (default: Q's nonzero pattern). A nonzero entry of Q off a given
+        supergraph raises :class:`ContractViolation` naming the entry."""
         Q = np.asarray(Q, dtype=float)
         S = Q.shape[0]
-        if Q.shape != (S, S):
-            raise ContractViolation(f"Q must be square, got shape {Q.shape}")
-        if supergraph is None:
-            supergraph = Supergraph.from_mask(Q > 0)
-        stored = Supergraph.from_mask(Q != 0)
-        return cls(S, float(alpha), np.array(cost, dtype=float), stored.indptr, stored.indices, Q[Q != 0], supergraph)
+        if Q.shape != (S, S) or supergraph is not None and supergraph.S != S:
+            raise ContractViolation(f"Q must be square with one row per supergraph state, got shape {Q.shape}")
+        supergraph = supergraph or Supergraph.from_mask(Q != 0)
+        on_edge = supergraph.edge_mask()
+        off = np.argwhere((Q != 0) & ~on_edge)
+        if off.size:
+            s, t = off[0].tolist()
+            raise ContractViolation(f"Q[{s}, {t}] = {float(Q[s, t])!r} lies off the supergraph (absolute continuity)")
+        return cls(S, float(alpha), np.array(cost, dtype=float), supergraph, Q[on_edge])
 
     def q_entries(self) -> tuple:
-        """(rows, columns, values) of Q's stored entries, row by row."""
-        return csr_rows(self.q_indptr), self.q_indices, self.q_values
+        """(rows, columns, values) of Q on every supergraph edge, row by row."""
+        return csr_rows(self.supergraph.indptr), self.supergraph.indices, self.q_values
 
     @property
     def Q(self) -> np.ndarray:
@@ -300,12 +308,12 @@ class ProblemInstance:
         """
         keep = self.q_values > 0
         probs = self.q_values[keep]
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.q_indptr]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.supergraph.indptr]
         # A block's row sums are those of each row alone: one pairwise sum each.
         for pos in csr_row_blocks(indptr):
             block = probs[pos]
             probs[pos] = block / block.sum(axis=1, keepdims=True)
-        return TransitionTable(indptr, self.q_indices[keep], probs)
+        return TransitionTable(indptr, self.supergraph.indices[keep], probs)
 
     @property
     def cost_inf(self) -> float:
@@ -334,10 +342,12 @@ def validate_instance(instance: ProblemInstance) -> list:
     """Check every instance invariant; return [] iff all hold.
 
     Validation never raises: callers get the full list of problems, each
-    naming the invariant and the offending index pair. O(nnz log nnz).
+    naming the invariant and the offending index pair. O(nnz + S).
+    Absolute continuity is not checked here: the instance stores Q on its
+    supergraph's edges, so it holds by construction.
     """
     out = []
-    S, cost, sg = instance.S, instance.cost, instance.supergraph
+    S, cost = instance.S, instance.cost
     if not (0.0 < instance.alpha < 1.0):
         out.append(Violation("discount_domain", (), f"alpha={instance.alpha} not in (0,1)"))
     if cost.shape != (S,):
@@ -352,12 +362,6 @@ def validate_instance(instance: ProblemInstance) -> list:
         out.append(Violation("negative_entry", (int(rows[i]), int(cols[i])), f"Q entry {values[i]!r}"))
     for s in np.flatnonzero(cost < 0):
         out.append(Violation("negative_cost", (int(s),), f"cost entry {cost[s]!r}"))
-
-    # check_csr made both key arrays strictly ascending, hence unique.
-    on_edge = np.isin(rows * S + cols, csr_rows(sg.indptr) * S + sg.indices, assume_unique=True)
-    for i in np.flatnonzero((values > 0) & ~on_edge):
-        where = (int(rows[i]), int(cols[i]))
-        out.append(Violation("absolute_continuity", where, f"supergraph has no edge but Q={values[i]!r}"))
     return out
 
 
@@ -541,35 +545,37 @@ def state_list(states) -> list:
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
-    """The instance as a JSON-ready document: Q and the supergraph in CSR form."""
+    """The instance as a JSON-ready document: the supergraph in CSR form and
+    Q's value on each of its edges."""
     sg = instance.supergraph
     return {
         "S": instance.S,
         "alpha": instance.alpha,
         "cost": instance.cost.tolist(),
-        "q_indptr": instance.q_indptr.tolist(),
-        "q_indices": instance.q_indices.tolist(),
-        "q_values": instance.q_values.tolist(),
         "supergraph": {"indptr": sg.indptr.tolist(), "indices": sg.indices.tolist()},
+        "q_values": instance.q_values.tolist(),
     }
 
 
-def _integers(doc: dict, key: str, prefix: str = "") -> list:
+def _integers(doc: dict, key: str) -> list:
     """``doc[key]``, refused unless a list of ints (not bools, which numpy reads as 0 or 1)."""
     entries = doc[key]
     if not isinstance(entries, list) or not all(type(t) is int for t in entries):
-        raise ContractViolation(f"{prefix}{key}: every entry must be an integer")
+        raise ContractViolation(f"supergraph.{key}: every entry must be an integer")
     return entries
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    """Inverse of :func:`instance_to_dict`; reads the CSR form only. A
-    malformed CSR field, or an index or pointer entry that is not an
-    integer, raises :class:`ContractViolation` naming the field."""
+    """Inverse of :func:`instance_to_dict`. A malformed CSR field, an index
+    or pointer entry that is not an integer, or a field of the older form
+    that kept Q's own index pair raises :class:`ContractViolation` naming
+    the field."""
+    for key in ("q_indptr", "q_indices"):
+        if key in doc:
+            raise ContractViolation(f"{key}: no longer read; Q is stored as q_values on the supergraph's edges")
     S, graph = int(doc["S"]), doc["supergraph"]
-    sg = Supergraph(S, _integers(graph, "indptr", "supergraph."), _integers(graph, "indices", "supergraph."))
-    indptr, indices = _integers(doc, "q_indptr"), _integers(doc, "q_indices")
-    return ProblemInstance(S, float(doc["alpha"]), doc["cost"], indptr, indices, doc["q_values"], sg)
+    sg = Supergraph(S, _integers(graph, "indptr"), _integers(graph, "indices"))
+    return ProblemInstance(S, float(doc["alpha"]), doc["cost"], sg, doc["q_values"])
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

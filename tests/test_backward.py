@@ -9,6 +9,8 @@ import pytest
 from epelab import (
     ContractViolation,
     CountingSampler,
+    ProblemInstance,
+    Supergraph,
     approx_contributions,
     backward_epe,
     build_q_over,
@@ -233,6 +235,52 @@ class TestReplayInvariant:
         if report.encountered_size:
             with pytest.raises(ContractViolation):
                 replay_invariant(report.trace, inst.Q, inst.supergraph)
+
+
+class TestSupergraphBeyondSupport:
+    """A supergraph with one edge that Q never takes: Q stores 0.0 on it."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        base = random_instance(S=12, p=4, alpha=0.6, seed="beyond")
+        Q = base.Q
+        s, t = map(int, np.argwhere(Q == 0.0)[0])
+        mask = Q != 0.0
+        mask[s, t] = True
+        return base, ProblemInstance.from_arrays(base.alpha, base.cost, Q, Supergraph.from_mask(mask)), s, t
+
+    def test_extra_edge_is_stored_as_zero(self, pair):
+        base, inst, s, t = pair
+        sg = inst.supergraph
+        assert sg.indices.size == base.supergraph.indices.size + 1
+        lo, hi = sg.indptr[s], sg.indptr[s + 1]
+        assert inst.q_values[lo + sg.indices[lo:hi].tolist().index(t)] == 0.0
+
+    def test_in_neighbors_list_the_edge_but_transitions_leave_it_out(self, pair):
+        base, inst, s, t = pair
+        assert s in inst.supergraph.in_neighbors[t] and s not in base.supergraph.in_neighbors[t]
+        assert t not in inst.transitions.row(s)[0].tolist()
+        for name in ("indptr", "indices", "probs", "cum"):
+            assert getattr(inst.transitions, name).tobytes() == getattr(base.transitions, name).tobytes()
+
+    def test_estimates_land_within_epsilon_of_the_truth(self, pair):
+        base, inst, _, t = pair
+        truth = exact_value(inst)
+        assert truth.tobytes() == exact_value(base).tobytes()
+        epsilon = 0.05
+        sampler = CountingSampler(inst, 4)
+        report = backward_epe(sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, epsilon, 10**6, trace=True)
+        assert t in {rec.state for rec in report.trace.records}  # the extra edge's column was read
+        assert np.max(np.abs(report.estimate - truth)) <= epsilon
+        known = approx_contributions(inst, epsilon, make_rng("beyond"))
+        assert np.max(np.abs(known.estimate - truth)) <= epsilon
+
+    def test_replay_invariant_accepts_the_under_completion(self, pair):
+        _, inst, _, _ = pair
+        _, report = run_traced(inst, 5, epsilon=0.1, n=5)
+        trace = report.trace
+        q_under = build_q_under(trace.final_rows, trace.encountered, inst)
+        assert replay_invariant(trace, q_under, inst.supergraph) <= 1e-9
 
 
 class TestTraceSerialization:

@@ -119,6 +119,12 @@ class TestParamExpressions:
         with pytest.raises(ContractViolation, match="not finite"):
             count_param(value, 10)
 
+    @pytest.mark.parametrize("value", [None, [1], True, False], ids=repr)
+    def test_non_numbers_are_refused(self, value):
+        # A bool is an int to Python, but no parameter is a truth value.
+        with pytest.raises(ContractViolation, match=repr(value).replace("[", r"\[")):
+            eval_param(value, 10)
+
     def test_nested_powers_are_refused_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ContractViolation):
@@ -256,6 +262,23 @@ class TestRunExperiment:
                 {"S": 20, "p": 4, "alpha": 0.5}, {"S": 30, "p": 4, "alpha": 0.5}, {"S": 20, "p": 5, "alpha": 0.5}
             ]))
 
+    def test_missing_parameter_is_refused_when_the_spec_is_built(self):
+        with pytest.raises(ContractViolation, match="backward needs the parameter 'n'"):
+            AlgorithmSpec("backward", {"epsilon": 0.2})
+
+    def test_unknown_forward_parameter_is_refused(self):
+        with pytest.raises(ContractViolation, match="forward takes no parameter 'epsilon'"):
+            AlgorithmSpec("forward", {"T": 5, "m": 2, "epsilon": 0.1})
+
+    def test_unknown_bidirectional_parameter_is_refused(self):
+        with pytest.raises(ContractViolation, match="bidirectional takes no parameter 'typo'"):
+            AlgorithmSpec("bidirectional", {"epsilon": 0.3, "n_B": 5, "n_F": 3, "typo": 1})
+
+    def test_ensemble_without_alpha_is_refused(self):
+        doc = dict(small_config().to_dict(), ensembles=[{"S": 20, "p": 4}])
+        with pytest.raises(ContractViolation, match="config field 'alpha' is missing"):
+            ExperimentConfig.from_dict(doc)
+
     def test_trial_path_never_builds_the_dense_q(self, monkeypatch, tmp_path):
         # Generation, the truth, all six algorithms, validation, the bound
         # report and instance JSON read Q's CSR arrays; the dense view is
@@ -284,7 +307,8 @@ class TestRunExperiment:
         assert validate_instance(instance) == []
         save_instance(instance, tmp_path / "instance.json")
         back = load_instance(tmp_path / "instance.json")
-        assert np.array_equal(back.q_values, instance.q_values) and np.array_equal(back.q_indices, instance.q_indices)
+        assert np.array_equal(back.q_values, instance.q_values)
+        assert np.array_equal(back.supergraph.indices, instance.supergraph.indices)
         exact_value_power_series(instance, 5)
         # The patch is live: reading the dense view trips it.
         with pytest.raises(AssertionError, match="dense Q"):
@@ -395,7 +419,7 @@ class TestCli:
         assert res.returncode == 0
         doc = json.loads(out.read_text())
         assert doc["S"] == 8
-        assert len(doc["q_indptr"]) == 9
+        assert len(doc["supergraph"]["indptr"]) == 9
 
     def test_run_summarize_bounds_pipeline(self, tmp_path):
         cfg = small_config(trials=2).to_dict()

@@ -49,7 +49,7 @@ class TestGenerateInstance:
         started = time.perf_counter()
         inst = generate_instance(EnsembleSpec(S=20000, p=1, alpha=0.5), 0)
         assert time.perf_counter() - started < 5.0
-        assert np.diff(inst.q_indptr).min() >= 1
+        assert np.diff(inst.supergraph.indptr).min() >= 1
 
     def test_row_law_is_the_conditioned_bernoulli_mask(self):
         # Each row's degree is Binomial(S, p/S) conditioned on >= 1; at
@@ -58,12 +58,12 @@ class TestGenerateInstance:
         degrees = []
         for i in range(trials):
             inst = generate_instance(EnsembleSpec(S=S, p=p, alpha=0.5), ("law", i))
+            indptr, indices = inst.supergraph.indptr, inst.supergraph.indices
             for s in range(S):
-                lo, hi = inst.q_indptr[s], inst.q_indptr[s + 1]
-                cols, vals = inst.q_indices[lo:hi], inst.q_values[lo:hi]
-                assert np.all(np.diff(cols) > 0)
-                assert abs(vals.sum() - 1.0) <= 1e-12
-            degrees.append(np.diff(inst.q_indptr))
+                lo, hi = indptr[s], indptr[s + 1]
+                assert np.all(np.diff(indices[lo:hi]) > 0)
+                assert abs(inst.q_values[lo:hi].sum() - 1.0) <= 1e-12
+            degrees.append(np.diff(indptr))
         degrees = np.concatenate(degrees)
         n, q = degrees.size, p / S
         k = np.arange(1, S + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -20,6 +21,7 @@ from epelab import (
     validate_instance,
     value_function,
 )
+from epelab import model
 from epelab.model import TransitionTable
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
@@ -43,10 +45,17 @@ class TestValidate:
         assert validate_instance(point_mass) == []
 
     def test_absolute_continuity_violation(self):
+        # Q is stored on the supergraph's edges, so an entry off them cannot be built.
         sg = Supergraph(2, [0, 1, 2], [0, 0])
-        inst = ProblemInstance.from_arrays(0.5, [1.0, 1.0], [[0.5, 0.5], [1.0, 0.0]], sg)
-        violations = validate_instance(inst)
-        assert any(v.kind == "absolute_continuity" and v.where == (0, 1) for v in violations)
+        with pytest.raises(ContractViolation, match=r"Q\[0, 1\] = 0.5 lies off the supergraph"):
+            ProblemInstance.from_arrays(0.5, [1.0, 1.0], [[0.5, 0.5], [1.0, 0.0]], sg)
+
+    def test_supergraph_of_another_size_is_refused(self):
+        sg = Supergraph(1, [0, 1], [0])
+        with pytest.raises(ContractViolation, match="one row per supergraph state"):
+            ProblemInstance.from_arrays(0.5, [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], sg)
+        with pytest.raises(ContractViolation, match="supergraph has 1 states, the instance S=2"):
+            ProblemInstance(2, 0.5, [1.0, 1.0], sg, [1.0])
 
     def test_row_sum_violation(self):
         inst = ProblemInstance.from_arrays(0.5, [1.0, 1.0], [[0.5, 0.4], [0.5, 0.5]])
@@ -111,7 +120,8 @@ class TestExactValue:
             Q[s, t] = 1.0
         inst = instance_from(0.7, base.cost, Q)
         assert_matches_dense_solve(inst)
-        assert inst.q_indices[inst.q_indptr[3]:inst.q_indptr[4]].tolist() == [3]
+        sg = inst.supergraph
+        assert sg.indices[sg.indptr[3]:sg.indptr[4]].tolist() == [3]
 
     def test_point_mass_rows_only(self):
         # A deterministic chain: a 3-cycle, a fixed point, and a path into each.
@@ -394,7 +404,10 @@ class TestSupergraph:
     def test_arrays_are_shared_read_only_and_derived_once(self):
         inst = random_instance(S=30, p=4, alpha=0.5, seed="shared")
         sg = inst.supergraph
-        assert sg.indptr is inst.q_indptr and sg.indices is inst.q_indices
+        # Q is stored on the supergraph's edges: one CSR pair, no second one.
+        assert [f.name for f in dataclasses.fields(ProblemInstance)] == ["S", "alpha", "cost", "supergraph", "q_values"]
+        _, indices, values = inst.q_entries()
+        assert indices is sg.indices and values is inst.q_values and values.size == sg.indices.size
         assert not sg.indptr.flags.writeable and not sg.indices.flags.writeable
         assert sg.in_neighbors is sg.in_neighbors
         assert sg.avg_degree == sg.indices.size / sg.S
@@ -571,32 +584,33 @@ class TestSerialization:
             assert sg.in_degrees[s] == len(sg.in_neighbors[s])
 
     # One case per rule: (field, position, new entry or None to delete it,
-    # expected message). The valid document below has q_indptr [0, 2, 4, 5]
-    # and q_indices [0, 1, 1, 2, 0], and its supergraph is the same pair.
+    # expected message). The valid document below has supergraph.indptr
+    # [0, 2, 4, 5] and supergraph.indices [0, 1, 1, 2, 0]. Those are also
+    # Q's row pointers and column indices, so the rows keyed q_indptr and
+    # q_indices edit them too, and every CSR message names supergraph.*.
     MALFORMED = [
-        ("q_indptr", -1, None, r"q_indptr needs S \+ 1 = 4 entries"),
-        ("q_values", -1, None, "q_values has 4 entries, q_indices 5"),
-        ("q_indptr", 0, 1, "q_indptr must rise from 0"),
-        ("q_indptr", 2, 1, "q_indptr must rise"),
-        ("q_indptr", 3, 4, "q_indptr must rise from 0 to nnz = 5"),
-        ("q_indices", 0, 3, "q_indices: 3 out of range"),
-        ("q_indices", 4, -1, "q_indices: -1 out of range"),
-        ("q_indices", 1, 0, "q_indices: row 0 is not strictly ascending"),
+        ("q_indptr", -1, None, r"supergraph.indptr needs S \+ 1 = 4 entries"),
+        ("q_values", -1, None, "q_values has 4 entries for 5 edges"),
+        ("q_indptr", 0, 1, "supergraph.indptr must rise from 0"),
+        ("q_indptr", 2, 1, "supergraph.indptr must rise"),
+        ("q_indices", 0, 3, "supergraph.indices: 3 out of range"),
+        ("q_indices", 4, -1, "supergraph.indices: -1 out of range"),
+        ("q_indices", 1, 0, "supergraph.indices: row 0 is not strictly ascending"),
         ("supergraph.indptr", 0, None, r"supergraph.indptr needs S \+ 1"),
-        ("supergraph.indptr", 3, 4, "supergraph.indptr must rise"),
+        ("supergraph.indptr", 3, 4, "supergraph.indptr must rise from 0 to nnz = 5"),
         ("supergraph.indices", 2, 3, "supergraph.indices: 3 out of range"),
         ("supergraph.indices", 3, 1, "supergraph.indices: row 1 is not strictly ascending"),
         # Entries that would truncate or parse to a valid index.
-        ("q_indices", 2, 1.7, "q_indices: every entry must be an integer"),
-        ("q_indices", 2, "1", "q_indices: every entry must be an integer"),
-        ("q_indptr", 1, 2.5, "q_indptr: every entry must be an integer"),
-        ("q_indptr", 1, "2", "q_indptr: every entry must be an integer"),
+        ("q_indices", 2, 1.7, "supergraph.indices: every entry must be an integer"),
+        ("q_indices", 2, "1", "supergraph.indices: every entry must be an integer"),
+        ("q_indptr", 1, 2.5, "supergraph.indptr: every entry must be an integer"),
+        ("q_indptr", 1, "2", "supergraph.indptr: every entry must be an integer"),
         ("supergraph.indptr", 2, 4.0, "supergraph.indptr: every entry must be an integer"),
         ("supergraph.indices", 1, "1", "supergraph.indices: every entry must be an integer"),
         # A bool among integers, which numpy reads as 0 or 1, and ragged nesting.
-        ("q_indices", 2, True, "q_indices: every entry must be an integer"),
+        ("q_indices", 2, True, "supergraph.indices: every entry must be an integer"),
         ("supergraph.indptr", 1, False, "supergraph.indptr: every entry must be an integer"),
-        ("q_indices", 0, [0, 1], "q_indices: every entry must be an integer"),
+        ("q_indices", 0, [0, 1], "supergraph.indices: every entry must be an integer"),
         ("supergraph.indices", 1, [1, 2], "supergraph.indices: every entry must be an integer"),
         ("q_values", 1, [0.5, 0.5], "q_values: "),
         ("cost", 0, [1.0], "cost: "),
@@ -606,6 +620,7 @@ class TestSerialization:
     def test_malformed_csr_names_the_field(self, field, position, value, message):
         inst = instance_from(0.5, [1.0, 1.0, 0.0], [[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
         doc = json.loads(json.dumps(instance_to_dict(inst)))
+        field = {"q_indptr": "supergraph.indptr", "q_indices": "supergraph.indices"}.get(field, field)
         entries = doc["supergraph"][field[11:]] if field.startswith("supergraph.") else doc[field]
         if value is None:
             del entries[position]
@@ -613,3 +628,22 @@ class TestSerialization:
             entries[position] = value
         with pytest.raises(ContractViolation, match=message):
             instance_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["q_indptr", "q_indices"])
+    def test_document_with_a_separate_q_pair_is_refused(self, field):
+        # The older form kept Q's own index pair beside the supergraph's.
+        doc = instance_to_dict(instance_from(0.5, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]))
+        doc[field] = doc["supergraph"][field[2:]]
+        with pytest.raises(ContractViolation, match=f"^{field}: "):
+            instance_from_dict(doc)
+
+    def test_each_construction_checks_the_csr_pair_once(self, monkeypatch):
+        calls = []
+        check = model.check_csr
+        monkeypatch.setattr(model, "check_csr", lambda *args: calls.append(args) or check(*args))
+        inst = random_instance(S=30, p=4, alpha=0.5, seed="once")
+        assert len(calls) == 1
+        ProblemInstance.from_arrays(inst.alpha, inst.cost, inst.Q)
+        assert len(calls) == 2
+        instance_from_dict(instance_to_dict(inst))
+        assert len(calls) == 3
