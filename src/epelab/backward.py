@@ -1,10 +1,12 @@
 """Backward value estimation with sampled transition rows.
 
-The estimator explores the chain in reverse from high-cost states. Each
-push selects a maximal-residual state, estimates the transition rows of
-its in-neighbors the first time they are encountered (n draws per state,
-all counted), and redistributes residual mass through those estimated
-rows. Total sampling cost is n times the number of encountered states.
+The estimator reads the cost, the discount and the supergraph from its
+sampler's instance and samples only Q. It explores the chain in reverse
+from high-cost states: each push selects a maximal-residual state,
+estimates the rows of its supergraph in-neighbors the first time they are
+encountered (n draws per state, all counted), and redistributes residual
+mass through those estimated rows. Total sampling cost is n times the
+number of encountered states.
 
 For auditing, a traced run can be replayed against a completion of the
 final row estimates: rows for encountered states are the estimates
@@ -30,9 +32,6 @@ DENSE_ORACLE_MAX_S = 1000  # the dense S x S oracles refuse larger S (8 MB per m
 
 def run_backward(
     sampler: CountingSampler,
-    cost: np.ndarray,
-    alpha: float,
-    in_neighbors,
     epsilon: float,
     n: int,
     trace: bool = False,
@@ -42,11 +41,11 @@ def run_backward(
     """Push loop with sample-once empirical rows; returns the full outcome."""
     if tie_rng is None:
         tie_rng = sampler.derive("tie_break")
-    rows = CachedEmpiricalRows(sampler, in_neighbors, n)
+    rows = CachedEmpiricalRows(sampler, n)
     before = sampler.draw_count
     outcome = run_push_loop(
-        cost=np.asarray(cost, dtype=float),
-        alpha=alpha,
+        cost=sampler.instance.cost,
+        alpha=sampler.instance.alpha,
         epsilon=epsilon,
         row_source=rows,
         tie_rng=tie_rng,
@@ -59,9 +58,6 @@ def run_backward(
 
 def backward_epe(
     sampler: CountingSampler,
-    cost: np.ndarray,
-    alpha: float,
-    in_neighbors,
     epsilon: float,
     n: int,
     trace: bool = False,
@@ -72,7 +68,7 @@ def backward_epe(
     Terminates when no residual exceeds epsilon. Reports
     samples_used = n * |encountered| and the encountered-set size.
     """
-    outcome = run_backward(sampler, cost, alpha, in_neighbors, epsilon, n, trace=trace, tie_rng=tie_rng)
+    outcome = run_backward(sampler, epsilon, n, trace=trace, tie_rng=tie_rng)
     return EstimateReport(
         estimate=outcome.estimate,
         samples_used=outcome.samples_used,

@@ -54,9 +54,6 @@ def approx_contributions(
 
 def backward_epe_alternative(
     sampler: CountingSampler,
-    cost: np.ndarray,
-    alpha: float,
-    in_neighbors,
     epsilon: float,
     n: int,
     trace: bool = False,
@@ -69,10 +66,10 @@ def backward_epe_alternative(
     """
     before = sampler.draw_count
     outcome = run_push_loop(
-        cost=np.asarray(cost, dtype=float),
-        alpha=alpha,
+        cost=sampler.instance.cost,
+        alpha=sampler.instance.alpha,
         epsilon=epsilon,
-        row_source=FreshEmpiricalRows(sampler, in_neighbors, n),
+        row_source=FreshEmpiricalRows(sampler, n),
         tie_rng=sampler.derive("tie_break"),
         trace=trace,
     )

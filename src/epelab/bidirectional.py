@@ -168,9 +168,6 @@ def _walk_stage(
 
 def bidirectional_epe(
     sampler: CountingSampler,
-    cost: np.ndarray,
-    alpha: float,
-    in_neighbors,
     config: BidirectionalConfig,
     trace: bool = False,
 ) -> EstimateReport:
@@ -182,13 +179,13 @@ def bidirectional_epe(
     ``sampler.derive("walks")``; charged steps read the sampler's own
     (see :func:`_walk_stage`).
     """
-    cost = np.asarray(cost, dtype=float)
+    alpha = sampler.instance.alpha
     if config.termination_mode == "dynamic":
-        epsilon, max_rows = 0.0, dynamic_stop_threshold(cost.size, config.n_B, config.n_F, alpha)
+        epsilon, max_rows = 0.0, dynamic_stop_threshold(sampler.instance.S, config.n_B, config.n_F, alpha)
     else:
         epsilon, max_rows = config.epsilon, None
 
-    outcome = run_backward(sampler, cost, alpha, in_neighbors, epsilon, config.n_B, trace=trace, max_rows=max_rows)
+    outcome = run_backward(sampler, epsilon, config.n_B, trace=trace, max_rows=max_rows)
     backward_draws = outcome.samples_used
     residual = outcome.residual
     estimate = outcome.estimate.copy()

@@ -5,7 +5,8 @@ CSV), summarize (trial CSV -> aggregate CSV), bounds (trial CSV + config
 -> encountered-set bound table), calc (print sample-size formulas).
 
 EPE_THREADS caps the worker pool for `run`; --seed overrides the config's
-master seed.
+master seed. A refused input, such as a config with an unknown field,
+prints ``epelab: <message>`` to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 from .bidirectional import sample_size_backward_bd, sample_size_forward_bd
 from .backward import sample_size_backward
+from .errors import ContractViolation
 from .forward import sample_size_forward
 from .harness import (
     BOUND_HEADER,
@@ -135,8 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A refused input (a :class:`ContractViolation`)
+    prints ``epelab: <message>`` to stderr and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ContractViolation as exc:
+        print(f"epelab: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,19 +29,13 @@ class ForwardConfig:
             raise ContractViolation(f"need T >= 1 and m >= 1, got T={self.T}, m={self.m}")
 
 
-def forward_epe(
-    sampler: CountingSampler,
-    cost: np.ndarray,
-    alpha: float,
-    config: ForwardConfig,
-) -> EstimateReport:
+def forward_epe(sampler: CountingSampler, config: ForwardConfig) -> EstimateReport:
     """Average discounted truncated cost over m length-T trajectories per state.
 
     Unbiased for the T-term truncation of the value function; the
     truncation itself biases by at most ||c||_inf * alpha^T.
     """
-    cost = np.asarray(cost, dtype=float)
-    S = cost.size
+    cost, alpha, S = sampler.instance.cost, sampler.instance.alpha, sampler.instance.S
     T, m = config.T, config.m
     before = sampler.draw_count
 

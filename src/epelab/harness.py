@@ -148,6 +148,66 @@ class AlgorithmSpec:
             raise ContractViolation(f"{self.name} takes no parameter {min(unknown)!r}; it takes {sorted(required | optional)}")
 
 
+def algorithm_run(spec: AlgorithmSpec, S: int):
+    """The run of ``spec`` at size S, a function of the sampler that returns
+    the :class:`EstimateReport`. Its parameter values are converted here,
+    so an expression that does not parse, or a value that the algorithm's
+    config object refuses, raises :class:`ContractViolation` at once."""
+    p = spec.params
+    if spec.name == "forward":
+        forward = ForwardConfig(T=count_param(p["T"], S), m=count_param(p["m"], S))
+        return lambda sampler: forward_epe(sampler, forward)
+    if spec.name == "bidirectional":
+        eps = None if p.get("epsilon") is None else eval_param(p["epsilon"], S)
+        mode = p.get("termination_mode", "fixed")
+        config = BidirectionalConfig(eps, count_param(p["n_B"], S), count_param(p["n_F"], S), mode)
+        return lambda sampler: bidirectional_epe(sampler, config)
+    if spec.name == "plug_in":
+        n = count_param(p["n"], S)
+        return lambda sampler: plug_in_estimate(sampler, n)
+    epsilon = eval_param(p["epsilon"], S)
+    if spec.name == "approx_contributions":
+        return lambda sampler: approx_contributions(sampler.instance, epsilon, sampler.derive("tie_break"))
+    n = count_param(p["n"], S)
+    if spec.name == "backward":
+        return lambda sampler: backward_epe(sampler, epsilon, n)
+    return lambda sampler: backward_epe_alternative(sampler, epsilon, n)
+
+
+# The types of the fields of a config document, of an ensemble and of an
+# algorithm entry. A float field takes an int too; no field takes a bool.
+# The fields in _OPTIONAL may be left out, and one that is null reads as absent.
+_CONFIG_FIELDS = {"master_seed": int, "trials": int, "output": str, "ensembles": list, "algorithms": list}
+_ENSEMBLE_FIELDS = {"S": int, "p": float, "alpha": float, "cost_model": str, "H": int}
+_ALGORITHM_FIELDS = {"name": str, "params": dict}
+_OPTIONAL = {"output", "cost_model", "H", "params"}
+_TYPE_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _read_fields(doc, kinds: dict, where: str = "") -> dict:
+    """The fields of the JSON object ``doc`` that are set; ``where`` names
+    its place in the config ("ensembles[0]", say), "" for the top level.
+    An unknown field, a missing required one, or a value of the wrong type
+    raises :class:`ContractViolation` naming the field."""
+    at = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"{where or 'a config'} must be an object, got {doc!r}")
+    unknown = doc.keys() - kinds.keys()
+    if unknown:
+        raise ContractViolation(f"{at}config field {min(unknown)!r} is unknown; the fields are {sorted(kinds)}")
+    out = {}
+    for key, kind in kinds.items():
+        value = doc.get(key)
+        if key in _OPTIONAL and value is None:
+            continue
+        if key not in doc:
+            raise ContractViolation(f"{at}config field {key!r} is missing")
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ContractViolation(f"{at}config field {key!r} must be {_TYPE_WORDS[kind]}, got {value!r}")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     ensembles: tuple
@@ -163,6 +223,13 @@ class ExperimentConfig:
         sizes = [e.S for e in self.ensembles]
         if len(set(sizes)) != len(sizes):
             raise ContractViolation(f"two ensembles share one S (sizes {sizes}); sweep alpha in separate configs")
+        # Parameter values are checked now, not inside a trial.
+        for spec in self.algorithms:
+            for S in sizes:
+                try:
+                    algorithm_run(spec, S)
+                except ContractViolation as exc:
+                    raise ContractViolation(f"{spec.name} at S={S}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -175,25 +242,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """A missing field raises :class:`ContractViolation` naming it."""
-        try:
-            return cls(
-                ensembles=tuple(
-                    EnsembleSpec(e["S"], e["p"], e["alpha"], e.get("cost_model", "mixed"), e.get("H"))
-                    for e in doc["ensembles"]
-                ),
-                algorithms=tuple(AlgorithmSpec(a["name"], dict(a.get("params", {}))) for a in doc["algorithms"]),
-                trials=int(doc["trials"]),
-                master_seed=int(doc["master_seed"]),
-                output=doc.get("output"),
-            )
-        except KeyError as exc:
-            raise ContractViolation(f"config field {exc.args[0]!r} is missing") from None
+        """The config of a JSON document. An unknown or missing field, or a
+        value of the wrong type (a count that is not an integer, say, or any
+        bool), raises :class:`ContractViolation` naming the field."""
+        top = _read_fields(doc, _CONFIG_FIELDS)
+        ensembles = [_read_fields(e, _ENSEMBLE_FIELDS, f"ensembles[{i}]") for i, e in enumerate(top["ensembles"])]
+        algorithms = [_read_fields(a, _ALGORITHM_FIELDS, f"algorithms[{i}]") for i, a in enumerate(top["algorithms"])]
+        top["ensembles"] = tuple(EnsembleSpec(**e) for e in ensembles)
+        top["algorithms"] = tuple(AlgorithmSpec(a["name"], dict(a.get("params", {}))) for a in algorithms)
+        return cls(**top)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ContractViolation(f"{path} is not JSON: {exc}") from None
+        return cls.from_dict(doc)
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -217,30 +283,7 @@ class TrialRecord:
 
 def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: CountingSampler) -> EstimateReport:
     """Dispatch one algorithm run; all randomness comes from the sampler."""
-    S = instance.S
-    cost, alpha = instance.cost, instance.alpha
-    p = spec.params
-    if spec.name == "forward":
-        config = ForwardConfig(T=count_param(p["T"], S), m=count_param(p["m"], S))
-        return forward_epe(sampler, cost, alpha, config)
-    if spec.name == "backward":
-        return backward_epe(
-            sampler, cost, alpha, instance.supergraph.in_neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
-        )
-    if spec.name == "bidirectional":
-        eps = None if p.get("epsilon") is None else eval_param(p["epsilon"], S)
-        mode = p.get("termination_mode", "fixed")
-        config = BidirectionalConfig(eps, count_param(p["n_B"], S), count_param(p["n_F"], S), mode)
-        return bidirectional_epe(sampler, cost, alpha, instance.supergraph.in_neighbors, config)
-    if spec.name == "approx_contributions":
-        return approx_contributions(instance, eval_param(p["epsilon"], S), sampler.derive("tie_break"))
-    if spec.name == "backward_alternative":
-        return backward_epe_alternative(
-            sampler, cost, alpha, instance.supergraph.in_neighbors, eval_param(p["epsilon"], S), count_param(p["n"], S)
-        )
-    if spec.name == "plug_in":
-        return plug_in_estimate(sampler, count_param(p["n"], S))
-    raise ContractViolation(f"unknown algorithm {spec.name!r}")
+    return algorithm_run(spec, instance.S)(sampler)
 
 
 def trial_metrics(estimate: np.ndarray, truth: np.ndarray, threshold: float) -> tuple:

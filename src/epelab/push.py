@@ -18,9 +18,11 @@ Layout of the kernel:
 - A row source knows which states feed a column: ``column(s_k)``
   returns the pushed state's column as an {in-neighbor: entry} dict,
   which the loop only reads, and ``rows`` holds the rows it has cached
-  (empty if it caches none). Exact rows return the column dicts of one
-  transpose of the positive CSR entries of Q. Empirical rows take the
-  in-neighbor lists and draw from the instance's
+  (empty if it caches none). Every source reads the one transpose of the
+  instance's supergraph, :attr:`~epelab.model.Supergraph.transpose`.
+  Exact rows gather Q's entries through it, once, into column dicts.
+  Empirical rows take the pushed state's in-neighbors from it, one list
+  slice per push, and draw from the instance's
   :class:`~epelab.model.TransitionTable`: cached rows through the
   sampler's row channel, fresh ones through its column channel, which
   draws each in-neighbor's full multinomial row (so the stream is the
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, ProblemInstance, csr_transpose, discounted_occupancy, state_list
+from .model import CountingSampler, ProblemInstance, discounted_occupancy
 
 
 @dataclass
@@ -238,12 +240,12 @@ class _EmpiricalRows:
     """A row source drawing n samples per row of each in-neighbor of the
     pushed state, through ``sampler``."""
 
-    def __init__(self, sampler: CountingSampler, in_neighbors, n: int):
+    def __init__(self, sampler: CountingSampler, n: int):
         if n < 1:
             raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
         self.sampler = sampler
-        self.in_neighbors = in_neighbors
         self.n = n
+        self.in_neighbors = sampler.instance.supergraph.in_neighbors
         self.rows: dict[int, dict] = {}
 
 
@@ -253,7 +255,7 @@ class CachedEmpiricalRows(_EmpiricalRows):
 
     def column(self, s_k: int) -> dict:
         col = {}
-        for s in state_list(self.in_neighbors[s_k]):
+        for s in self.in_neighbors(s_k):
             row = self.rows.get(s)
             if row is None:
                 row = self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
@@ -265,18 +267,17 @@ class ExactRows:
     """Row source reading the instance's known transition matrix. Draws nothing.
 
     ``columns[t]`` maps each s with a positive entry Q[s, t] to that raw
-    entry (not a renormalized row); all columns come from one stable sort
-    of the instance's positive CSR entries by column, which keeps each
-    column's rows ascending.
+    entry (not a renormalized row). The columns gather ``q_values`` through
+    the supergraph's transpose and drop the entries that are not positive,
+    so each column's rows ascend.
     """
 
     def __init__(self, instance: ProblemInstance):
-        sources, targets, values = instance.q_entries()
-        positive = values > 0.0
-        sources, targets, values = sources[positive], targets[positive], values[positive]
-        colptr, order = csr_transpose(instance.S, targets)
-        bounds, sources, values = colptr.tolist(), sources[order].tolist(), values[order].tolist()
-        self.columns = [dict(zip(sources[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+        colptr, order, sources = instance.supergraph.transpose
+        values = instance.q_values[order].tolist()
+        self.columns = [
+            {s: q for s, q in zip(sources[lo:hi], values[lo:hi]) if q > 0.0} for lo, hi in zip(colptr, colptr[1:])
+        ]
         self.rows: dict[int, dict] = {}
 
     def column(self, s_k: int) -> dict:
@@ -288,7 +289,7 @@ class FreshEmpiricalRows(_EmpiricalRows):
     caches no row."""
 
     def column(self, s_k: int) -> dict:
-        return self.sampler.sample_empirical_column(self.in_neighbors[s_k], s_k, self.n)
+        return self.sampler.sample_empirical_column(self.in_neighbors(s_k), s_k, self.n)
 
 
 # A residual at most this share of ||c||_inf is below the float resolution

@@ -86,9 +86,7 @@ def test_02_fixed_point_invariant_suite():
         spec = EnsembleSpec(S=S, p=min(4.0, S), alpha=alpha)
         inst = generate_instance(spec, (MASTER_SEED, "c2", i))
         sampler = CountingSampler(inst, (MASTER_SEED, "c2run", i))
-        report = backward_epe(
-            sampler, inst.cost, alpha, inst.supergraph.in_neighbors, epsilon, n, trace=True
-        )
+        report = backward_epe(sampler, epsilon, n, trace=True)
         trace = report.trace
         q_under = build_q_under(trace.final_rows, trace.encountered, inst)
         q_over = build_q_over(
@@ -130,9 +128,7 @@ def test_04_backward_accuracy_guarantee():
     for t in range(200):
         inst = generate_instance(spec, (MASTER_SEED, "c4", t))
         sampler = CountingSampler(inst, (MASTER_SEED, "c4run", t))
-        report = backward_epe(
-            sampler, inst.cost, alpha, inst.supergraph.in_neighbors, epsilon, n_star
-        )
+        report = backward_epe(sampler, epsilon, n_star)
         if np.max(np.abs(report.estimate - exact_value(inst))) >= 2 * epsilon:
             failures += 1
     print(f"  failures at 2*epsilon: {failures}/200 (allowed {int(delta * 200)})")
@@ -211,9 +207,7 @@ def test_08_bidirectional_relative_guarantee():
         )
         sampler = CountingSampler(inst, (MASTER_SEED, "c8run", t))
         config = BidirectionalConfig(epsilon=epsilon, n_B=n_B, n_F=n_F)
-        report = bidirectional_epe(
-            sampler, inst.cost, alpha, inst.supergraph.in_neighbors, config
-        )
+        report = bidirectional_epe(sampler, config)
         v = exact_value(inst)
         if np.any(np.abs(report.estimate - v) > eps_rel * v + eps_abs):
             failures += 1
@@ -226,14 +220,11 @@ def test_09_resampling_unbiasedness():
     alpha, epsilon, n = 0.5, 0.1, 3
     spec = EnsembleSpec(S=4, p=2, alpha=alpha)
     inst = generate_instance(spec, (MASTER_SEED, "c9instance"))
-    neighbors = inst.supergraph.in_neighbors
 
     finals_alt = np.empty((2000, 4))
     for t in range(2000):
         sampler = CountingSampler(inst, (MASTER_SEED, "c9alt", t))
-        report = backward_epe_alternative(
-            sampler, inst.cost, alpha, neighbors, epsilon, n, trace=True
-        )
+        report = backward_epe_alternative(sampler, epsilon, n, trace=True)
         finals_alt[t] = error_process(report.trace, inst.Q).final
     mean = finals_alt.mean(axis=0)
     stderr = finals_alt.std(axis=0, ddof=1) / np.sqrt(len(finals_alt))
@@ -245,7 +236,7 @@ def test_09_resampling_unbiasedness():
     finals_plain = np.empty((2000, 4))
     for t in range(2000):
         sampler = CountingSampler(inst, (MASTER_SEED, "c9plain", t))
-        report = backward_epe(sampler, inst.cost, alpha, neighbors, epsilon, n, trace=True)
+        report = backward_epe(sampler, epsilon, n, trace=True)
         finals_plain[t] = error_process(report.trace, inst.Q).final
     mean_plain = finals_plain.mean(axis=0)
     se_plain = finals_plain.std(axis=0, ddof=1) / np.sqrt(len(finals_plain))

@@ -28,18 +28,14 @@ from conftest import instance_from, random_instance
 
 def run_traced(inst, seed, epsilon, n):
     sampler = CountingSampler(inst, seed)
-    report = backward_epe(
-        sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, epsilon, n, trace=True
-    )
+    report = backward_epe(sampler, epsilon, n, trace=True)
     return sampler, report
 
 
 class TestBackwardEpe:
     def test_large_epsilon_returns_zero(self, two_cycle):
         sampler = CountingSampler(two_cycle, 0)
-        report = backward_epe(
-            sampler, two_cycle.cost, 0.5, two_cycle.supergraph.in_neighbors, epsilon=1.0, n=5
-        )
+        report = backward_epe(sampler, epsilon=1.0, n=5)
         assert report.iterations == 0
         assert report.samples_used == 0
         assert np.all(report.estimate == 0.0)
@@ -56,7 +52,7 @@ class TestBackwardEpe:
     def test_zero_cost_short_circuits(self):
         inst = instance_from(0.5, [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
         sampler = CountingSampler(inst, 0)
-        report = backward_epe(sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, 0.1, 5)
+        report = backward_epe(sampler, 0.1, 5)
         assert report.iterations == 0
         assert report.samples_used == 0
 
@@ -69,9 +65,9 @@ class TestBackwardEpe:
     def test_contract_violations(self, two_cycle):
         sampler = CountingSampler(two_cycle, 0)
         with pytest.raises(ContractViolation):
-            backward_epe(sampler, two_cycle.cost, 0.5, two_cycle.supergraph.in_neighbors, 0.0, 5)
+            backward_epe(sampler, 0.0, 5)
         with pytest.raises(ContractViolation):
-            backward_epe(sampler, two_cycle.cost, 0.5, two_cycle.supergraph.in_neighbors, 0.1, 0)
+            backward_epe(sampler, 0.1, 0)
 
     def test_iteration_bound_over_seeded_runs(self):
         # Typical-case push bound on ensemble instances.
@@ -141,9 +137,7 @@ class TestHeapTies:
         sampler = CountingSampler(inst, seed)
         tie_rng = self.CountingTies(make_rng(("ties", seed)))
         # trace=True checks every selection against max(residual).
-        report = backward_epe(
-            sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, 0.02, 8, tie_rng=tie_rng, trace=True
-        )
+        report = backward_epe(sampler, 0.02, 8, tie_rng=tie_rng, trace=True)
         monkeypatch.undo()
         return report, tie_rng.ties, len(pops)
 
@@ -258,7 +252,7 @@ class TestSupergraphBeyondSupport:
 
     def test_in_neighbors_list_the_edge_but_transitions_leave_it_out(self, pair):
         base, inst, s, t = pair
-        assert s in inst.supergraph.in_neighbors[t] and s not in base.supergraph.in_neighbors[t]
+        assert s in inst.supergraph.in_neighbors(t) and s not in base.supergraph.in_neighbors(t)
         assert t not in inst.transitions.row(s)[0].tolist()
         for name in ("indptr", "indices", "probs", "cum"):
             assert getattr(inst.transitions, name).tobytes() == getattr(base.transitions, name).tobytes()
@@ -269,7 +263,7 @@ class TestSupergraphBeyondSupport:
         assert truth.tobytes() == exact_value(base).tobytes()
         epsilon = 0.05
         sampler = CountingSampler(inst, 4)
-        report = backward_epe(sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, epsilon, 10**6, trace=True)
+        report = backward_epe(sampler, epsilon, 10**6, trace=True)
         assert t in {rec.state for rec in report.trace.records}  # the extra edge's column was read
         assert np.max(np.abs(report.estimate - truth)) <= epsilon
         known = approx_contributions(inst, epsilon, make_rng("beyond"))

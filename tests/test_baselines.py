@@ -75,7 +75,7 @@ class TestExactRows:
         for t in range(15):
             column = rows.column(t)
             support = np.flatnonzero(Q[:, t] > 0).tolist()
-            assert list(column) == support == base.supergraph.in_neighbors[t]
+            assert list(column) == support == base.supergraph.in_neighbors(t)
             assert [column[s] for s in support] == Q[support, t].tolist()
 
 
@@ -84,9 +84,8 @@ class TestBackwardAlternative:
         # Deterministic rows leave no sampling noise to differ on.
         s1 = CountingSampler(point_mass, 1)
         s2 = CountingSampler(point_mass, 1)
-        neighbors = point_mass.supergraph.in_neighbors
-        alt = backward_epe_alternative(s1, point_mass.cost, 0.5, neighbors, 0.3, 4)
-        plain = backward_epe(s2, point_mass.cost, 0.5, neighbors, 0.3, 4)
+        alt = backward_epe_alternative(s1, 0.3, 4)
+        plain = backward_epe(s2, 0.3, 4)
         assert np.array_equal(alt.estimate, plain.estimate)
         assert alt.samples_used == 8  # resampled at both pushes
         assert plain.samples_used == 4
@@ -94,17 +93,14 @@ class TestBackwardAlternative:
     def test_resampling_never_cheaper(self):
         for i in range(10):
             inst = random_instance(S=8, p=3, alpha=0.5, seed=("cost", i))
-            neighbors = inst.supergraph.in_neighbors
-            alt = backward_epe_alternative(CountingSampler(inst, i), inst.cost, 0.5, neighbors, 0.2, 3)
-            plain = backward_epe(CountingSampler(inst, i), inst.cost, 0.5, neighbors, 0.2, 3)
+            alt = backward_epe_alternative(CountingSampler(inst, i), 0.2, 3)
+            plain = backward_epe(CountingSampler(inst, i), 0.2, 3)
             assert alt.samples_used >= plain.samples_used
 
     def test_sample_accounting_total_in_degree(self):
         inst = random_instance(S=8, p=3, alpha=0.5, seed="acct")
         sampler = CountingSampler(inst, 0)
-        report = backward_epe_alternative(
-            sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, 0.2, 3, trace=True
-        )
+        report = backward_epe_alternative(sampler, 0.2, 3, trace=True)
         degrees = inst.supergraph.in_degrees
         expected = 3 * sum(int(degrees[r.state]) for r in report.trace.records)
         assert report.samples_used == expected == sampler.draw_count
@@ -112,9 +108,7 @@ class TestBackwardAlternative:
     def test_error_process_starts_at_zero(self):
         inst = random_instance(S=6, p=3, alpha=0.5, seed="e0")
         sampler = CountingSampler(inst, 4)
-        report = backward_epe_alternative(
-            sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, 0.1, 3, trace=True
-        )
+        report = backward_epe_alternative(sampler, 0.1, 3, trace=True)
         errors = error_process(report.trace, inst.Q)
         assert np.all(errors.values[0] == 0.0)
 
@@ -124,9 +118,7 @@ class TestBackwardAlternative:
         finals = []
         for i in range(400):
             sampler = CountingSampler(inst, ("run", i))
-            report = backward_epe_alternative(
-                sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, 0.1, 3, trace=True
-            )
+            report = backward_epe_alternative(sampler, 0.1, 3, trace=True)
             finals.append(error_process(report.trace, inst.Q).final)
         finals = np.array(finals)
         mean = finals.mean(axis=0)
@@ -140,9 +132,7 @@ class TestErrorProcess:
         first_increments = []
         for i in range(600):
             sampler = CountingSampler(inst, ("inc", i))
-            report = backward_epe_alternative(
-                sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, 0.15, 2, trace=True
-            )
+            report = backward_epe_alternative(sampler, 0.15, 2, trace=True)
             inc = error_process(report.trace, inst.Q).increments
             if len(inc):
                 first_increments.append(inc[0])
@@ -155,10 +145,7 @@ class TestErrorProcess:
         with pytest.raises(ContractViolation):
             approx_contributions(two_cycle, 0.0, make_rng(0))
         with pytest.raises(ContractViolation):
-            backward_epe_alternative(
-                CountingSampler(two_cycle, 0), two_cycle.cost, 0.5,
-                two_cycle.supergraph.in_neighbors, -0.1, 3,
-            )
+            backward_epe_alternative(CountingSampler(two_cycle, 0), -0.1, 3)
 
 
 class TestThresholdRule:
@@ -166,10 +153,9 @@ class TestThresholdRule:
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
     def test_refused_before_any_draw(self, two_cycle, epsilon):
-        cost, neighbors = two_cycle.cost, two_cycle.supergraph.in_neighbors
         runs = {
-            "backward": lambda s: backward_epe(s, cost, 0.5, neighbors, epsilon, 3),
-            "backward_alternative": lambda s: backward_epe_alternative(s, cost, 0.5, neighbors, epsilon, 3),
+            "backward": lambda s: backward_epe(s, epsilon, 3),
+            "backward_alternative": lambda s: backward_epe_alternative(s, epsilon, 3),
             "approx_contributions": lambda s: approx_contributions(two_cycle, epsilon, s.derive("tie_break")),
         }
         for name, run in runs.items():
@@ -181,7 +167,7 @@ class TestThresholdRule:
 
     def test_zero_epsilon_needs_max_rows(self):
         inst = random_instance(S=20, p=4, alpha=0.6, seed="maxrows")
-        rows = CachedEmpiricalRows(CountingSampler(inst, 0), inst.supergraph.in_neighbors, 3)
+        rows = CachedEmpiricalRows(CountingSampler(inst, 0), 3)
         with pytest.raises(ContractViolation, match="termination threshold"):
             run_push_loop(inst.cost, inst.alpha, 0.0, rows, make_rng(0))
         assert rows.rows == {}

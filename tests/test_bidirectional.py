@@ -41,9 +41,7 @@ class TestBidirectionalEpe:
     def test_single_state_exact(self, point_mass):
         sampler = CountingSampler(point_mass, 0)
         config = BidirectionalConfig(epsilon=0.3, n_B=4, n_F=10)
-        report = bidirectional_epe(
-            sampler, point_mass.cost, 0.5, point_mass.supergraph.in_neighbors, config
-        )
+        report = bidirectional_epe(sampler, config)
         # v_hat = 0.75 after two pushes, every walk ends at the single state
         # with residual 0.25, so the correction is exact.
         assert report.estimate == pytest.approx([1.0], abs=0)
@@ -53,7 +51,7 @@ class TestBidirectionalEpe:
         inst = instance_from(0.5, [0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
         sampler = CountingSampler(inst, 0)
         config = BidirectionalConfig(epsilon=0.1, n_B=3, n_F=5)
-        report = bidirectional_epe(sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, config)
+        report = bidirectional_epe(sampler, config)
         assert np.all(report.estimate == 0.0)
         assert report.samples_used == 0
 
@@ -61,7 +59,7 @@ class TestBidirectionalEpe:
         inst = random_instance(S=10, p=4, alpha=0.5, seed="freeu")
         sampler = CountingSampler(inst, 0)
         config = BidirectionalConfig(epsilon=0.05, n_B=10, n_F=20)
-        report = bidirectional_epe(sampler, inst.cost, 0.5, inst.supergraph.in_neighbors, config)
+        report = bidirectional_epe(sampler, config)
         diag = report.diagnostics
         if report.encountered_size == 10:
             assert diag["forward_true_draws"] == 0
@@ -75,9 +73,7 @@ class TestBidirectionalEpe:
         inst = random_instance(S=6, p=3, alpha=0.6, seed="oracle")
         sampler = CountingSampler(inst, 5)
         config = BidirectionalConfig(epsilon=0.25, n_B=30, n_F=100_000)
-        report = bidirectional_epe(
-            sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config, trace=True
-        )
+        report = bidirectional_epe(sampler, config, trace=True)
         trace = report.trace
         q_under = build_q_under(trace.final_rows, trace.encountered, inst)
         mu = discounted_occupancy(q_under, inst.alpha)
@@ -92,9 +88,7 @@ class TestBidirectionalEpe:
         inst = random_instance(S=30, p=5, alpha=0.6, seed="dyn")
         sampler = CountingSampler(inst, 1)
         config = BidirectionalConfig(epsilon=None, n_B=30, n_F=10, termination_mode="dynamic")
-        report = bidirectional_epe(
-            sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config, trace=True
-        )
+        report = bidirectional_epe(sampler, config, trace=True)
         threshold = dynamic_stop_threshold(30, 30, 10, 0.6)
         assert report.diagnostics["stop_reason"] == "dynamic"
         assert report.encountered_size >= threshold
@@ -126,7 +120,7 @@ class TestBidirectionalEpe:
         config = BidirectionalConfig(epsilon=None, n_B=50, n_F=11, termination_mode="dynamic")
         assert dynamic_stop_threshold(S, 50, 11, alpha) == threshold
         sampler = CountingSampler(inst, 1)
-        report = bidirectional_epe(sampler, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
+        report = bidirectional_epe(sampler, config)
         assert report.diagnostics["stop_reason"] == "negligible"
         assert report.encountered_size == 1
         assert report.diagnostics["final_residual_max"] <= 2.0**-53
@@ -160,8 +154,8 @@ def scalar_walk_oracle(sampler, inst, config):
     order, each free step a one-element ``draw_batch`` on one uniform from
     the walks stream and each charged step one ``sample_next``. The
     frontier must reproduce it bit for bit."""
-    cost, alpha, n_F = inst.cost, inst.alpha, config.n_F
-    outcome = run_backward(sampler, cost, alpha, inst.supergraph.in_neighbors, config.epsilon, config.n_B)
+    alpha, n_F = inst.alpha, config.n_F
+    outcome = run_backward(sampler, config.epsilon, config.n_B)
     residual, estimate = outcome.residual, outcome.estimate.copy()
     cap = bd.walk_step_cap(alpha)
     before = sampler.draw_count
@@ -202,7 +196,7 @@ class TestWalkFrontier:
     @staticmethod
     def check(inst, config, seed=3):
         a, b = CountingSampler(inst, seed), CountingSampler(inst, seed)
-        report = bidirectional_epe(a, inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
+        report = bidirectional_epe(a, config)
         estimate, samples, counts = scalar_walk_oracle(b, inst, config)
         assert report.estimate.tobytes() == estimate.tobytes()
         assert report.samples_used == samples == a.draw_count == b.draw_count
@@ -260,7 +254,7 @@ class TestWalkFrontier:
         for S in (30, 240):
             labels.clear()
             inst = random_instance(S=S, p=4, alpha=0.8, seed=("streams", S))
-            report = bidirectional_epe(CountingSampler(inst, 2), inst.cost, inst.alpha, inst.supergraph.in_neighbors, config)
+            report = bidirectional_epe(CountingSampler(inst, 2), config)
             assert report.diagnostics["forward_true_draws"] > 0
             assert labels == [("tie_break",), ("walks",)], S
 

@@ -28,6 +28,7 @@ from epelab import (
     validate_instance,
     write_csv,
 )
+from epelab import harness
 from epelab.harness import (
     ALGORITHM_NAMES,
     BOUND_HEADER,
@@ -279,6 +280,55 @@ class TestRunExperiment:
         with pytest.raises(ContractViolation, match="config field 'alpha' is missing"):
             ExperimentConfig.from_dict(doc)
 
+    # One row per refusal: (path to the edited entry of a valid config
+    # document, its new value, the field the message names).
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("ensembles", 0, "cost_modle"), "binary", "cost_modle"),
+            (("trails",), 3, "trails"),
+            (("trials",), 2.7, "trials"),
+            (("ensembles", 0, "S"), 20.5, "S"),
+            (("trials",), "x", "trials"),
+            (("ensembles", 0, "S"), "x", "S"),
+            (("ensembles", 0, "alpha"), "x", "alpha"),
+            (("ensembles", 0, "H"), "x", "H"),
+            (("algorithms", 0, "params"), [0.2, 5], "params"),
+            (("ensembles",), {"S": 12, "p": 4, "alpha": 0.5}, "ensembles"),
+            (("trials",), True, "trials"),
+            (("ensembles", 0, "S"), False, "S"),
+        ],
+    )
+    def test_malformed_config_is_refused_naming_the_field(self, path, value, field):
+        doc = small_config().to_dict()
+        *parents, key = path
+        entry = doc
+        for step in parents:
+            entry = entry[step]
+        entry[key] = value
+        with pytest.raises(ContractViolation, match=f"config field '{field}'"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (AlgorithmSpec("backward", {"epsilon": "S +", "n": 5}), "backward at S=40: cannot parse"),
+            (AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3, "termination_mode": "dynamc"}), "'dynamc'"),
+            (AlgorithmSpec("forward", {"T": 0, "m": 2}), "forward at S=40: need T >= 1"),
+            (AlgorithmSpec("forward", {"T": "S - 30", "m": 2}), "forward at S=12: need T >= 1"),
+            (AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3}), "fixed mode needs epsilon"),
+        ],
+    )
+    def test_parameter_values_are_refused_when_the_config_is_built(self, monkeypatch, spec, message):
+        # Every algorithm is converted at every S before any instance exists.
+        def refuse(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(harness, "generate_instance", refuse)
+        ensembles = tuple(EnsembleSpec(S=S, p=4, alpha=0.5) for S in (40, 12, 30))
+        with pytest.raises(ContractViolation, match=message):
+            small_config(ensembles=ensembles, algorithms=(AlgorithmSpec("backward", {"epsilon": 0.2, "n": 5}), spec))
+
     def test_trial_path_never_builds_the_dense_q(self, monkeypatch, tmp_path):
         # Generation, the truth, all six algorithms, validation, the bound
         # report and instance JSON read Q's CSR arrays; the dense view is
@@ -315,22 +365,18 @@ class TestRunExperiment:
             instance.Q
 
     def test_only_backward_algorithms_build_the_transpose(self, monkeypatch):
-        # Forward, plug_in and the known-matrix push read no in-neighbor lists.
+        # Forward and plug_in read no in-edges; the push estimators do.
         def refuse(supergraph):
-            raise AssertionError("in_neighbors was built")
+            raise AssertionError("the transpose was built")
 
-        monkeypatch.setattr(Supergraph, "in_neighbors", property(refuse))
+        monkeypatch.setattr(Supergraph, "transpose", property(refuse))
         config = small_config(
-            algorithms=(
-                AlgorithmSpec("forward", {"T": 5, "m": 2}),
-                AlgorithmSpec("plug_in", {"n": 4}),
-                AlgorithmSpec("approx_contributions", {"epsilon": 0.2}),
-            ),
+            algorithms=(AlgorithmSpec("forward", {"T": 5, "m": 2}), AlgorithmSpec("plug_in", {"n": 4})),
             trials=2,
         )
-        assert len(run_experiment(config)) == 2 * 3
+        assert len(run_experiment(config)) == 2 * 2
         # The patch is live: the backward estimator trips it.
-        with pytest.raises(AssertionError, match="in_neighbors"):
+        with pytest.raises(AssertionError, match="transpose"):
             run_experiment(small_config(trials=1))
 
 
@@ -434,6 +480,17 @@ class TestCli:
         res3 = self.run_cli("bounds", "--csv", str(csv_path), "--config", str(cfg_path))
         assert res3.returncode == 0
         assert "True" in res3.stdout
+
+    def test_malformed_config_exits_2_naming_the_field(self, tmp_path):
+        cfg = small_config(trials=1).to_dict()
+        cfg["ensembles"][0]["cost_modle"] = "binary"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = self.run_cli("run", "--config", str(cfg_path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("epelab: ") and "'cost_modle'" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
     def test_summarize_zero_draw_forward(self, tmp_path):
         # Forward with T = 1 makes no draws, so the backward/forward ratio

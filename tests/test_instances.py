@@ -77,13 +77,13 @@ class TestGenerateInstance:
 
     def test_generation_allocates_no_dense_matrix(self):
         # One S x S float array would be 82 MB here; generation, validation
-        # and the in-neighbor lists stay far below it.
+        # and the supergraph's transpose stay far below it.
         spec = EnsembleSpec(S=3200, p=10, alpha=0.9)
         tracemalloc.start()
         try:
             inst = generate_instance(spec, 0)
             assert validate_instance(inst) == []
-            assert len(inst.supergraph.in_neighbors) == spec.S
+            assert len(inst.supergraph.in_degrees) == spec.S
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

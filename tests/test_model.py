@@ -13,6 +13,9 @@ from epelab import (
     CountingSampler,
     ProblemInstance,
     Supergraph,
+    approx_contributions,
+    backward_epe,
+    backward_epe_alternative,
     exact_value,
     exact_value_power_series,
     instance_from_dict,
@@ -338,7 +341,7 @@ class TestEmpiricalColumn:
         a, b = CountingSampler(inst, 3), CountingSampler(inst, 3)
         extra = np.array([0, 7, 39], dtype=np.int64)
         for t in range(inst.S):
-            neighbors = np.concatenate([inst.supergraph.in_neighbors[t], extra])
+            neighbors = np.concatenate([inst.supergraph.in_neighbors(t), extra])
             column = a.sample_empirical_column(neighbors, t, 20)
             assert list(column.items()) == list(self.per_state(b, neighbors, t, 20).items())
         assert a.draw_count == b.draw_count
@@ -376,10 +379,15 @@ def loop_transpose(S, out_edges):
 class TestSupergraph:
     def check_transpose(self, sg):
         expected = loop_transpose(sg.S, out_rows(sg))
-        assert len(sg.in_neighbors) == sg.S
-        assert sg.in_neighbors == expected
-        assert all(type(s) is int for row in sg.in_neighbors for s in row)
+        rows = [sg.in_neighbors(t) for t in range(sg.S)]
+        assert rows == expected
+        assert all(type(s) is int for row in rows for s in row)
         assert sg.in_degrees.tolist() == [len(row) for row in expected]
+        # Edge order[i] runs from sources[i] to the state whose column holds i.
+        colptr, order, sources = sg.transpose
+        assert model.csr_rows(sg.indptr)[order].tolist() == sources
+        assert sg.indices[order].tolist() == [t for t, row in enumerate(expected) for _ in row]
+        assert colptr == np.cumsum([0] + [len(row) for row in expected]).tolist()
 
     def test_transpose_matches_loop_on_random_graph(self):
         mask = np.random.default_rng(5).random((60, 60)) < 0.08
@@ -391,7 +399,7 @@ class TestSupergraph:
         # Nobody reaches states 0, 3 and 5; state 5 also has no out-edges.
         sg = Supergraph(6, [0, 2, 3, 5, 7, 8, 8], [1, 2, 2, 1, 4, 1, 4, 2])
         self.check_transpose(sg)
-        assert [len(row) for row in sg.in_neighbors] == [0, 3, 3, 0, 2, 0]
+        assert sg.in_degrees.tolist() == [0, 3, 3, 0, 2, 0]
         mask = np.zeros((4, 4), dtype=bool)
         mask[:, 2] = True
         self.check_transpose(Supergraph.from_mask(mask))
@@ -409,8 +417,21 @@ class TestSupergraph:
         _, indices, values = inst.q_entries()
         assert indices is sg.indices and values is inst.q_values and values.size == sg.indices.size
         assert not sg.indptr.flags.writeable and not sg.indices.flags.writeable
-        assert sg.in_neighbors is sg.in_neighbors
+        assert sg.transpose is sg.transpose and not sg.transpose[1].flags.writeable
         assert sg.avg_degree == sg.indices.size / sg.S
+
+
+    def test_push_estimators_share_one_transpose(self, monkeypatch):
+        # The two sampled push estimators and the known-matrix one read the
+        # supergraph's in-edges; one instance transposes them once.
+        calls = []
+        transpose = model.csr_transpose
+        monkeypatch.setattr(model, "csr_transpose", lambda *args: calls.append(1) or transpose(*args))
+        inst = random_instance(S=40, p=4, alpha=0.6, seed="once")
+        backward_epe(CountingSampler(inst, 1), 0.05, 5)
+        backward_epe_alternative(CountingSampler(inst, 2), 0.05, 5)
+        approx_contributions(inst, 0.05, make_rng(3))
+        assert len(calls) == 1
 
 
 def searchsorted_reference(Q, states, u):
@@ -581,7 +602,7 @@ class TestSerialization:
         sg = inst.supergraph
         assert sg.avg_degree == pytest.approx(float(np.mean(sg.in_degrees)))
         for s in range(9):
-            assert sg.in_degrees[s] == len(sg.in_neighbors[s])
+            assert sg.in_degrees[s] == len(sg.in_neighbors(s))
 
     # One case per rule: (field, position, new entry or None to delete it,
     # expected message). The valid document below has supergraph.indptr
