@@ -155,8 +155,8 @@ def algorithm_run(spec: AlgorithmSpec, S: int):
     config object refuses, raises :class:`ContractViolation` at once."""
     p = spec.params
     if spec.name == "forward":
-        forward = ForwardConfig(T=count_param(p["T"], S), m=count_param(p["m"], S))
-        return lambda sampler: forward_epe(sampler, forward)
+        config = ForwardConfig(T=count_param(p["T"], S), m=count_param(p["m"], S))
+        return lambda sampler: forward_epe(sampler, config)
     if spec.name == "bidirectional":
         eps = None if p.get("epsilon") is None else eval_param(p["epsilon"], S)
         mode = p.get("termination_mode", "fixed")

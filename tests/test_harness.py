@@ -491,6 +491,9 @@ class TestCli:
         assert res.stderr.startswith("epelab: ") and "'cost_modle'" in res.stderr
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+        cfg_path.write_text(json.dumps(cfg)[:-1])
+        res = self.run_cli("run", "--config", str(cfg_path))
+        assert res.returncode == 2 and "is not JSON" in res.stderr and "Traceback" not in res.stderr
 
     def test_summarize_zero_draw_forward(self, tmp_path):
         # Forward with T = 1 makes no draws, so the backward/forward ratio
