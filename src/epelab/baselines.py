@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport, ProblemInstance, TransitionTable, certified_value, csr_rows
 from .push import ExactRows, FreshEmpiricalRows, PushTrace, replay_errors, run_push_loop
 
@@ -85,9 +84,7 @@ def backward_epe_alternative(
 
 def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
     """Value function of a fully offline empirical matrix (n draws per row,
-    all counted: samples_used = n * S)."""
-    if n < 1:
-        raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
+    all counted: samples_used = n * S); the row channel refuses n < 1."""
     instance = sampler.instance
     before = sampler.draw_count
     rows = {s: sampler.sample_empirical_row(s, n) for s in range(instance.S)}

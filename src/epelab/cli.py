@@ -4,8 +4,8 @@ Subcommands: generate (emit an instance JSON), run (config JSON -> trial
 CSV), summarize (trial CSV -> aggregate CSV), bounds (trial CSV + config
 -> encountered-set bound table), calc (print sample-size formulas).
 
-EPE_THREADS caps the worker pool for `run`; --seed overrides the config's
-master seed. A refused input, such as a config with an unknown field,
+EPE_THREADS caps the worker pool for `run` (an integer of at least 1, as
+is --threads); --seed overrides the config's master seed. A refused input, such as a config with an unknown field,
 prints ``epelab: <message>`` to stderr and exits with status 2.
 """
 

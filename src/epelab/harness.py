@@ -41,7 +41,8 @@ from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
 from .instances import EnsembleSpec, density_for_case, generate_instance
-from .model import CountingSampler, EstimateReport, ProblemInstance, exact_value
+from .model import CountingSampler, check_sample_count, exact_value
+from .push import check_threshold
 
 CSV_HEADER = "S,p,algorithm,seed,samples_used,linf_error,mean_relative_error,zero_value_states,encountered_size,iterations,wall_time_ms"
 
@@ -150,9 +151,10 @@ class AlgorithmSpec:
 
 def algorithm_run(spec: AlgorithmSpec, S: int):
     """The run of ``spec`` at size S, a function of the sampler that returns
-    the :class:`EstimateReport`. Its parameter values are converted here,
-    so an expression that does not parse, or a value that the algorithm's
-    config object refuses, raises :class:`ContractViolation` at once."""
+    the :class:`EstimateReport`. Its parameter values are converted and
+    range-checked here, by the checks the estimators themselves make, so an
+    expression that does not parse, or a value that the algorithm would
+    refuse, raises :class:`ContractViolation` at once."""
     p = spec.params
     if spec.name == "forward":
         config = ForwardConfig(T=count_param(p["T"], S), m=count_param(p["m"], S))
@@ -162,13 +164,15 @@ def algorithm_run(spec: AlgorithmSpec, S: int):
         mode = p.get("termination_mode", "fixed")
         config = BidirectionalConfig(eps, count_param(p["n_B"], S), count_param(p["n_F"], S), mode)
         return lambda sampler: bidirectional_epe(sampler, config)
-    if spec.name == "plug_in":
+    if "n" in p:
         n = count_param(p["n"], S)
+        check_sample_count(n)
+    if spec.name == "plug_in":
         return lambda sampler: plug_in_estimate(sampler, n)
     epsilon = eval_param(p["epsilon"], S)
+    check_threshold(epsilon)
     if spec.name == "approx_contributions":
         return lambda sampler: approx_contributions(sampler.instance, epsilon, sampler.derive("tie_break"))
-    n = count_param(p["n"], S)
     if spec.name == "backward":
         return lambda sampler: backward_epe(sampler, epsilon, n)
     return lambda sampler: backward_epe_alternative(sampler, epsilon, n)
@@ -281,11 +285,6 @@ class TrialRecord:
     wall_time_ms: int
 
 
-def run_algorithm(spec: AlgorithmSpec, instance: ProblemInstance, sampler: CountingSampler) -> EstimateReport:
-    """Dispatch one algorithm run; all randomness comes from the sampler."""
-    return algorithm_run(spec, instance.S)(sampler)
-
-
 def trial_metrics(estimate: np.ndarray, truth: np.ndarray, threshold: float) -> tuple:
     """(sup-norm error, mean relative error over nonzero-value states, skipped count)."""
     linf = float(np.max(np.abs(estimate - truth))) if truth.size else 0.0
@@ -306,7 +305,7 @@ def _run_cell(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int, timi
     for spec in config.algorithms:
         sampler = CountingSampler(instance, (config.master_seed, "run", ensemble.S, trial, spec.name))
         started = time.perf_counter()
-        report = run_algorithm(spec, instance, sampler)
+        report = algorithm_run(spec, ensemble.S)(sampler)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000.0)) if timing else 0
         if report.samples_used != sampler.draw_count:
             raise ContractViolation(
@@ -332,12 +331,15 @@ def _run_cell(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int, timi
 
 
 def worker_count(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("EPE_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    """``threads`` if given, else ``EPE_THREADS`` if set, else 1. A value
+    that is not an integer of at least 1 raises :class:`ContractViolation`
+    naming its source."""
+    source, value = "--threads", threads
+    if threads is None:
+        source, value = "EPE_THREADS", os.environ.get("EPE_THREADS") or "1"
+    if not str(value).isdigit() or int(value) < 1:
+        raise ContractViolation(f"worker count {source}={value!r} is not an integer >= 1")
+    return int(value)
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = None, timing: bool = False) -> list:

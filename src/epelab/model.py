@@ -15,6 +15,9 @@ from their sampler's ``instance`` and see ``Q`` only through the
 every one. The tally is the sample-complexity meter that experiments
 report. Samplers draw from the instance's :class:`TransitionTable`, the
 renormalized positive rows of ``Q``, built once per instance and shared.
+The column channel, which re-estimates the column Q(., t) over t's
+in-edges, reads the same probabilities gathered into transpose order
+(:attr:`ProblemInstance.in_edge_probs`), built on that channel's first use.
 
 The truth, :func:`exact_value`, is value iteration with certified bounds;
 the dense solve :func:`value_function` is the oracle it is tested against.
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,10 +168,11 @@ class TransitionTable:
     Each row's floats are those of one ``np.cumsum`` over that row alone
     (a cumulative sum along the rows of a block is sequential), so a draw is
     bit-identical to ``searchsorted(cum_row, u, side="right")``
-    capped at the row end. :meth:`draw_batch` is the one draw routine. The
-    column channel's Python lookups (for :meth:`offset` and :meth:`row_probs`)
-    are built on first use, so a table that only draws keeps no Python object
-    of nnz size.
+    capped at the row end. :meth:`draw_batch` is the one draw routine, and
+    :meth:`row` hands the row channel its views. Beyond its four arrays the
+    table keeps only the S + 1 row pointers as Python ints: no Python object
+    of nnz size. The column channel reads ``probs`` through the instance's
+    :attr:`ProblemInstance.in_edge_probs`.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
@@ -209,27 +212,6 @@ class TransitionTable:
         if lo == hi:
             raise ContractViolation(f"state {s} has an all-zero transition row")
         return self.indices[lo:hi], self.probs[lo:hi], self.cum[lo:hi]
-
-    @cached_property
-    def _indices(self) -> list:
-        return self.indices.tolist()
-
-    @cached_property
-    def _prob_rows(self) -> list:
-        return [self.probs[lo:hi] for lo, hi in zip(self._indptr, self._indptr[1:])]
-
-    def row_probs(self, s: int) -> np.ndarray:
-        """Probabilities of row s, a view held by the table."""
-        probs = self._prob_rows[s]
-        if not probs.size:
-            raise ContractViolation(f"state {s} has an all-zero transition row")
-        return probs
-
-    def offset(self, s: int, t: int) -> int:
-        """Position of successor t within row s, or -1 if t is not in it."""
-        lo, hi = self._indptr[s], self._indptr[s + 1]
-        i = bisect_left(self._indices, t, lo, hi)
-        return i - lo if i < hi and self._indices[i] == t else -1
 
     def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i.
@@ -322,6 +304,20 @@ class ProblemInstance:
             block = probs[pos]
             probs[pos] = block / block.sum(axis=1, keepdims=True)
         return TransitionTable(indptr, self.supergraph.indices[keep], probs)
+
+    @cached_property
+    def in_edge_probs(self) -> np.ndarray:
+        """The table's probability on every supergraph edge in transpose
+        order (t's in-edges at ``colptr[t]:colptr[t + 1]``): 0.0 where Q is
+        not positive, NaN out of an all-zero row. Built on first use; read-only."""
+        table = self.transitions
+        probs = np.zeros(self.q_values.size)
+        probs[self.q_values > 0] = table.probs
+        empty = np.diff(table.indptr) == 0
+        probs[np.repeat(empty, np.diff(self.supergraph.indptr))] = np.nan
+        probs = probs[self.supergraph.transpose[1]]
+        probs.setflags(write=False)
+        return probs
 
     @property
     def cost_inf(self) -> float:
@@ -457,6 +453,12 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def check_sample_count(n: int) -> None:
+    """Raise :class:`ContractViolation` unless n, a per-state draw count, is at least 1."""
+    if n < 1:
+        raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
+
+
 class CountingSampler:
     """The only channel through which estimators observe the chain.
 
@@ -508,34 +510,30 @@ class CountingSampler:
         map. Uses a multinomial on the row support, so large n costs O(d),
         not O(n).
         """
-        if n < 1:
-            raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
+        check_sample_count(n)
         self._check_state(int(s))
         idx, probs, _ = self.table.row(int(s))
         counts = self.rng.multinomial(n, probs)
         self.draw_count += int(n)
         return {t: c / n for t, c in zip(idx.tolist(), counts.tolist()) if c > 0}
 
-    def sample_empirical_column(self, states, t: int, n: int) -> dict:
-        """Estimate Q(s, t) from n fresh draws for each s in ``states``;
-        counts n samples per state.
-
-        Each state, in order, draws the same multinomial as
-        :meth:`sample_empirical_row`, so the result equals
-        ``{s: sample_empirical_row(s, n).get(t, 0.0)}`` and the stream ends
-        in the same place; only the entry at t is read out of each row.
-        """
-        if n < 1:
-            raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
-        table, multinomial = self.table, self.rng.multinomial
-        column = {}
-        for s in state_list(states):
-            self._check_state(s)
-            counts = multinomial(n, table.row_probs(s))
-            self.draw_count += int(n)
-            i = table.offset(s, t)
-            column[s] = int(counts[i]) / n if i >= 0 else 0.0
-        return column
+    def sample_empirical_column(self, t: int, n: int) -> dict:
+        """Estimate Q(s, t) for each in-neighbor s of t from n fresh draws of
+        its row; counts n samples per in-neighbor. Entry t of a multinomial
+        row is Binomial(n, Q(s, t)), so this is one ``binomial`` call over
+        :attr:`ProblemInstance.in_edge_probs`. Returns {s: hits / n}, ascending."""
+        check_sample_count(n)
+        self._check_state(t)
+        colptr, _, sources = self.instance.supergraph.transpose
+        lo, hi = colptr[t], colptr[t + 1]
+        probs = self.instance.in_edge_probs[lo:hi]
+        try:
+            hits = self.rng.binomial(n, probs)
+        except ValueError:  # a NaN marks an edge out of an all-zero row; nothing was drawn
+            s = sources[lo + int(np.argmax(np.isnan(probs)))]
+            raise ContractViolation(f"state {s} has an all-zero transition row") from None
+        self.draw_count += n * (hi - lo)
+        return {s: h / n for s, h in zip(sources[lo:hi], hits.tolist())}
 
     def derive(self, *labels) -> np.random.Generator:
         """Independent auxiliary stream tied to this sampler's seed."""
@@ -544,12 +542,6 @@ class CountingSampler:
     def spawn(self, *labels) -> "CountingSampler":
         """Child sampler with its own stream and a fresh draw tally; off the trial path, kept for ``bench/spans.py``."""
         return CountingSampler(self.instance, derive_entropy(self._entropy, *labels))
-
-
-def state_list(states) -> list:
-    """States as a list of Python ints: a list is taken as it is, anything
-    else converts through numpy in one call."""
-    return states if isinstance(states, list) else np.asarray(states).tolist()
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

@@ -21,12 +21,12 @@ Layout of the kernel:
   (empty if it caches none). Every source reads the one transpose of the
   instance's supergraph, :attr:`~epelab.model.Supergraph.transpose`.
   Exact rows gather Q's entries through it, once, into column dicts.
-  Empirical rows take the pushed state's in-neighbors from it, one list
-  slice per push, and draw from the instance's
-  :class:`~epelab.model.TransitionTable`: cached rows through the
-  sampler's row channel, fresh ones through its column channel, which
-  draws each in-neighbor's full multinomial row (so the stream is the
-  row channel's) but reads out only the pushed state's entry.
+  Cached empirical rows take the pushed state's in-neighbors from it, one
+  list slice per push, and draw each new one's row through the sampler's
+  row channel. Fresh empirical rows make one call of the sampler's column
+  channel per push, which draws the pushed state's entry of every
+  in-neighbor's row as one vector of binomials (the law of that entry of
+  a multinomial row) and draws nothing else.
 - An in-neighbor whose column entry is exactly 0.0 keeps its residual,
   so the loop does not re-enter it in the max-heap: its live entry is
   still valid.
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, ProblemInstance, discounted_occupancy
+from .model import CountingSampler, ProblemInstance, check_sample_count, discounted_occupancy
 
 
 @dataclass
@@ -241,11 +241,9 @@ class _EmpiricalRows:
     pushed state, through ``sampler``."""
 
     def __init__(self, sampler: CountingSampler, n: int):
-        if n < 1:
-            raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
+        check_sample_count(n)
         self.sampler = sampler
         self.n = n
-        self.in_neighbors = sampler.instance.supergraph.in_neighbors
         self.rows: dict[int, dict] = {}
 
 
@@ -255,7 +253,7 @@ class CachedEmpiricalRows(_EmpiricalRows):
 
     def column(self, s_k: int) -> dict:
         col = {}
-        for s in self.in_neighbors(s_k):
+        for s in self.sampler.instance.supergraph.in_neighbors(s_k):
             row = self.rows.get(s)
             if row is None:
                 row = self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
@@ -289,13 +287,20 @@ class FreshEmpiricalRows(_EmpiricalRows):
     caches no row."""
 
     def column(self, s_k: int) -> dict:
-        return self.sampler.sample_empirical_column(self.in_neighbors(s_k), s_k, self.n)
+        return self.sampler.sample_empirical_column(s_k, self.n)
 
 
 # A residual at most this share of ||c||_inf is below the float resolution
 # of the estimates (v = v_hat + nu r with nu row stochastic, so the whole
 # remaining correction is at most max r), and pushing it is wasted work.
 NEGLIGIBLE_RESIDUAL = 2.0**-53
+
+
+def check_threshold(epsilon: float) -> None:
+    """Raise :class:`ContractViolation` unless the push threshold epsilon is
+    positive (NaN is not)."""
+    if not epsilon > 0.0:
+        raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
 
 
 def default_iteration_cap(cost: np.ndarray, alpha: float, epsilon: float) -> int:
@@ -346,8 +351,8 @@ def run_push_loop(
     for epsilon below it, as in the dynamic mode's epsilon = 0: a residual
     on a self-loop decays by alpha per push but never reaches zero.
     """
-    if not (epsilon > 0.0 or (epsilon == 0.0 and max_rows is not None)):
-        raise ContractViolation(f"termination threshold must be > 0 (or 0 with max_rows), got {epsilon}")
+    if not (epsilon == 0.0 and max_rows is not None):
+        check_threshold(epsilon)
     if not (0.0 < alpha < 1.0):
         raise ContractViolation(f"discount must lie in (0,1), got {alpha}")
 

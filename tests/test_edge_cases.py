@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from epelab import errors
-from epelab.harness import AlgorithmSpec, run_algorithm
+from epelab.harness import AlgorithmSpec, algorithm_run
 from epelab.model import CountingSampler, exact_value, validate_instance
 from conftest import instance_from
 
@@ -74,7 +74,7 @@ def test_every_algorithm_ends_typed_and_accounted(shape, S, alpha):
     for k, spec in enumerate(ALGORITHMS):
         sampler = CountingSampler(inst, ("edge", shape, S, alpha, k))
         try:
-            report = run_algorithm(spec, inst, sampler)
+            report = algorithm_run(spec, S)(sampler)
         except TYPED_ERRORS:
             continue
         assert report.samples_used == sampler.draw_count, spec

@@ -177,7 +177,7 @@ class TestRunExperiment:
         csv = records_to_csv(run_experiment(config))
         assert len(csv.splitlines()) == 1 + 2 * 2 * 7
         assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "0860a032edd00b449ed82947e11bb8fb7abb20f50f8b608be3a8bf71ba152b0a"
+            "5237776d606b03c24ea46c7d281f0c95a565cf8a0cd27da9cfbe4c6aeb1727ca"
         )
 
     def test_summary_and_bound_csv_bytes_are_pinned(self):
@@ -317,6 +317,12 @@ class TestRunExperiment:
             (AlgorithmSpec("forward", {"T": 0, "m": 2}), "forward at S=40: need T >= 1"),
             (AlgorithmSpec("forward", {"T": "S - 30", "m": 2}), "forward at S=12: need T >= 1"),
             (AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3}), "fixed mode needs epsilon"),
+            (AlgorithmSpec("backward", {"epsilon": 0.2, "n": 0}), "backward at S=40: per-state sample count"),
+            (AlgorithmSpec("backward_alternative", {"epsilon": 0.2, "n": "S - 30"}), "_alternative at S=12: per-state"),
+            (AlgorithmSpec("plug_in", {"n": -2}), "plug_in at S=40: per-state sample count must be >= 1, got -2"),
+            (AlgorithmSpec("backward", {"epsilon": -0.1, "n": 5}), "backward at S=40: termination threshold"),
+            (AlgorithmSpec("backward_alternative", {"epsilon": 0, "n": 5}), "_alternative at S=40: termination"),
+            (AlgorithmSpec("approx_contributions", {"epsilon": "S - 30"}), "approx_contributions at S=12: termination"),
         ],
     )
     def test_parameter_values_are_refused_when_the_config_is_built(self, monkeypatch, spec, message):
@@ -494,6 +500,19 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg)[:-1])
         res = self.run_cli("run", "--config", str(cfg_path))
         assert res.returncode == 2 and "is not JSON" in res.stderr and "Traceback" not in res.stderr
+
+    def test_bad_worker_count_exits_2_naming_its_source(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
+        for args, env, source in (
+            ((), {"EPE_THREADS": "abc"}, "EPE_THREADS='abc'"),
+            ((), {"EPE_THREADS": "-3"}, "EPE_THREADS='-3'"),
+            (("--threads", "0"), {}, "--threads=0"),
+        ):
+            res = self.run_cli("run", "--config", str(cfg_path), *args, env=env)
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.startswith(f"epelab: worker count {source} is not an integer >= 1")
+            assert "Traceback" not in res.stderr and res.stdout == ""
 
     def test_summarize_zero_draw_forward(self, tmp_path):
         # Forward with T = 1 makes no draws, so the backward/forward ratio

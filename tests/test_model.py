@@ -309,59 +309,67 @@ class TestCountingSampler:
 
 
 class TestEmpiricalColumn:
-    @staticmethod
-    def per_state(sampler, states, t, n):
-        return {int(s): sampler.sample_empirical_row(int(s), n).get(t, 0.0) for s in states}
-
-    def test_matches_per_state_rows(self):
-        # Column 2: states 0, 1, 2 and 4 lead to it, state 3 does not (its
-        # entry is 0.0), and state 1 is a degree-1 row.
-        Q = [
-            [0.0, 0.2, 0.5, 0.3, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0],
-            [0.4, 0.0, 0.1, 0.0, 0.5],
-            [0.6, 0.0, 0.0, 0.0, 0.4],
-            [0.0, 0.0, 0.7, 0.3, 0.0],
-        ]
-        inst = instance_from(0.5, [1.0] * 5, Q)
-        a, b = CountingSampler(inst, 11), CountingSampler(inst, 11)
-        neighbors = [4, 0, 3, 1, 2]
+    def test_zero_edge_and_degree_one_row_are_exact(self):
+        # Column 2: states 0, 1, 2 and 4 lead to it, state 3 has an edge to
+        # it that carries 0.0, and state 1 is a degree-1 row.
+        Q = np.array(
+            [
+                [0.0, 0.2, 0.5, 0.3, 0.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0],
+                [0.4, 0.0, 0.1, 0.0, 0.5],
+                [0.6, 0.0, 0.0, 0.0, 0.4],
+                [0.0, 0.0, 0.7, 0.3, 0.0],
+            ]
+        )
+        mask = Q != 0
+        mask[3, 2] = True
+        sampler = CountingSampler(instance_from(0.5, [1.0] * 5, Q, Supergraph.from_mask(mask)), 11)
         for n in (1, 3, 7, 50):
             for _ in range(10):
-                column = a.sample_empirical_column(neighbors, 2, n)
-                expected = self.per_state(b, neighbors, 2, n)
-                assert list(column.items()) == list(expected.items())
+                before = sampler.draw_count
+                column = sampler.sample_empirical_column(2, n)
+                assert list(column) == [0, 1, 2, 3, 4]
                 assert column[3] == 0.0 and column[1] == 1.0
                 assert all(type(q) is float for q in column.values())
-                assert a.draw_count == b.draw_count
-        assert a.rng.random() == b.rng.random()
+                assert sampler.draw_count - before == 5 * n
 
-    def test_matches_per_state_rows_on_random_chain(self):
+    def test_entries_match_q_in_mean_and_variance(self):
+        # Each entry is hits / n with hits ~ Binomial(n, Q(s, t)): over many
+        # draws its mean and variance lie within 5 standard errors of
+        # Q(s, t) and Q(s, t) (1 - Q(s, t)) / n.
         inst = random_instance(S=40, p=4, alpha=0.5, seed="colchan")
-        a, b = CountingSampler(inst, 3), CountingSampler(inst, 3)
-        extra = np.array([0, 7, 39], dtype=np.int64)
+        sampler = CountingSampler(inst, 3)
+        assert "in_edge_probs" not in vars(inst)  # built on the channel's first use
+        Q, degrees, n, reps = inst.Q, inst.supergraph.in_degrees, 20, 400
         for t in range(inst.S):
-            neighbors = np.concatenate([inst.supergraph.in_neighbors(t), extra])
-            column = a.sample_empirical_column(neighbors, t, 20)
-            assert list(column.items()) == list(self.per_state(b, neighbors, t, 20).items())
-        assert a.draw_count == b.draw_count
-        assert a.rng.random() == b.rng.random()
+            sources = inst.supergraph.in_neighbors(t)
+            before = sampler.draw_count
+            draws = np.array([list(sampler.sample_empirical_column(t, n).values()) for _ in range(reps)])
+            assert sampler.draw_count - before == reps * n * int(degrees[t])
+            if not sources:
+                continue
+            q = Q[sources, t]
+            var = q * (1.0 - q) / n
+            fourth = n * q * (1.0 - q) * (1.0 + 3.0 * (n - 2) * q * (1.0 - q)) / n**4
+            assert np.all(np.abs(draws.mean(axis=0) - q) <= 5.0 * np.sqrt(var / reps) + 1e-12)
+            assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 5.0 * np.sqrt((fourth - var**2) / reps) + 1e-12)
+        assert not inst.in_edge_probs.flags.writeable
 
-    def test_out_of_range_state_rejected_after_earlier_draws(self, two_cycle):
+    def test_out_of_range_target_or_bad_count_refused_before_any_draw(self, two_cycle):
         a, b = CountingSampler(two_cycle, 5), CountingSampler(two_cycle, 5)
-        for bad in (2, -1):
-            with pytest.raises(ContractViolation, match="out of range"):
-                a.sample_empirical_column([0, bad, 1], 1, 4)
-            b.sample_empirical_row(0, 4)
-            assert a.draw_count == b.draw_count
-        with pytest.raises(ContractViolation):
-            a.sample_empirical_column([0], 1, 0)
+        for t, n, message in ((2, 4, "out of range"), (-1, 4, "out of range"), (0, 0, ">= 1"), (1, -3, ">= 1")):
+            with pytest.raises(ContractViolation, match=message):
+                a.sample_empirical_column(t, n)
+        assert a.draw_count == 0
         assert a.rng.random() == b.rng.random()
 
     def test_all_zero_row_rejected(self):
-        inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]])
-        with pytest.raises(ContractViolation, match="all-zero"):
-            CountingSampler(inst, 0).sample_empirical_column([1], 0, 5)
+        # State 1 has edges to both states, and both carry 0.0.
+        inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]], Supergraph.from_mask(np.ones((2, 2))))
+        sampler = CountingSampler(inst, 0)
+        with pytest.raises(ContractViolation, match="state 1 has an all-zero"):
+            sampler.sample_empirical_column(0, 5)
+        assert sampler.draw_count == 0
 
 
 def out_rows(sg):
@@ -514,8 +522,7 @@ class TestTransitionTable:
             assert not any(isinstance(v, dict) for v in vars(sampler).values())
 
     def test_build_copies_nothing_of_nnz_size(self):
-        # The table keeps its four arrays and the S + 1 row pointers; the
-        # column channel's Python lookups wait for that channel's first call.
+        # The table keeps its four arrays and the S + 1 row pointers.
         inst = random_instance(S=20000, p=10, alpha=0.9, seed="table memory")
         tracemalloc.start()
         try:
@@ -525,13 +532,6 @@ class TestTransitionTable:
             tracemalloc.stop()
         arrays = sum(arr.nbytes for arr in (table.indptr, table.indices, table.probs, table.cum))
         assert retained <= 1.5 * arrays
-        assert "_indices" not in vars(table)
-        states = [5, 19999, 0, 5]
-        t = int(table.indices[table.indptr[5]])
-        column = CountingSampler(inst, 8).sample_empirical_column(states, t, 30)
-        assert "_indices" in vars(table)
-        rows = CountingSampler(inst, 8)
-        assert column == {s: rows.sample_empirical_row(s, 30).get(t, 0.0) for s in states}
 
     def test_table_is_read_only(self, mixed_rows):
         table = mixed_rows.transitions
