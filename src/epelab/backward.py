@@ -1,12 +1,13 @@
 """Backward value estimation with sampled transition rows.
 
-The estimator reads the cost, the discount and the supergraph from its
-sampler's instance and samples only Q. It explores the chain in reverse
+The estimator samples only Q: its row source keeps the sampler's
+instance, from which the push loop reads the cost, the discount and the
+supergraph. It explores the chain in reverse
 from high-cost states: each push selects a maximal-residual state,
 estimates the rows of its supergraph in-neighbors the first time they are
 encountered (n draws per state, all counted), and redistributes residual
 mass through those estimated rows. Total sampling cost is n times the
-number of encountered states.
+number of encountered states, read off the sampler's tally.
 
 For auditing, a traced run can be replayed against a completion of the
 final row estimates: rows for encountered states are the estimates
@@ -38,22 +39,11 @@ def run_backward(
     tie_rng: np.random.Generator | None = None,
     max_rows: int | None = None,
 ) -> PushOutcome:
-    """Push loop with sample-once empirical rows; returns the full outcome."""
+    """Push loop with sample-once empirical rows; returns the full outcome,
+    whose draws the caller reads off ``sampler.draw_count``."""
     if tie_rng is None:
         tie_rng = sampler.derive("tie_break")
-    rows = CachedEmpiricalRows(sampler, n)
-    before = sampler.draw_count
-    outcome = run_push_loop(
-        cost=sampler.instance.cost,
-        alpha=sampler.instance.alpha,
-        epsilon=epsilon,
-        row_source=rows,
-        tie_rng=tie_rng,
-        trace=trace,
-        max_rows=max_rows,
-    )
-    outcome.samples_used = sampler.draw_count - before
-    return outcome
+    return run_push_loop(CachedEmpiricalRows(sampler, n), epsilon, tie_rng, trace=trace, max_rows=max_rows)
 
 
 def backward_epe(
@@ -68,18 +58,9 @@ def backward_epe(
     Terminates when no residual exceeds epsilon. Reports
     samples_used = n * |encountered| and the encountered-set size.
     """
+    before = sampler.draw_count
     outcome = run_backward(sampler, epsilon, n, trace=trace, tie_rng=tie_rng)
-    return EstimateReport(
-        estimate=outcome.estimate,
-        samples_used=outcome.samples_used,
-        iterations=outcome.iterations,
-        encountered_size=len(outcome.rows),
-        trace=outcome.trace,
-        diagnostics={
-            "stop_reason": outcome.stop_reason,
-            "final_residual_max": float(outcome.residual.max()) if outcome.residual.size else 0.0,
-        },
-    )
+    return outcome.report(sampler.draw_count - before, len(outcome.rows))
 
 
 def sample_size_backward(epsilon: float, delta: float, alpha: float, c_inf: float, S: int) -> int:

@@ -11,6 +11,10 @@ e_k(s) = v_hat_k(s) + mu_s r_k - v(s) a zero-mean martingale, so the
 final estimate is unbiased in the fixed-point sense; the price is that
 repeat visits keep drawing samples.
 
+Both push estimators report through :meth:`~epelab.push.PushOutcome.report`,
+as ``backward_epe`` does, with diagnostics ``stop_reason`` and
+``final_residual_max``.
+
 ``plug_in_estimate`` samples every row offline and computes the value of
 the resulting empirical matrix with the solver of the truth.
 """
@@ -33,22 +37,7 @@ def approx_contributions(
 ) -> EstimateReport:
     """Known-matrix push estimator on the instance's Q, cost and discount;
     sup-norm error at most epsilon, zero draws."""
-    outcome = run_push_loop(
-        cost=instance.cost,
-        alpha=instance.alpha,
-        epsilon=epsilon,
-        row_source=ExactRows(instance),
-        tie_rng=rng,
-        trace=trace,
-    )
-    return EstimateReport(
-        estimate=outcome.estimate,
-        samples_used=0,
-        iterations=outcome.iterations,
-        encountered_size=None,
-        trace=outcome.trace,
-        diagnostics={"stop_reason": outcome.stop_reason},
-    )
+    return run_push_loop(ExactRows(instance), epsilon, rng, trace=trace).report(0)
 
 
 def backward_epe_alternative(
@@ -64,22 +53,8 @@ def backward_epe_alternative(
     ``sampler.derive("tie_break")``.
     """
     before = sampler.draw_count
-    outcome = run_push_loop(
-        cost=sampler.instance.cost,
-        alpha=sampler.instance.alpha,
-        epsilon=epsilon,
-        row_source=FreshEmpiricalRows(sampler, n),
-        tie_rng=sampler.derive("tie_break"),
-        trace=trace,
-    )
-    return EstimateReport(
-        estimate=outcome.estimate,
-        samples_used=sampler.draw_count - before,
-        iterations=outcome.iterations,
-        encountered_size=None,
-        trace=outcome.trace,
-        diagnostics={"stop_reason": outcome.stop_reason},
-    )
+    outcome = run_push_loop(FreshEmpiricalRows(sampler, n), epsilon, sampler.derive("tie_break"), trace=trace)
+    return outcome.report(sampler.draw_count - before)
 
 
 def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:

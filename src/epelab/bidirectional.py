@@ -44,6 +44,7 @@ import numpy as np
 from .backward import run_backward
 from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport, TransitionTable
+from .push import check_threshold
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,10 @@ class BidirectionalConfig:
             raise ContractViolation(f"unknown termination_mode {self.termination_mode!r}")
         if self.n_B < 1 or self.n_F < 1:
             raise ContractViolation(f"need n_B, n_F >= 1, got n_B={self.n_B}, n_F={self.n_F}")
-        if self.termination_mode == "fixed" and (self.epsilon is None or self.epsilon <= 0.0):
-            raise ContractViolation(f"fixed mode needs epsilon > 0, got {self.epsilon}")
+        if self.termination_mode == "fixed":
+            if self.epsilon is None:
+                raise ContractViolation("fixed mode needs epsilon > 0, got None")
+            check_threshold(self.epsilon)
 
 
 def geometric_length(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -185,34 +188,28 @@ def bidirectional_epe(
     else:
         epsilon, max_rows = config.epsilon, None
 
+    before = sampler.draw_count
     outcome = run_backward(sampler, epsilon, config.n_B, trace=trace, max_rows=max_rows)
-    backward_draws = outcome.samples_used
+    # The backward stage's report; the walk stage corrects its estimate in place.
+    report = outcome.report(sampler.draw_count - before, len(outcome.rows))
     residual = outcome.residual
-    estimate = outcome.estimate.copy()
 
     counted_forward = free_forward = capped_walks = 0
     # A residual of exactly zero everywhere contributes exactly zero per
     # walk, so the walks are skipped (identical estimate, zero cost).
     if residual.size and residual.max() > 0.0:
         counted_forward, free_forward, capped_walks = _walk_stage(
-            sampler, outcome.rows, residual, alpha, config.n_F, estimate
+            sampler, outcome.rows, residual, alpha, config.n_F, report.estimate
         )
 
-    return EstimateReport(
-        estimate=estimate,
-        samples_used=backward_draws + counted_forward,
-        iterations=outcome.iterations,
-        encountered_size=len(outcome.rows),
-        trace=outcome.trace,
-        diagnostics={
-            "stop_reason": outcome.stop_reason,
-            "backward_draws": backward_draws,
-            "forward_true_draws": counted_forward,
-            "forward_free_draws": free_forward,
-            "capped_walks": capped_walks,
-            "final_residual_max": float(residual.max()) if residual.size else 0.0,
-        },
+    report.diagnostics.update(
+        backward_draws=report.samples_used,
+        forward_true_draws=counted_forward,
+        forward_free_draws=free_forward,
+        capped_walks=capped_walks,
     )
+    report.samples_used += counted_forward
+    return report
 
 
 def sample_size_forward_bd(epsilon: float, epsilon_rel: float, epsilon_abs: float, delta: float, S: int) -> int:

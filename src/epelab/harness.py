@@ -125,8 +125,11 @@ def eval_param(value, S: int) -> float:
 
 def count_param(value, S: int) -> int:
     """Like eval_param but for counts: ceil fractional values, keep exact
-    integers (within float fuzz) as they are."""
+    integers (within float fuzz) as they are. A value above 2**53, where
+    floats stop being exact integers, raises :class:`ContractViolation`."""
     v = eval_param(value, S)
+    if v > 2**53:
+        raise ContractViolation(f"count parameter {value!r} is {v!r}, above 2**53")
     nearest = round(v)
     if abs(v - nearest) < 1e-9:
         return int(nearest)
@@ -337,7 +340,7 @@ def worker_count(threads: int | None = None) -> int:
     source, value = "--threads", threads
     if threads is None:
         source, value = "EPE_THREADS", os.environ.get("EPE_THREADS") or "1"
-    if not str(value).isdigit() or int(value) < 1:
+    if not str(value).isdecimal() or int(value) < 1:
         raise ContractViolation(f"worker count {source}={value!r} is not an integer >= 1")
     return int(value)
 

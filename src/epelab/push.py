@@ -15,10 +15,11 @@ Layout of the kernel:
   scalars; they become arrays when the loop ends. Every float is the one
   :func:`apply_push` computes on arrays, so replay reproduces a run bit
   for bit.
-- A row source knows which states feed a column: ``column(s_k)``
-  returns the pushed state's column as an {in-neighbor: entry} dict,
-  which the loop only reads, and ``rows`` holds the rows it has cached
-  (empty if it caches none). Every source reads the one transpose of the
+- A row source is the loop's only view of the problem. Its
+  ``instance`` gives the cost and the discount; ``column(s_k)`` returns
+  the pushed state's column as an {in-neighbor: entry} dict, which the
+  loop only reads; and ``rows`` holds the rows it has cached (empty if
+  it caches none). Every source reads the one transpose of the
   instance's supergraph, :attr:`~epelab.model.Supergraph.transpose`.
   Exact rows gather Q's entries through it, once, into column dicts.
   Cached empirical rows take the pushed state's in-neighbors from it, one
@@ -41,6 +42,10 @@ runs with identical residual sequences select identical push states.
 Traces record (state, residual, column) per push, which is enough to
 replay the run bit-for-bit and to evaluate fixed-point error processes
 against any compatible completion matrix.
+
+The loop counts no draws: each estimator reads its draw count off its
+sampler and hands it to :meth:`PushOutcome.report`, which builds the
+:class:`~epelab.model.EstimateReport` of every push estimator.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, ProblemInstance, check_sample_count, discounted_occupancy
+from .model import CountingSampler, EstimateReport, ProblemInstance, check_sample_count, discounted_occupancy
 
 
 @dataclass
@@ -73,10 +78,6 @@ class PushTrace:
     final_estimate: np.ndarray
     final_residual: np.ndarray
     final_rows: dict
-
-    @property
-    def iterations(self) -> int:
-        return len(self.records)
 
     @property
     def encountered(self) -> frozenset:
@@ -242,6 +243,7 @@ class _EmpiricalRows:
 
     def __init__(self, sampler: CountingSampler, n: int):
         check_sample_count(n)
+        self.instance = sampler.instance
         self.sampler = sampler
         self.n = n
         self.rows: dict[int, dict] = {}
@@ -253,7 +255,7 @@ class CachedEmpiricalRows(_EmpiricalRows):
 
     def column(self, s_k: int) -> dict:
         col = {}
-        for s in self.sampler.instance.supergraph.in_neighbors(s_k):
+        for s in self.instance.supergraph.in_neighbors(s_k):
             row = self.rows.get(s)
             if row is None:
                 row = self.rows[s] = self.sampler.sample_empirical_row(s, self.n)
@@ -271,6 +273,7 @@ class ExactRows:
     """
 
     def __init__(self, instance: ProblemInstance):
+        self.instance = instance
         colptr, order, sources = instance.supergraph.transpose
         values = instance.q_values[order].tolist()
         self.columns = [
@@ -329,22 +332,34 @@ class PushOutcome:
     rows: dict
     trace: PushTrace | None
     stop_reason: str
-    samples_used: int = 0
+
+    def report(self, samples_used: int, encountered_size: int | None = None) -> EstimateReport:
+        """The estimator's report of this run, with ``samples_used`` draws
+        as counted by its sampler."""
+        return EstimateReport(
+            estimate=self.estimate,
+            samples_used=samples_used,
+            iterations=self.iterations,
+            encountered_size=encountered_size,
+            trace=self.trace,
+            diagnostics={
+                "stop_reason": self.stop_reason,
+                "final_residual_max": float(self.residual.max()) if self.residual.size else 0.0,
+            },
+        )
 
 
 def run_push_loop(
-    cost: np.ndarray,
-    alpha: float,
-    epsilon: float,
     row_source,
+    epsilon: float,
     tie_rng: np.random.Generator,
     trace: bool = False,
     max_rows: int | None = None,
 ) -> PushOutcome:
-    """Run the push loop until the residual max drops to epsilon, or, with
-    ``max_rows``, until ``row_source.rows`` holds that many rows after a
-    push (stop_reason "dynamic"). Epsilon must be positive, or 0 with
-    ``max_rows``.
+    """Run the push loop on ``row_source.instance``'s cost and discount
+    until the residual max drops to epsilon, or, with ``max_rows``, until
+    ``row_source.rows`` holds that many rows after a push (stop_reason
+    "dynamic"). Epsilon must be positive, or 0 with ``max_rows``.
 
     The loop also stops, with stop_reason "negligible", once the residual
     max is at most ``NEGLIGIBLE_RESIDUAL * ||c||_inf``. That matters only
@@ -353,6 +368,7 @@ def run_push_loop(
     """
     if not (epsilon == 0.0 and max_rows is not None):
         check_threshold(epsilon)
+    cost, alpha = row_source.instance.cost, row_source.instance.alpha
     if not (0.0 < alpha < 1.0):
         raise ContractViolation(f"discount must lie in (0,1), got {alpha}")
 

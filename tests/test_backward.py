@@ -332,8 +332,6 @@ class TestExactRowCoupling:
         # stream, the push loop reproduces the known-matrix estimator.
         inst = random_instance(S=10, p=4, alpha=0.6, seed="couple")
         outcome = run_push_loop(
-            cost=inst.cost,
-            alpha=inst.alpha,
             epsilon=0.1,
             row_source=ExactRows(inst),
             tie_rng=make_rng("ties"),

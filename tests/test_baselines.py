@@ -169,11 +169,25 @@ class TestThresholdRule:
         inst = random_instance(S=20, p=4, alpha=0.6, seed="maxrows")
         rows = CachedEmpiricalRows(CountingSampler(inst, 0), 3)
         with pytest.raises(ContractViolation, match="termination threshold"):
-            run_push_loop(inst.cost, inst.alpha, 0.0, rows, make_rng(0))
+            run_push_loop(rows, 0.0, make_rng(0))
         assert rows.rows == {}
-        outcome = run_push_loop(inst.cost, inst.alpha, 0.0, rows, make_rng(0), max_rows=5)
+        outcome = run_push_loop(rows, 0.0, make_rng(0), max_rows=5)
         assert outcome.stop_reason == "dynamic"
         assert outcome.rows is rows.rows and len(rows.rows) >= 5
+
+
+@pytest.mark.parametrize("name", ["backward", "backward_alternative", "approx_contributions"])
+def test_report_gives_the_final_residual_max(name):
+    inst = random_instance(S=20, p=4, alpha=0.6, seed="report")
+    sampler = CountingSampler(inst, 0)
+    runs = {
+        "backward": lambda: backward_epe(sampler, 0.1, 5, trace=True),
+        "backward_alternative": lambda: backward_epe_alternative(sampler, 0.1, 5, trace=True),
+        "approx_contributions": lambda: approx_contributions(inst, 0.1, sampler.derive("tie_break"), trace=True),
+    }
+    report = runs[name]()
+    assert report.diagnostics.keys() == {"stop_reason", "final_residual_max"}
+    assert report.diagnostics["final_residual_max"] == report.trace.final_residual.max() > 0.0
 
 
 class TestCoupledTieBreaks:

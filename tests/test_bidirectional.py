@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,8 @@ class TestBidirectionalEpe:
     def test_config_validation(self):
         with pytest.raises(ContractViolation):
             BidirectionalConfig(epsilon=0.0, n_B=1, n_F=1)
+        with pytest.raises(ContractViolation, match="termination threshold"):
+            BidirectionalConfig(epsilon=math.nan, n_B=1, n_F=1)
         with pytest.raises(ContractViolation):
             BidirectionalConfig(epsilon=0.1, n_B=0, n_F=1)
         with pytest.raises(ContractViolation):
@@ -155,6 +159,7 @@ def scalar_walk_oracle(sampler, inst, config):
     the walks stream and each charged step one ``sample_next``. The
     frontier must reproduce it bit for bit."""
     alpha, n_F = inst.alpha, config.n_F
+    start = sampler.draw_count
     outcome = run_backward(sampler, config.epsilon, config.n_B)
     residual, estimate = outcome.residual, outcome.estimate.copy()
     cap = bd.walk_step_cap(alpha)
@@ -187,7 +192,7 @@ def scalar_walk_oracle(sampler, inst, config):
                 estimate[s] += acc / n_F
     counted = sampler.draw_count - before
     counts = {"forward_true_draws": counted, "forward_free_draws": free, "capped_walks": capped}
-    return estimate, outcome.samples_used + counted, counts
+    return estimate, before - start + counted, counts
 
 
 class TestWalkFrontier:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -149,6 +150,14 @@ class TestRunExperiment:
         config = small_config(algorithms=(AlgorithmSpec("forward", {"T": 5, "m": 3}),), trials=2)
         for rec in run_experiment(config):
             assert rec.samples_used == 12 * 3 * 4
+
+    def test_timing_changes_only_the_wall_time(self):
+        config = small_config(trials=2)
+        untimed = run_experiment(config)
+        timed = run_experiment(config, timing=True)
+        assert [dataclasses.replace(rec, wall_time_ms=0) for rec in timed] == untimed
+        for rec in timed:
+            assert type(rec.wall_time_ms) is int and rec.wall_time_ms >= 0
 
     def test_deterministic_across_thread_counts(self):
         config = small_config(trials=4)
@@ -323,6 +332,12 @@ class TestRunExperiment:
             (AlgorithmSpec("backward", {"epsilon": -0.1, "n": 5}), "backward at S=40: termination threshold"),
             (AlgorithmSpec("backward_alternative", {"epsilon": 0, "n": 5}), "_alternative at S=40: termination"),
             (AlgorithmSpec("approx_contributions", {"epsilon": "S - 30"}), "approx_contributions at S=12: termination"),
+            (AlgorithmSpec("backward", {"epsilon": 0.2, "n": "1e300"}), r"backward at S=40: count parameter '1e300'"),
+            (AlgorithmSpec("forward", {"T": 5, "m": 1e300}), r"forward at S=40: .* above 2\*\*53"),
+            (
+                AlgorithmSpec("bidirectional", {"epsilon": 0.3, "n_B": 5, "n_F": "2**60"}),
+                r"bidirectional at S=40: count parameter '2\*\*60'",
+            ),
         ],
     )
     def test_parameter_values_are_refused_when_the_config_is_built(self, monkeypatch, spec, message):
@@ -507,6 +522,8 @@ class TestCli:
         for args, env, source in (
             ((), {"EPE_THREADS": "abc"}, "EPE_THREADS='abc'"),
             ((), {"EPE_THREADS": "-3"}, "EPE_THREADS='-3'"),
+            # A superscript two is a digit to str.isdigit, but int() refuses it.
+            ((), {"EPE_THREADS": "\u00b2"}, "EPE_THREADS='\u00b2'"),
             (("--threads", "0"), {}, "--threads=0"),
         ):
             res = self.run_cli("run", "--config", str(cfg_path), *args, env=env)
