@@ -3,20 +3,8 @@ estimators of a Markov chain's discounted value function under a
 draw-counting sampling model, plus the experiment harness that measures
 their sample complexity."""
 
-from .backward import (
-    backward_epe,
-    build_q_over,
-    build_q_under,
-    replay_invariant,
-    sample_size_backward,
-)
-from .baselines import (
-    ErrorProcessSample,
-    approx_contributions,
-    backward_epe_alternative,
-    error_process,
-    plug_in_estimate,
-)
+from .backward import backward_epe, sample_size_backward
+from .baselines import approx_contributions, backward_epe_alternative, plug_in_estimate
 from .bidirectional import (
     BidirectionalConfig,
     bidirectional_epe,
@@ -45,7 +33,6 @@ from .model import (
     ProblemInstance,
     Supergraph,
     Violation,
-    discounted_occupancy,
     exact_value,
     exact_value_power_series,
     instance_from_dict,
@@ -53,6 +40,14 @@ from .model import (
     load_instance,
     save_instance,
     validate_instance,
+)
+from .oracles import (
+    ErrorProcessSample,
+    build_q_over,
+    build_q_under,
+    discounted_occupancy,
+    error_process,
+    replay_invariant,
     value_function,
 )
 from .push import PushRecord, PushTrace

@@ -9,7 +9,8 @@ draws at every iteration instead of caching rows. That destroys the
 replayable fixed-point identity but makes the error process
 e_k(s) = v_hat_k(s) + mu_s r_k - v(s) a zero-mean martingale, so the
 final estimate is unbiased in the fixed-point sense; the price is that
-repeat visits keep drawing samples.
+repeat visits keep drawing samples. The error process itself is a dense
+oracle, :func:`~epelab.oracles.error_process`.
 
 Both push estimators report through :meth:`~epelab.push.PushOutcome.report`,
 as ``backward_epe`` does, with diagnostics ``stop_reason`` and
@@ -21,12 +22,10 @@ the resulting empirical matrix with the solver of the truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import CountingSampler, EstimateReport, ProblemInstance, TransitionTable, certified_value, csr_rows
-from .push import ExactRows, FreshEmpiricalRows, PushTrace, replay_errors, run_push_loop
+from .push import ExactRows, FreshEmpiricalRows, run_push_loop
 
 
 def approx_contributions(
@@ -65,34 +64,4 @@ def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
     rows = {s: sampler.sample_empirical_row(s, n) for s in range(instance.S)}
     table = TransitionTable.from_rows(instance.S, rows)
     estimate = certified_value(csr_rows(table.indptr), table.indices, table.probs, instance.cost, instance.alpha)
-    return EstimateReport(
-        estimate=estimate,
-        samples_used=sampler.draw_count - before,
-        iterations=n,
-        encountered_size=None,
-    )
-
-
-@dataclass
-class ErrorProcessSample:
-    """Per-iteration fixed-point errors e_k(s) for one traced run.
-
-    values[k, s] = v_hat_k(s) + mu_s r_k - v(s), with mu computed from the
-    true matrix. e_0 is identically zero by construction.
-    """
-
-    values: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
-
-def error_process(trace: PushTrace, Q: np.ndarray) -> ErrorProcessSample:
-    """Evaluate the fixed-point error process of a traced run against the
-    true matrix."""
-    return ErrorProcessSample(values=replay_errors(trace, np.asarray(Q, dtype=float)))
+    return EstimateReport(estimate=estimate, samples_used=sampler.draw_count - before, iterations=n)

@@ -11,7 +11,8 @@ controls the expected average degree (E d_bar = p).
 Two cost models: "mixed" adds a Bernoulli(p/S) indicator vector (resampled
 until nonzero) to a Uniform[0, p/S] vector, giving E ||c||_1 = 3p/2 and
 ||c||_inf in [1, 2]; "binary" picks a uniformly random 0/1 vector with
-exactly H ones.
+exactly H ones. H belongs to the binary model alone: a spec that sets it
+under any other cost model is refused.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class EnsembleSpec:
         if self.cost_model == "binary":
             if self.H is None or not (1 <= self.H <= self.S):
                 raise ContractViolation(f"binary cost needs 1 <= H <= S, got H={self.H}")
+        elif self.H is not None:
+            raise ContractViolation(f"H={self.H} is read by the binary cost model only, not by {self.cost_model!r}")
 
 
 def density_for_case(case: str, S: int, p_base: float = 10.0) -> float:

@@ -1,15 +1,17 @@
-"""Problem instances, the draw-counting access model, and exact value oracles.
+"""Problem instances, the draw-counting access model, and the exact value.
 
 A problem instance is a discounted Markov chain: a row-stochastic
 transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 (0, 1), and a binary supergraph whose edge set contains the support of
 ``Q``. The supergraph is one CSR pair of out-edges, checked once when it
-is built, and ``Q`` is stored on its edges: one value per edge, 0.0
-allowed, so ``Q``'s support lies in the supergraph by construction. The
+is built, and ``Q`` is stored on its edges: one finite value per edge,
+0.0 allowed, so ``Q``'s support lies in the supergraph by construction. The
 supergraph's one transpose, which every push estimator reads, is derived
 on first use. Validation, the JSON form and the truth read the CSR arrays
 too; the dense view :attr:`ProblemInstance.Q` is for oracles and test
-helpers only. Estimators read the cost, the discount and the supergraph
+helpers only, and like every oracle in :mod:`epelab.oracles` it calls
+:func:`check_dense_size` before it allocates an S x S array.
+Estimators read the cost, the discount and the supergraph
 from their sampler's ``instance`` and see ``Q`` only through the
 :class:`CountingSampler`, which hands out next-state draws and tallies
 every one. The tally is the sample-complexity meter that experiments
@@ -20,7 +22,8 @@ in-edges, reads the same probabilities gathered into transpose order
 (:attr:`ProblemInstance.in_edge_probs`), built on that channel's first use.
 
 The truth, :func:`exact_value`, is value iteration with certified bounds;
-the dense solve :func:`value_function` is the oracle it is tested against.
+the dense solve :func:`~epelab.oracles.value_function` is the oracle it is
+tested against.
 
 States are 0-based everywhere, including on disk.
 """
@@ -38,6 +41,14 @@ from .errors import ContractViolation
 from .rng import as_entropy, derive_entropy, make_rng
 
 ROW_SUM_TOL = 1e-12
+DENSE_ORACLE_MAX_S = 1000  # the dense S x S oracles refuse larger S (8 MB per float matrix)
+
+
+def check_dense_size(S: int) -> None:
+    """Raise :class:`ContractViolation` if S is above ``DENSE_ORACLE_MAX_S``;
+    every S x S array is allocated only after this check."""
+    if S > DENSE_ORACLE_MAX_S:
+        raise ContractViolation(f"S={S} is above DENSE_ORACLE_MAX_S={DENSE_ORACLE_MAX_S} for a dense oracle")
 
 
 def csr_rows(indptr: np.ndarray) -> np.ndarray:
@@ -148,12 +159,6 @@ class Supergraph:
         """Mean in-degree (equally, mean out-degree)."""
         return self.indices.size / self.S
 
-    def edge_mask(self) -> np.ndarray:
-        """Dense S x S adjacency, an O(S^2) oracle for :func:`~epelab.backward.replay_invariant`."""
-        mask = np.zeros((self.S, self.S), dtype=bool)
-        mask[csr_rows(self.indptr), self.indices] = True
-        return mask
-
 
 class TransitionTable:
     """Transition rows in compressed sparse row (CSR) form; read-only.
@@ -256,6 +261,12 @@ class ProblemInstance:
             raise ContractViolation(f"supergraph has {self.supergraph.S} states, the instance S={self.S}")
         if self.q_values.shape != self.supergraph.indices.shape:
             raise ContractViolation(f"q_values has {self.q_values.size} entries for {self.supergraph.indices.size} edges")
+        if self.cost.shape != (self.S,):
+            raise ContractViolation(f"cost has shape {self.cost.shape}, the instance S={self.S} needs ({self.S},)")
+        for name, values in (("cost", self.cost), ("q_values", self.q_values)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ContractViolation(f"{name}: entry {bad[0]} is {float(values[bad[0]])!r}, not finite")
 
     @classmethod
     def from_arrays(cls, alpha: float, cost, Q, supergraph: Supergraph | None = None) -> "ProblemInstance":
@@ -267,12 +278,14 @@ class ProblemInstance:
         if Q.shape != (S, S) or supergraph is not None and supergraph.S != S:
             raise ContractViolation(f"Q must be square with one row per supergraph state, got shape {Q.shape}")
         supergraph = supergraph or Supergraph.from_mask(Q != 0)
-        on_edge = supergraph.edge_mask()
-        off = np.argwhere((Q != 0) & ~on_edge)
-        if off.size:
-            s, t = off[0].tolist()
+        rows = csr_rows(supergraph.indptr)
+        values = Q[rows, supergraph.indices]
+        if np.count_nonzero(values) != np.count_nonzero(Q):
+            off = Q != 0
+            off[rows, supergraph.indices] = False
+            s, t = np.argwhere(off)[0].tolist()
             raise ContractViolation(f"Q[{s}, {t}] = {float(Q[s, t])!r} lies off the supergraph (absolute continuity)")
-        return cls(S, float(alpha), np.array(cost, dtype=float), supergraph, Q[on_edge])
+        return cls(S, float(alpha), np.array(cost, dtype=float), supergraph, values)
 
     def q_entries(self) -> tuple:
         """(rows, columns, values) of Q on every supergraph edge, row by row."""
@@ -281,8 +294,10 @@ class ProblemInstance:
     @property
     def Q(self) -> np.ndarray:
         """A new dense S x S copy of Q, which costs O(S^2) time and memory on
-        every access. For oracles and test helpers only: generation, the
-        truth and every estimator read the CSR arrays."""
+        every access, and is refused above ``DENSE_ORACLE_MAX_S``. For oracles
+        and test helpers only: generation, the truth and every estimator read
+        the CSR arrays."""
+        check_dense_size(self.S)
         Q = np.zeros((self.S, self.S))
         rows, indices, values = self.q_entries()
         Q[rows, indices] = values
@@ -354,9 +369,6 @@ def validate_instance(instance: ProblemInstance) -> list:
     S, cost = instance.S, instance.cost
     if not (0.0 < instance.alpha < 1.0):
         out.append(Violation("discount_domain", (), f"alpha={instance.alpha} not in (0,1)"))
-    if cost.shape != (S,):
-        out.append(Violation("shape", cost.shape, f"cost must have length {S}"))
-        return out
 
     rows, cols, values = instance.q_entries()
     row_sums = np.bincount(rows, weights=values, minlength=S)
@@ -367,27 +379,6 @@ def validate_instance(instance: ProblemInstance) -> list:
     for s in np.flatnonzero(cost < 0):
         out.append(Violation("negative_cost", (int(s),), f"cost entry {cost[s]!r}"))
     return out
-
-
-def densify(rows: dict, out: np.ndarray) -> np.ndarray:
-    """Replace row s of the dense matrix ``out`` by the sparse row
-    ``rows[s]`` ({successor: probability}) for every s in ``rows``; returns
-    ``out``."""
-    for s, row in rows.items():
-        out[s] = 0.0
-        out[s, list(row)] = list(row.values())
-    return out
-
-
-def value_function(Q: np.ndarray, cost: np.ndarray, alpha: float) -> np.ndarray:
-    """Value of a row-stochastic matrix by an O(S^3) dense solve: the oracle for :func:`exact_value`."""
-    return np.linalg.solve(np.eye(Q.shape[0]) - alpha * Q, (1.0 - alpha) * cost)
-
-
-def discounted_occupancy(P: np.ndarray, alpha: float) -> np.ndarray:
-    """Row s is the distribution of a geometric-length walk from s under P."""
-    S = P.shape[0]
-    return (1.0 - alpha) * np.linalg.inv(np.eye(S) - alpha * P)
 
 
 def certified_value(rows, indices, values, cost: np.ndarray, alpha: float) -> np.ndarray:
@@ -557,22 +548,28 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
-def _integers(doc: dict, key: str) -> list:
-    """``doc[key]``, refused unless a list of ints (not bools, which numpy reads as 0 or 1)."""
-    entries = doc[key]
+def _integers(graph: dict, key: str) -> list:
+    """``graph[key]``, refused unless present and a list of ints (not bools, which numpy reads as 0 or 1)."""
+    if key not in graph:
+        raise ContractViolation(f"supergraph.{key}: missing from the instance document")
+    entries = graph[key]
     if not isinstance(entries, list) or not all(type(t) is int for t in entries):
         raise ContractViolation(f"supergraph.{key}: every entry must be an integer")
     return entries
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    """Inverse of :func:`instance_to_dict`. A malformed CSR field, an index
-    or pointer entry that is not an integer, or a field of the older form
-    that kept Q's own index pair raises :class:`ContractViolation` naming
-    the field."""
+    """Inverse of :func:`instance_to_dict`. A missing field, a malformed CSR
+    field, an index or pointer entry that is not an integer, a field of the
+    older form that kept Q's own index pair, or any refusal of the
+    :class:`ProblemInstance` constructor raises :class:`ContractViolation`
+    naming the field."""
     for key in ("q_indptr", "q_indices"):
         if key in doc:
             raise ContractViolation(f"{key}: no longer read; Q is stored as q_values on the supergraph's edges")
+    missing = [key for key in ("S", "alpha", "cost", "supergraph", "q_values") if key not in doc]
+    if missing:
+        raise ContractViolation(f"{missing[0]}: missing from the instance document")
     S, graph = int(doc["S"]), doc["supergraph"]
     sg = Supergraph(S, _integers(graph, "indptr"), _integers(graph, "indices"))
     return ProblemInstance(S, float(doc["alpha"]), doc["cost"], sg, doc["q_values"])

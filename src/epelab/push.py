@@ -40,8 +40,9 @@ tie set, drawn from a stream separate from the sampling stream so that
 runs with identical residual sequences select identical push states.
 
 Traces record (state, residual, column) per push, which is enough to
-replay the run bit-for-bit and to evaluate fixed-point error processes
-against any compatible completion matrix.
+replay the run bit-for-bit (:func:`replay_states`); the dense replay of
+its fixed-point error process against any compatible completion matrix
+is :func:`~epelab.oracles.error_process`.
 
 The loop counts no draws: each estimator reads its draw count off its
 sampler and hands it to :meth:`PushOutcome.report`, which builds the
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, EstimateReport, ProblemInstance, check_sample_count, discounted_occupancy
+from .model import CountingSampler, EstimateReport, ProblemInstance, check_sample_count
 
 
 @dataclass
@@ -95,17 +96,8 @@ class PushTrace:
             }
             fh.write(json.dumps(header) + "\n")
             for k, rec in enumerate(self.records, start=1):
-                fh.write(
-                    json.dumps(
-                        {
-                            "k": k,
-                            "s": rec.state,
-                            "rho": rec.residual,
-                            "col": {str(t): q for t, q in rec.column.items()},
-                        }
-                    )
-                    + "\n"
-                )
+                col = {str(t): q for t, q in rec.column.items()}
+                fh.write(json.dumps({"k": k, "s": rec.state, "rho": rec.residual, "col": col}) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "PushTrace":
@@ -116,13 +108,8 @@ class PushTrace:
             records = []
             for line in fh:
                 doc = json.loads(line)
-                records.append(
-                    PushRecord(
-                        state=int(doc["s"]),
-                        residual=float(doc["rho"]),
-                        column={int(t): float(q) for t, q in doc["col"].items()},
-                    )
-                )
+                column = {int(t): float(q) for t, q in doc["col"].items()}
+                records.append(PushRecord(state=int(doc["s"]), residual=float(doc["rho"]), column=column))
         trace = cls(
             alpha=float(header["alpha"]),
             cost=np.array(header["cost"], dtype=float),
@@ -165,23 +152,6 @@ def replay_states(trace: PushTrace):
             )
         apply_push(v, r, trace.alpha, rec.state, rec.column)
         yield k, v, r
-
-
-def replay_errors(trace: PushTrace, P: np.ndarray) -> np.ndarray:
-    """Error process e_k(s) = v_hat_k(s) + nu_s r_k - nu_s c against matrix P.
-
-    Row k of the result is e_k; nu_s comes from a dense solve on P. The
-    replay also cross-checks the trace against its recorded final vectors.
-    """
-    nu = discounted_occupancy(P, trace.alpha)
-    target = nu @ trace.cost
-    out = np.empty((len(trace.records) + 1, trace.cost.size))
-    for k, v, r in replay_states(trace):
-        out[k] = v + nu @ r - target
-        final_v, final_r = v, r
-    if not (np.array_equal(final_v, trace.final_estimate) and np.array_equal(final_r, trace.final_residual)):
-        raise ContractViolation("replay does not reproduce the recorded final state")
-    return out
 
 
 class _MaxResidualHeap:

@@ -15,12 +15,15 @@ from epelab import (
     backward_epe,
     build_q_over,
     build_q_under,
+    discounted_occupancy,
+    error_process,
     exact_value,
     replay_invariant,
     sample_size_backward,
     value_function,
 )
-from epelab import backward, push
+from epelab import model, push
+from epelab.oracles import edge_mask
 from epelab.push import ExactRows, replay_states, run_push_loop
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
@@ -183,7 +186,7 @@ class TestCompletions:
         assert np.allclose(q_over.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dense_oracles_refuse_large_S_before_allocating(self):
-        S = backward.DENSE_ORACLE_MAX_S + 1
+        S = model.DENSE_ORACLE_MAX_S + 1
         inst = random_instance(S=S, p=4, alpha=0.5, seed="too large")
         _, report = run_traced(inst, 1, epsilon=inst.cost_inf, n=2)
         P = np.eye(S)
@@ -191,6 +194,11 @@ class TestCompletions:
             lambda: build_q_under({}, frozenset(), inst),
             lambda: build_q_over({}, frozenset(), inst, 5, make_rng("large")),
             lambda: replay_invariant(report.trace, P, inst.supergraph),
+            lambda: inst.Q,
+            lambda: edge_mask(inst.supergraph),
+            lambda: value_function(P, inst.cost, inst.alpha),
+            lambda: discounted_occupancy(P, inst.alpha),
+            lambda: error_process(report.trace, P),
         )
         for call in calls:
             tracemalloc.start()

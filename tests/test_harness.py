@@ -29,7 +29,7 @@ from epelab import (
     validate_instance,
     write_csv,
 )
-from epelab import harness
+from epelab import harness, oracles
 from epelab.harness import (
     ALGORITHM_NAMES,
     BOUND_HEADER,
@@ -352,12 +352,16 @@ class TestRunExperiment:
 
     def test_trial_path_never_builds_the_dense_q(self, monkeypatch, tmp_path):
         # Generation, the truth, all six algorithms, validation, the bound
-        # report and instance JSON read Q's CSR arrays; the dense view is
-        # for oracles and test helpers only.
+        # report and instance JSON read Q's CSR arrays; the dense view and
+        # the dense oracles are for tests only.
         def refuse(instance):
             raise AssertionError("the dense Q was built on the trial path")
 
+        def refuse_oracle(S):
+            raise AssertionError("a dense oracle ran on the trial path")
+
         monkeypatch.setattr(ProblemInstance, "Q", property(refuse))
+        monkeypatch.setattr(oracles, "check_dense_size", refuse_oracle)
         config = small_config(
             algorithms=(
                 AlgorithmSpec("forward", {"T": 5, "m": 2}),
@@ -381,9 +385,11 @@ class TestRunExperiment:
         assert np.array_equal(back.q_values, instance.q_values)
         assert np.array_equal(back.supergraph.indices, instance.supergraph.indices)
         exact_value_power_series(instance, 5)
-        # The patch is live: reading the dense view trips it.
+        # The patches are live: reading the dense view or running an oracle trips them.
         with pytest.raises(AssertionError, match="dense Q"):
             instance.Q
+        with pytest.raises(AssertionError, match="dense oracle"):
+            oracles.edge_mask(instance.supergraph)
 
     def test_only_backward_algorithms_build_the_transpose(self, monkeypatch):
         # Forward and plug_in read no in-edges; the push estimators do.

@@ -13,6 +13,7 @@ from epelab import (
     generate_instance,
     validate_instance,
 )
+from epelab.oracles import edge_mask
 
 
 class TestGenerateInstance:
@@ -30,7 +31,7 @@ class TestGenerateInstance:
     def test_supergraph_support_equals_chain_support(self):
         spec = EnsembleSpec(S=12, p=4, alpha=0.5)
         inst = generate_instance(spec, 3)
-        assert np.array_equal(inst.supergraph.edge_mask(), inst.Q > 0)
+        assert np.array_equal(edge_mask(inst.supergraph), inst.Q > 0)
 
     def test_deterministic_in_seed(self):
         spec = EnsembleSpec(S=10, p=3, alpha=0.5)
@@ -136,6 +137,9 @@ class TestBinaryCost:
             generate_binary_cost(5, 0, 0)
         with pytest.raises(ContractViolation):
             generate_binary_cost(5, 6, 0)
+        # H under the mixed cost model would be dropped without a word.
+        with pytest.raises(ContractViolation, match="H=3 is read by the binary cost model only"):
+            EnsembleSpec(S=20, p=4, alpha=0.5, H=3)
 
     def test_binary_spec_generates_binary_cost(self):
         spec = EnsembleSpec(S=20, p=5, alpha=0.5, cost_model="binary", H=3)

@@ -635,6 +635,10 @@ class TestSerialization:
         ("supergraph.indices", 1, [1, 2], "supergraph.indices: every entry must be an integer"),
         ("q_values", 1, [0.5, 0.5], "q_values: "),
         ("cost", 0, [1.0], "cost: "),
+        # A cost one entry short, and entries that are not finite.
+        ("cost", -1, None, r"cost has shape \(2,\), the instance S=3 needs \(3,\)"),
+        ("cost", 1, float("nan"), "cost: entry 1 is nan, not finite"),
+        ("q_values", 2, float("nan"), "q_values: entry 2 is nan, not finite"),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
@@ -648,6 +652,16 @@ class TestSerialization:
         else:
             entries[position] = value
         with pytest.raises(ContractViolation, match=message):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field", ["S", "alpha", "cost", "supergraph", "q_values", "supergraph.indptr", "supergraph.indices"]
+    )
+    def test_missing_field_is_refused_by_name(self, field):
+        doc = instance_to_dict(instance_from(0.5, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]))
+        parent, _, key = field.rpartition(".")
+        del (doc[parent] if parent else doc)[key]
+        with pytest.raises(ContractViolation, match=f"^{field}: missing from the instance document"):
             instance_from_dict(doc)
 
     @pytest.mark.parametrize("field", ["q_indptr", "q_indices"])
