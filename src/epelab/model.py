@@ -559,20 +559,25 @@ def _integers(graph: dict, key: str) -> list:
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    """Inverse of :func:`instance_to_dict`. A missing field, a malformed CSR
-    field, an index or pointer entry that is not an integer, a field of the
-    older form that kept Q's own index pair, or any refusal of the
-    :class:`ProblemInstance` constructor raises :class:`ContractViolation`
-    naming the field."""
+    """Inverse of :func:`instance_to_dict`. A missing field, an ``S`` that
+    is not an integer or an ``alpha`` that is not a number (a bool is
+    neither), a malformed CSR field, an index or pointer entry that is not
+    an integer, a field of the older form that kept Q's own index pair, or
+    any refusal of the :class:`ProblemInstance` constructor raises
+    :class:`ContractViolation` naming the field."""
     for key in ("q_indptr", "q_indices"):
         if key in doc:
             raise ContractViolation(f"{key}: no longer read; Q is stored as q_values on the supergraph's edges")
     missing = [key for key in ("S", "alpha", "cost", "supergraph", "q_values") if key not in doc]
     if missing:
         raise ContractViolation(f"{missing[0]}: missing from the instance document")
-    S, graph = int(doc["S"]), doc["supergraph"]
+    S, alpha, graph = doc["S"], doc["alpha"], doc["supergraph"]
+    if type(S) is not int:
+        raise ContractViolation(f"S: must be an integer, got {S!r}")
+    if type(alpha) not in (int, float):
+        raise ContractViolation(f"alpha: must be a number, got {alpha!r}")
     sg = Supergraph(S, _integers(graph, "indptr"), _integers(graph, "indices"))
-    return ProblemInstance(S, float(doc["alpha"]), doc["cost"], sg, doc["q_values"])
+    return ProblemInstance(S, float(alpha), doc["cost"], sg, doc["q_values"])
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

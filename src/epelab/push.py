@@ -12,9 +12,9 @@ Layout of the kernel:
 
 - Inside the loop the estimate and the residual are lists of Python
   floats, which index and update several times faster than numpy
-  scalars; they become arrays when the loop ends. Every float is the one
-  :func:`apply_push` computes on arrays, so replay reproduces a run bit
-  for bit.
+  scalars; they become arrays when the loop ends. The loop's update
+  spells out the float expressions of :func:`apply_push`, which replay
+  runs on arrays, so replay reproduces a run bit for bit.
 - A row source is the loop's only view of the problem. Its
   ``instance`` gives the cost and the discount; ``column(s_k)`` returns
   the pushed state's column as an {in-neighbor: entry} dict, which the
@@ -22,18 +22,26 @@ Layout of the kernel:
   it caches none). Every source reads the one transpose of the
   instance's supergraph, :attr:`~epelab.model.Supergraph.transpose`.
   Exact rows gather Q's entries through it, once, into column dicts.
-  Cached empirical rows take the pushed state's in-neighbors from it, one
-  list slice per push, and draw each new one's row through the sampler's
-  row channel. Fresh empirical rows make one call of the sampler's column
-  channel per push, which draws the pushed state's entry of every
-  in-neighbor's row as one vector of binomials (the law of that entry of
-  a multinomial row) and draws nothing else.
-- An in-neighbor whose column entry is exactly 0.0 keeps its residual,
-  so the loop does not re-enter it in the max-heap: its live entry is
-  still valid.
+  Cached empirical rows build a pushed state's column once, from its
+  in-neighbors (one list slice) and their rows, each drawn once through
+  the sampler's row channel, and keep it: every row it reads is cached
+  and never changes, so a later build would give the same dict. Fresh
+  empirical rows make one call of the sampler's column channel per push,
+  which draws the pushed state's entry of every in-neighbor's row as one
+  vector of binomials (the law of that entry of a multinomial row) and
+  draws nothing else.
+- The loop stops before it selects a state whose residual is at or
+  below ``floor = max(epsilon, NEGLIGIBLE_RESIDUAL * ||c||_inf)``, so the
+  max-heap keeps an entry only for a residual above that floor. When the
+  heap runs empty, one scan of the residual names the stop reason.
+- One pass over the pushed state's column updates the residuals and
+  pushes each new value above the floor straight onto the heap. An
+  in-neighbor whose column entry is exactly 0.0 keeps its residual, so
+  it is not re-entered: its live entry, if any, is still valid.
 - Selecting a state removes its heap entry; only the tied states not
-  selected go back, and the push's own ``notify`` enters the selected
-  state's new residual. No push leaves a stale entry of its own state.
+  selected go back, and the push enters the selected state's new
+  residual if it is above the floor. No push leaves a stale entry of its
+  own state.
 
 Tie-breaking among maximal residuals is uniform over the exact-equality
 tie set, drawn from a stream separate from the sampling stream so that
@@ -42,7 +50,10 @@ runs with identical residual sequences select identical push states.
 Traces record (state, residual, column) per push, which is enough to
 replay the run bit-for-bit (:func:`replay_states`); the dense replay of
 its fixed-point error process against any compatible completion matrix
-is :func:`~epelab.oracles.error_process`.
+is :func:`~epelab.oracles.error_process`. A traced run replays its own
+trace once it ends and checks that every push took a true residual
+maximizer (:func:`check_selections`), so a trace costs one replay, not
+a scan of all S residuals per push.
 
 The loop counts no draws: each estimator reads its draw count off its
 sampler and hands it to :meth:`PushOutcome.report`, which builds the
@@ -154,29 +165,36 @@ def replay_states(trace: PushTrace):
         yield k, v, r
 
 
+def check_selections(trace: PushTrace) -> None:
+    """Replay ``trace`` and raise :class:`ContractViolation` unless every
+    push selected a state of maximal residual."""
+    records = trace.records
+    for k, _, r in replay_states(trace):
+        if k < len(records) and records[k].residual != r.max():
+            raise ContractViolation(f"heap selection is not a true residual maximizer at k={k + 1}")
+
+
 class _MaxResidualHeap:
-    """Lazy max-heap over residual values.
+    """Lazy max-heap over the residuals above ``floor``.
 
     Entries are never deleted on update; instead each residual change
     pushes a fresh entry and stale ones are discarded when popped (stale
-    means the stored value no longer equals the live residual). The live
-    positive residual of every state has an entry present whenever the
-    loop reads the heap, so the first valid pop is a true maximizer; the
-    one state :meth:`select` hands out is re-entered by ``notify`` after
-    its push.
+    means the stored value no longer equals the live residual). The loop
+    never selects a residual at or below ``floor``, so no such value gets
+    an entry: the caller pushes a new residual onto ``_heap`` only if it
+    is above the floor. Every live residual above the floor has an entry
+    present whenever the loop reads the heap, so the first valid pop is a
+    true maximizer, and every state tied with it is above the floor too.
+    The one state :meth:`select` hands out is re-entered by its push.
     """
 
-    def __init__(self, residual: list):
+    def __init__(self, residual: list, floor: float):
         self._residual = residual
-        self._heap = [(-v, s) for s, v in enumerate(residual) if v > 0.0]
+        self._heap = [(-v, s) for s, v in enumerate(residual) if v > floor]
         heapq.heapify(self._heap)
 
-    def notify(self, s: int) -> None:
-        v = self._residual[s]
-        if v > 0.0:
-            heapq.heappush(self._heap, (-v, s))
-
     def peek_max(self):
+        """The largest residual above the floor, or None if there is none."""
         while self._heap:
             neg, s = self._heap[0]
             if self._residual[s] == -neg:
@@ -190,8 +208,7 @@ class _MaxResidualHeap:
         drawn only when there is a tie.
 
         The ties not selected are re-entered. The selected state is not:
-        its push changes its residual, and the caller's ``notify`` enters
-        the new value.
+        its push changes its residual and enters the new value.
         """
         ties = set()
         while self._heap and self._heap[0][0] == -value:
@@ -221,10 +238,23 @@ class _EmpiricalRows:
 
 class CachedEmpiricalRows(_EmpiricalRows):
     """Row source for the sample-once scheme: the first time a state is
-    encountered its row is estimated with n draws and kept forever."""
+    encountered its row is estimated with n draws and kept forever.
+
+    A column is built at the first push of its state, which draws the row
+    of every in-neighbor not yet encountered, and is kept too: the rows it
+    reads never change, so a later build would return an equal dict. The
+    caller only reads the dict it is handed.
+    """
+
+    def __init__(self, sampler: CountingSampler, n: int):
+        super().__init__(sampler, n)
+        self._columns: dict[int, dict] = {}
 
     def column(self, s_k: int) -> dict:
-        col = {}
+        col = self._columns.get(s_k)
+        if col is not None:
+            return col
+        col = self._columns[s_k] = {}
         for s in self.instance.supergraph.in_neighbors(s_k):
             row = self.rows.get(s)
             if row is None:
@@ -334,7 +364,11 @@ def run_push_loop(
     The loop also stops, with stop_reason "negligible", once the residual
     max is at most ``NEGLIGIBLE_RESIDUAL * ||c||_inf``. That matters only
     for epsilon below it, as in the dynamic mode's epsilon = 0: a residual
-    on a self-loop decays by alpha per push but never reaches zero.
+    on a self-loop decays by alpha per push but never reaches zero. A run
+    that starts with no positive residual stops as "exhausted".
+
+    With ``trace``, the run is replayed once it ends, and a push that did
+    not select a residual maximizer raises :class:`ContractViolation`.
     """
     if not (epsilon == 0.0 and max_rows is not None):
         check_threshold(epsilon)
@@ -344,22 +378,19 @@ def run_push_loop(
 
     v_hat = [0.0] * cost.size
     residual = cost.astype(float).tolist()
-    heap = _MaxResidualHeap(residual)
+    negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
+    floor = max(epsilon, negligible)
+    heap = _MaxResidualHeap(residual, floor)
+    entries, heappush = heap._heap, heapq.heappush
     records: list[PushRecord] = [] if trace else None
     cap = default_iteration_cap(cost, alpha, epsilon)
     rows = row_source.rows
 
-    negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
-
     k = 0
-    stop_reason = "threshold"
+    stop_reason = None
     while True:
         top = heap.peek_max()
-        if top is None or top <= epsilon:
-            stop_reason = "threshold" if top is not None else "exhausted"
-            break
-        if top <= negligible:
-            stop_reason = "negligible"
+        if top is None:
             break
         if k >= cap:
             raise IterationLimitExceeded(
@@ -368,22 +399,32 @@ def run_push_loop(
         k += 1
         s_k = heap.select(top, tie_rng)
         rho = residual[s_k]
-        if trace and rho != max(residual):
-            raise ContractViolation("heap selection is not a true residual maximizer")
 
         column = row_source.column(s_k)
         if records is not None:
             records.append(PushRecord(state=s_k, residual=rho, column=dict(column)))
-        apply_push(v_hat, residual, alpha, s_k, column)
-        heap.notify(s_k)
+        # apply_push's update, with each new residual above the floor
+        # entered in the heap.
+        v_hat[s_k] += (1.0 - alpha) * rho
+        r = residual[s_k] = alpha * column.get(s_k, 0.0) * rho
+        if r > floor:
+            heappush(entries, (-r, s_k))
         for s, q in column.items():
-            # A zero entry left residual[s] as it was, so its heap entry stands.
-            if q != 0.0 and s != s_k:
-                heap.notify(s)
+            if s != s_k:
+                r = residual[s] = residual[s] + alpha * q * rho
+                # A zero entry left residual[s] as it was, so its heap entry stands.
+                if r > floor and q != 0.0:
+                    heappush(entries, (-r, s))
 
         if max_rows is not None and len(rows) >= max_rows:
             stop_reason = "dynamic"
             break
+
+    if stop_reason is None:
+        # Every residual is at or below the floor; name the first stop rule
+        # it meets.
+        top = max(residual, default=0.0)
+        stop_reason = "exhausted" if top <= 0.0 else "threshold" if top <= epsilon else "negligible"
 
     v_hat = np.array(v_hat, dtype=float)
     residual = np.array(residual, dtype=float)
@@ -397,6 +438,7 @@ def run_push_loop(
             final_residual=residual.copy(),
             final_rows={s: dict(r) for s, r in rows.items()},
         )
+        check_selections(push_trace)
     return PushOutcome(
         estimate=v_hat,
         residual=residual,

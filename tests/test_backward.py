@@ -24,7 +24,7 @@ from epelab import (
 )
 from epelab import model, push
 from epelab.oracles import edge_mask
-from epelab.push import ExactRows, replay_states, run_push_loop
+from epelab.push import ExactRows, apply_push, replay_states, run_push_loop
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
 
@@ -154,6 +154,113 @@ class TestHeapTies:
         assert [r.state for r in report.trace.records] == [r.state for r in before.trace.records]
         assert report.trace.final_residual.tobytes() == before.trace.final_residual.tobytes()
         assert pops < pops_before
+
+
+
+def reference_push_loop(row_source, epsilon, tie_rng, max_rows=None):
+    """The push loop as a full scan of numpy arrays: the largest residual,
+    its exact tie set, apply_push, and the stop rules in their order."""
+    inst = row_source.instance
+    v, r = np.zeros(inst.S), inst.cost.astype(float).copy()
+    negligible = push.NEGLIGIBLE_RESIDUAL * inst.cost.max()
+    k = 0
+    while True:
+        top = r.max()
+        if top <= 0.0:
+            return v, r, k, "exhausted"
+        if top <= epsilon:
+            return v, r, k, "threshold"
+        if top <= negligible:
+            return v, r, k, "negligible"
+        ties = np.flatnonzero(r == top)
+        s_k = int(ties[0] if ties.size == 1 else ties[tie_rng.integers(ties.size)])
+        apply_push(v, r, inst.alpha, s_k, row_source.column(s_k))
+        k += 1
+        if max_rows is not None and len(row_source.rows) >= max_rows:
+            return v, r, k, "dynamic"
+
+
+class TestPushKernel:
+    """The heap keeps no entry at or below the stop floor, cached columns
+    are memoized, and a traced run checks its selections once it ends."""
+
+    ZERO_COST = instance_from(0.5, [0.0, 0.0, 0.0], [[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    MIXED = random_instance(S=40, p=4, alpha=0.7, seed="kernel")
+    BINARY = random_instance(S=40, p=4, alpha=0.7, seed="kernel", cost_model="binary", H=5)
+    # (stop reason, instance, row source, epsilon, max_rows)
+    CASES = [
+        ("exhausted", ZERO_COST, "exact", 0.1, None),
+        ("threshold", MIXED, "cached", 0.02, None),
+        ("threshold", BINARY, "cached", 0.02, None),
+        ("threshold", BINARY, "fresh", 0.02, None),
+        ("threshold", MIXED, "exact", 0.005, None),
+        # The one push leaves only a residual below the negligible share of
+        # ||c||_inf; epsilon is the rule it meets first.
+        ("threshold", instance_from(0.5, [1.0, 1e-17], [[0.0, 1.0], [0.0, 1.0]]), "exact", 0.1, None),
+        # Exact rows cache none, so max_rows is never reached.
+        ("negligible", random_instance(S=12, p=3, alpha=0.5, seed="kernel"), "exact", 0.0, 1),
+        ("dynamic", MIXED, "cached", 0.0, 6),
+    ]
+
+    @staticmethod
+    def source(kind, inst):
+        if kind == "exact":
+            return ExactRows(inst)
+        rows = push.CachedEmpiricalRows if kind == "cached" else push.FreshEmpiricalRows
+        return rows(CountingSampler(inst, 3), 6)
+
+    @pytest.mark.parametrize("reason,inst,kind,epsilon,max_rows", CASES, ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    def test_run_matches_the_full_scan_loop(self, monkeypatch, reason, inst, kind, epsilon, max_rows):
+        heaps = []
+
+        class Recorded(push._MaxResidualHeap):
+            def __init__(self, residual, floor):
+                super().__init__(residual, floor)
+                heaps.append(self)
+
+        monkeypatch.setattr(push, "_MaxResidualHeap", Recorded)
+        outcome = run_push_loop(self.source(kind, inst), epsilon, make_rng("ties"), max_rows=max_rows)
+        v, r, k, expected = reference_push_loop(self.source(kind, inst), epsilon, make_rng("ties"), max_rows)
+        assert outcome.stop_reason == expected == reason
+        assert outcome.iterations == k
+        assert outcome.estimate.tobytes() == v.tobytes()
+        assert outcome.residual.tobytes() == r.tobytes()
+        assert outcome.report(0).diagnostics["final_residual_max"] == float(r.max())
+        floor = max(epsilon, push.NEGLIGIBLE_RESIDUAL * inst.cost.max())
+        assert all(-neg > floor for neg, _ in heaps[0]._heap)
+
+    def test_cached_column_is_memoized(self):
+        rows = push.CachedEmpiricalRows(CountingSampler(self.MIXED, 0), 5)
+        t = int(np.argmax(self.MIXED.supergraph.in_degrees))
+        first = rows.column(t)
+        draws = rows.sampler.draw_count
+        assert draws == 5 * len(first) > 0
+        again = rows.column(t)
+        assert again is first
+        assert rows.sampler.draw_count == draws
+        assert first == {s: rows.rows[s].get(t, 0.0) for s in self.MIXED.supergraph.in_neighbors(t)}
+
+    def test_traced_run_refuses_a_selection_that_is_not_a_maximizer(self, monkeypatch):
+        inst = instance_from(0.5, [1.0, 0.5, 0.25], [[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+
+        class Misselecting(push._MaxResidualHeap):
+            # Hands out the state of least positive residual at the first
+            # selection and puts the true maximizer back.
+            lied = False
+
+            def select(self, value, tie_rng):
+                s_k = super().select(value, tie_rng)
+                if self.lied:
+                    return s_k
+                self.lied = True
+                heapq.heappush(self._heap, (-value, s_k))
+                return min((v, s) for s, v in enumerate(self._residual) if v > 0.0)[1]
+
+        monkeypatch.setattr(push, "_MaxResidualHeap", Misselecting)
+        outcome = run_push_loop(ExactRows(inst), 0.1, make_rng(0))
+        assert outcome.iterations > 0
+        with pytest.raises(ContractViolation, match="not a true residual maximizer at k=1$"):
+            run_push_loop(ExactRows(inst), 0.1, make_rng(0), trace=True)
 
 
 class TestCompletions:

@@ -639,6 +639,16 @@ class TestSerialization:
         ("cost", -1, None, r"cost has shape \(2,\), the instance S=3 needs \(3,\)"),
         ("cost", 1, float("nan"), "cost: entry 1 is nan, not finite"),
         ("q_values", 2, float("nan"), "q_values: entry 2 is nan, not finite"),
+        # Scalars that int() or float() would coerce, or refuse with a bare ValueError.
+        ("S", None, True, "S: must be an integer, got True"),
+        ("S", None, 1.9, "S: must be an integer, got 1.9"),
+        ("S", None, 3.0, "S: must be an integer, got 3.0"),
+        ("S", None, "1", "S: must be an integer, got '1'"),
+        ("S", None, "x", "S: must be an integer, got 'x'"),
+        ("alpha", None, "x", "alpha: must be a number, got 'x'"),
+        ("alpha", None, "0.5", "alpha: must be a number, got '0.5'"),
+        ("alpha", None, False, "alpha: must be a number, got False"),
+        ("alpha", None, None, "alpha: must be a number, got None"),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
@@ -647,7 +657,9 @@ class TestSerialization:
         doc = json.loads(json.dumps(instance_to_dict(inst)))
         field = {"q_indptr": "supergraph.indptr", "q_indices": "supergraph.indices"}.get(field, field)
         entries = doc["supergraph"][field[11:]] if field.startswith("supergraph.") else doc[field]
-        if value is None:
+        if position is None:
+            doc[field] = value
+        elif value is None:
             del entries[position]
         else:
             entries[position] = value
