@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport
 from .push import CachedEmpiricalRows, PushOutcome, run_push_loop
@@ -32,13 +30,12 @@ def run_backward(
     epsilon: float,
     n: int,
     trace: bool = False,
-    tie_rng: np.random.Generator | None = None,
     max_rows: int | None = None,
 ) -> PushOutcome:
-    """Push loop with sample-once empirical rows; returns the full outcome,
-    whose draws the caller reads off ``sampler.draw_count``."""
-    if tie_rng is None:
-        tie_rng = sampler.derive("tie_break")
+    """Push loop with sample-once empirical rows and the tie stream
+    ``sampler.derive("tie_break")``; returns the full outcome, whose draws
+    the caller reads off ``sampler.draw_count``."""
+    tie_rng = sampler.derive("tie_break")
     return run_push_loop(CachedEmpiricalRows(sampler, n), epsilon, tie_rng, trace=trace, max_rows=max_rows)
 
 
@@ -47,7 +44,6 @@ def backward_epe(
     epsilon: float,
     n: int,
     trace: bool = False,
-    tie_rng: np.random.Generator | None = None,
 ) -> EstimateReport:
     """Estimate the value function by backward pushes with counted sampling.
 
@@ -55,7 +51,7 @@ def backward_epe(
     samples_used = n * |encountered| and the encountered-set size.
     """
     before = sampler.draw_count
-    outcome = run_backward(sampler, epsilon, n, trace=trace, tie_rng=tie_rng)
+    outcome = run_backward(sampler, epsilon, n, trace=trace)
     return outcome.report(sampler.draw_count - before, len(outcome.rows))
 
 

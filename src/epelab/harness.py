@@ -237,6 +237,11 @@ class ExperimentConfig:
                     algorithm_run(spec, S)
                 except ContractViolation as exc:
                     raise ContractViolation(f"{spec.name} at S={S}: {exc}") from None
+        # A trial's sampler streams, CSV rows and bound report are keyed by the algorithm's name.
+        names = [spec.name for spec in self.algorithms]
+        repeated = [name for name in names if names.count(name) > 1]
+        if repeated:
+            raise ContractViolation(f"config field 'algorithms' lists {repeated[0]!r} more than once")
 
     def to_dict(self) -> dict:
         return {

@@ -29,9 +29,20 @@ from .rng import make_rng
 RESAMPLE_CAP = 10**6
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a bool, or a float that is not a whole number,
+    raises :class:`ContractViolation` naming the field instead of truncating."""
+    if isinstance(value, (bool, np.bool_)) or isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ContractViolation(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """One cell of an ensemble: size, density, discount, and cost model."""
+    """One cell of an ensemble: size, density, discount, and cost model.
+
+    ``S`` and ``H`` are whole numbers: a bool, or a float with a fractional
+    part, is refused, not truncated."""
 
     S: int
     p: float
@@ -40,11 +51,11 @@ class EnsembleSpec:
     H: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "S", int(self.S))
+        object.__setattr__(self, "S", _whole("S", self.S))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.H is not None:
-            object.__setattr__(self, "H", int(self.H))
+            object.__setattr__(self, "H", _whole("H", self.H))
         if self.S < 1:
             raise ContractViolation(f"S must be >= 1, got {self.S}")
         if not (1.0 <= self.p <= self.S):

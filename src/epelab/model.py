@@ -373,11 +373,11 @@ def validate_instance(instance: ProblemInstance) -> list:
     rows, cols, values = instance.q_entries()
     row_sums = np.bincount(rows, weights=values, minlength=S)
     for s in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        out.append(Violation("row_sum", (int(s),), f"row sums to {row_sums[s]!r}"))
+        out.append(Violation("row_sum", (int(s),), f"row sums to {float(row_sums[s])!r}"))
     for i in np.flatnonzero(values < 0):
-        out.append(Violation("negative_entry", (int(rows[i]), int(cols[i])), f"Q entry {values[i]!r}"))
+        out.append(Violation("negative_entry", (int(rows[i]), int(cols[i])), f"Q entry {float(values[i])!r}"))
     for s in np.flatnonzero(cost < 0):
-        out.append(Violation("negative_cost", (int(s),), f"cost entry {cost[s]!r}"))
+        out.append(Violation("negative_cost", (int(s),), f"cost entry {float(cost[s])!r}"))
     return out
 
 
@@ -564,7 +564,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     neither), a malformed CSR field, an index or pointer entry that is not
     an integer, a field of the older form that kept Q's own index pair, or
     any refusal of the :class:`ProblemInstance` constructor raises
-    :class:`ContractViolation` naming the field."""
+    :class:`ContractViolation` naming the field. So does an instance that
+    :func:`validate_instance` rejects; the message names its first
+    violation."""
     for key in ("q_indptr", "q_indices"):
         if key in doc:
             raise ContractViolation(f"{key}: no longer read; Q is stored as q_values on the supergraph's edges")
@@ -577,7 +579,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if type(alpha) not in (int, float):
         raise ContractViolation(f"alpha: must be a number, got {alpha!r}")
     sg = Supergraph(S, _integers(graph, "indptr"), _integers(graph, "indices"))
-    return ProblemInstance(S, float(alpha), doc["cost"], sg, doc["q_values"])
+    instance = ProblemInstance(S, float(alpha), doc["cost"], sg, doc["q_values"])
+    violations = validate_instance(instance)
+    if violations:
+        raise ContractViolation(f"invalid instance: {violations[0]}")
+    return instance
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

@@ -80,17 +80,14 @@ def error_process(trace: PushTrace, P: np.ndarray) -> ErrorProcessSample:
     """Error process e_k(s) = v_hat_k(s) + nu_s r_k - nu_s c of a traced run
     against the matrix P, with nu_s from a dense solve on P.
 
-    Row k of ``values`` is e_k. The replay also cross-checks the trace
-    against its recorded final vectors.
+    Row k of ``values`` is e_k. The trace checked its own replay when it
+    was built, so this one only evaluates it.
     """
     nu = discounted_occupancy(np.asarray(P, dtype=float), trace.alpha)
     target = nu @ trace.cost
     out = np.empty((len(trace.records) + 1, trace.cost.size))
     for k, v, r in replay_states(trace):
         out[k] = v + nu @ r - target
-        final_v, final_r = v, r
-    if not (np.array_equal(final_v, trace.final_estimate) and np.array_equal(final_r, trace.final_residual)):
-        raise ContractViolation("replay does not reproduce the recorded final state")
     return ErrorProcessSample(values=out)
 
 

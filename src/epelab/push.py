@@ -50,10 +50,10 @@ runs with identical residual sequences select identical push states.
 Traces record (state, residual, column) per push, which is enough to
 replay the run bit-for-bit (:func:`replay_states`); the dense replay of
 its fixed-point error process against any compatible completion matrix
-is :func:`~epelab.oracles.error_process`. A traced run replays its own
-trace once it ends and checks that every push took a true residual
-maximizer (:func:`check_selections`), so a trace costs one replay, not
-a scan of all S residuals per push.
+is :func:`~epelab.oracles.error_process`. Building a :class:`PushTrace`,
+in a traced run or by :meth:`PushTrace.from_jsonl`, replays it once, and
+that replay checks every selection; so a trace costs one replay, not a
+scan of all S residuals per push.
 
 The loop counts no draws: each estimator reads its draw count off its
 sampler and hands it to :meth:`PushOutcome.report`, which builds the
@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,14 +82,23 @@ class PushRecord:
 
 @dataclass
 class PushTrace:
-    """Everything needed to replay a push run and audit its invariants."""
+    """Everything needed to replay a push run and audit its invariants.
+
+    Building one replays ``records`` once (:func:`replay_states`, which
+    checks every selection) and keeps the replay's last vectors as
+    ``final_estimate`` and ``final_residual``."""
 
     alpha: float
     cost: np.ndarray
     records: list
-    final_estimate: np.ndarray
-    final_residual: np.ndarray
+    final_estimate: np.ndarray = field(init=False)
+    final_residual: np.ndarray = field(init=False)
     final_rows: dict
+
+    def __post_init__(self):
+        for _, v, r in replay_states(self):
+            pass
+        self.final_estimate, self.final_residual = v, r
 
     @property
     def encountered(self) -> frozenset:
@@ -125,8 +134,6 @@ class PushTrace:
             alpha=float(header["alpha"]),
             cost=np.array(header["cost"], dtype=float),
             records=records,
-            final_estimate=None,
-            final_residual=None,
             final_rows={
                 int(s): {int(t): float(p) for t, p in row.items()}
                 for s, row in header["final_rows"].items()
@@ -134,9 +141,6 @@ class PushTrace:
         )
         if sorted(trace.encountered) != header["encountered"]:
             raise ContractViolation(f"{path}: the encountered states differ from the final rows' states")
-        for _, v, r in replay_states(trace):
-            pass
-        trace.final_estimate, trace.final_residual = v, r
         return trace
 
 
@@ -152,7 +156,10 @@ def apply_push(v_hat: np.ndarray, residual: np.ndarray, alpha: float, s_k: int, 
 
 
 def replay_states(trace: PushTrace):
-    """Yield (k, v_hat_k, residual_k) for k = 0..k*; vectors are live views."""
+    """Yield (k, v_hat_k, residual_k) for k = 0..k*; vectors are live views.
+
+    Raises :class:`ContractViolation` at push k if its recorded residual is
+    not its state's replayed residual, or not the largest one."""
     v = np.zeros_like(trace.cost)
     r = trace.cost.astype(float).copy()
     yield 0, v, r
@@ -161,17 +168,10 @@ def replay_states(trace: PushTrace):
             raise ContractViolation(
                 f"trace corrupt at k={k}: recorded residual {rec.residual!r}, replay {r[rec.state]!r}"
             )
+        if rec.residual != r.max():
+            raise ContractViolation(f"heap selection is not a true residual maximizer at k={k}")
         apply_push(v, r, trace.alpha, rec.state, rec.column)
         yield k, v, r
-
-
-def check_selections(trace: PushTrace) -> None:
-    """Replay ``trace`` and raise :class:`ContractViolation` unless every
-    push selected a state of maximal residual."""
-    records = trace.records
-    for k, _, r in replay_states(trace):
-        if k < len(records) and records[k].residual != r.max():
-            raise ContractViolation(f"heap selection is not a true residual maximizer at k={k + 1}")
 
 
 class _MaxResidualHeap:
@@ -183,9 +183,9 @@ class _MaxResidualHeap:
     never selects a residual at or below ``floor``, so no such value gets
     an entry: the caller pushes a new residual onto ``_heap`` only if it
     is above the floor. Every live residual above the floor has an entry
-    present whenever the loop reads the heap, so the first valid pop is a
-    true maximizer, and every state tied with it is above the floor too.
-    The one state :meth:`select` hands out is re-entered by its push.
+    present whenever the loop calls :meth:`select`, so the first valid pop
+    is a true maximizer, and every state tied with it is above the floor
+    too. The one state :meth:`select` hands out is re-entered by its push.
     """
 
     def __init__(self, residual: list, floor: float):
@@ -193,34 +193,36 @@ class _MaxResidualHeap:
         self._heap = [(-v, s) for s, v in enumerate(residual) if v > floor]
         heapq.heapify(self._heap)
 
-    def peek_max(self):
-        """The largest residual above the floor, or None if there is none."""
-        while self._heap:
-            neg, s = self._heap[0]
-            if self._residual[s] == -neg:
-                return -neg
-            heapq.heappop(self._heap)
-        return None
+    def select(self, tie_rng: np.random.Generator) -> int | None:
+        """Remove and return one state of maximal residual, uniform over
+        the exact-equality tie set, or None once no residual above the
+        floor is left; ``tie_rng`` is drawn only when there is a tie.
 
-    def select(self, value: float, tie_rng: np.random.Generator) -> int:
-        """Remove and return one state whose residual is ``value`` (the
-        maximum), uniform over the exact-equality tie set; ``tie_rng`` is
-        drawn only when there is a tie.
-
-        The ties not selected are re-entered. The selected state is not:
-        its push changes its residual and enters the new value.
+        Stale entries are popped until a live one comes off; the rest of
+        its tie set is collected only if the next entry holds the same
+        value. The ties not selected are re-entered. The selected state is
+        not: its push changes its residual and enters the new value.
         """
-        ties = set()
-        while self._heap and self._heap[0][0] == -value:
-            _, s = heapq.heappop(self._heap)
-            if self._residual[s] == value:
+        heap, residual, pop = self._heap, self._residual, heapq.heappop
+        while heap:
+            neg, s_k = pop(heap)
+            if residual[s_k] == -neg:
+                break
+        else:
+            return None
+        if not heap or heap[0][0] != neg:
+            return s_k
+        ties = {s_k}
+        while heap and heap[0][0] == neg:
+            _, s = pop(heap)
+            if residual[s] == -neg:
                 ties.add(s)
         ties = sorted(ties)
         if len(ties) == 1:
             return ties[0]
         s_k = ties.pop(int(tie_rng.integers(len(ties))))
         for s in ties:
-            heapq.heappush(self._heap, (-value, s))
+            heapq.heappush(heap, (neg, s))
         return s_k
 
 
@@ -367,8 +369,9 @@ def run_push_loop(
     on a self-loop decays by alpha per push but never reaches zero. A run
     that starts with no positive residual stops as "exhausted".
 
-    With ``trace``, the run is replayed once it ends, and a push that did
-    not select a residual maximizer raises :class:`ContractViolation`.
+    With ``trace``, the run's :class:`PushTrace` replays it once it ends;
+    a push that did not select a residual maximizer, or a replay whose
+    final vectors differ from the run's, raises :class:`ContractViolation`.
     """
     if not (epsilon == 0.0 and max_rows is not None):
         check_threshold(epsilon)
@@ -388,16 +391,12 @@ def run_push_loop(
 
     k = 0
     stop_reason = None
-    while True:
-        top = heap.peek_max()
-        if top is None:
-            break
+    while (s_k := heap.select(tie_rng)) is not None:
         if k >= cap:
             raise IterationLimitExceeded(
                 f"push loop exceeded {cap} iterations (epsilon={epsilon}); this indicates a bug or a pathological instance"
             )
         k += 1
-        s_k = heap.select(top, tie_rng)
         rho = residual[s_k]
 
         column = row_source.column(s_k)
@@ -434,11 +433,11 @@ def run_push_loop(
             alpha=alpha,
             cost=cost.astype(float).copy(),
             records=records,
-            final_estimate=v_hat.copy(),
-            final_residual=residual.copy(),
             final_rows={s: dict(r) for s, r in rows.items()},
         )
-        check_selections(push_trace)
+        replayed = push_trace.final_estimate.tobytes() + push_trace.final_residual.tobytes()
+        if replayed != v_hat.tobytes() + residual.tobytes():
+            raise ContractViolation("replay does not reproduce the run's final estimate and residual")
     return PushOutcome(
         estimate=v_hat,
         residual=residual,

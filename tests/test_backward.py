@@ -24,7 +24,7 @@ from epelab import (
 )
 from epelab import model, push
 from epelab.oracles import edge_mask
-from epelab.push import ExactRows, apply_push, replay_states, run_push_loop
+from epelab.push import ExactRows, PushTrace, apply_push, replay_states, run_push_loop
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
 
@@ -108,20 +108,21 @@ class TestTraceProperties:
 
 class TestHeapTies:
     """The max-heap re-enters the unselected ties only; the selected state
-    comes back through ``notify`` after its push."""
+    comes back when its push enters its new residual."""
 
     class RepushSelected(push._MaxResidualHeap):
         # The former rule: the selected state's entry goes back too, and
-        # turns stale at the push's own notify.
-        def select(self, value, tie_rng):
-            s_k = super().select(value, tie_rng)
-            heapq.heappush(self._heap, (-value, s_k))
+        # turns stale at the state's own push.
+        def select(self, tie_rng):
+            s_k = super().select(tie_rng)
+            if s_k is not None:
+                heapq.heappush(self._heap, (-self._residual[s_k], s_k))
             return s_k
 
     class CheckedHeap(push._MaxResidualHeap):
-        def select(self, value, tie_rng):
-            s_k = super().select(value, tie_rng)
-            assert (-value, s_k) not in self._heap
+        def select(self, tie_rng):
+            s_k = super().select(tie_rng)
+            assert s_k is None or (-self._residual[s_k], s_k) not in self._heap
             return s_k
 
     class CountingTies:
@@ -140,7 +141,7 @@ class TestHeapTies:
         sampler = CountingSampler(inst, seed)
         tie_rng = self.CountingTies(make_rng(("ties", seed)))
         # trace=True checks every selection against max(residual).
-        report = backward_epe(sampler, 0.02, 8, tie_rng=tie_rng, trace=True)
+        report = run_push_loop(push.CachedEmpiricalRows(sampler, 8), 0.02, tie_rng, trace=True)
         monkeypatch.undo()
         return report, tie_rng.ties, len(pops)
 
@@ -248,12 +249,12 @@ class TestPushKernel:
             # selection and puts the true maximizer back.
             lied = False
 
-            def select(self, value, tie_rng):
-                s_k = super().select(value, tie_rng)
-                if self.lied:
+            def select(self, tie_rng):
+                s_k = super().select(tie_rng)
+                if self.lied or s_k is None:
                     return s_k
                 self.lied = True
-                heapq.heappush(self._heap, (-value, s_k))
+                heapq.heappush(self._heap, (-self._residual[s_k], s_k))
                 return min((v, s) for s, v in enumerate(self._residual) if v > 0.0)[1]
 
         monkeypatch.setattr(push, "_MaxResidualHeap", Misselecting)
@@ -417,6 +418,15 @@ class TestTraceSerialization:
         path.write_text(json.dumps(doc) + "\n" + "".join(records), encoding="utf-8")
         with pytest.raises(ContractViolation, match="encountered"):
             type(report.trace).from_jsonl(path)
+
+    def test_reading_refuses_a_selection_that_is_not_a_maximizer(self, tmp_path):
+        # Push 1 takes state 1 at its true residual 0.5 while state 0 holds 1.0.
+        header = {"kind": "push_trace", "alpha": 0.5, "cost": [1.0, 0.5], "encountered": [], "final_rows": {}}
+        record = {"k": 1, "s": 1, "rho": 0.5, "col": {"0": 1.0}}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ContractViolation, match="not a true residual maximizer at k=1$"):
+            PushTrace.from_jsonl(path)
 
 
 class TestSampleSizeBackward:

@@ -175,7 +175,6 @@ class TestRunExperiment:
                 AlgorithmSpec("forward", {"T": 8, "m": 2}),
                 AlgorithmSpec("backward", {"epsilon": "2/S", "n": "S"}),
                 AlgorithmSpec("bidirectional", {"epsilon": "4/S", "n_B": 10, "n_F": 5}),
-                AlgorithmSpec("bidirectional", {"n_B": "S", "n_F": "sqrt(S)", "termination_mode": "dynamic"}),
                 AlgorithmSpec("approx_contributions", {"epsilon": "2/S"}),
                 AlgorithmSpec("backward_alternative", {"epsilon": "4/S", "n": 10}),
                 AlgorithmSpec("plug_in", {"n": 10}),
@@ -183,7 +182,12 @@ class TestRunExperiment:
             trials=2,
             master_seed=2024,
         )
-        csv = records_to_csv(run_experiment(config))
+        # A config lists an algorithm once, so the dynamic bidirectional runs
+        # in a second one; the harness's stable sort puts each of its rows
+        # after the fixed mode's row of the same S and seed.
+        dynamic = AlgorithmSpec("bidirectional", {"n_B": "S", "n_F": "sqrt(S)", "termination_mode": "dynamic"})
+        records = run_experiment(config) + run_experiment(dataclasses.replace(config, algorithms=(dynamic,)))
+        csv = records_to_csv(sorted(records, key=lambda r: (r.S, r.algorithm, r.seed)))
         assert len(csv.splitlines()) == 1 + 2 * 2 * 7
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "5237776d606b03c24ea46c7d281f0c95a565cf8a0cd27da9cfbe4c6aeb1727ca"
@@ -306,6 +310,12 @@ class TestRunExperiment:
             (("ensembles",), {"S": 12, "p": 4, "alpha": 0.5}, "ensembles"),
             (("trials",), True, "trials"),
             (("ensembles", 0, "S"), False, "S"),
+            # The field, then the algorithm listed a second time.
+            (
+                ("algorithms", 1),
+                {"name": "backward", "params": {"epsilon": 0.05, "n": 5}},
+                "algorithms' lists 'backward",
+            ),
         ],
     )
     def test_malformed_config_is_refused_naming_the_field(self, path, value, field):
@@ -367,14 +377,15 @@ class TestRunExperiment:
                 AlgorithmSpec("forward", {"T": 5, "m": 2}),
                 AlgorithmSpec("backward", {"epsilon": 0.2, "n": 5}),
                 AlgorithmSpec("bidirectional", {"epsilon": 0.3, "n_B": 5, "n_F": 3}),
-                AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3, "termination_mode": "dynamic"}),
                 AlgorithmSpec("approx_contributions", {"epsilon": 0.2}),
                 AlgorithmSpec("backward_alternative", {"epsilon": 0.2, "n": 3}),
                 AlgorithmSpec("plug_in", {"n": 4}),
             ),
             trials=2,
         )
-        records = run_experiment(config)
+        # A config lists an algorithm once; the dynamic bidirectional runs in a second one.
+        dynamic = AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3, "termination_mode": "dynamic"})
+        records = run_experiment(config) + run_experiment(dataclasses.replace(config, algorithms=(dynamic,)))
         assert {r.algorithm for r in records} == set(ALGORITHM_NAMES)
         assert len(records) == 2 * 7
         assert [row["trials"] for row in bound_report(records, config)] == [2]

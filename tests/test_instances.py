@@ -113,6 +113,22 @@ class TestGenerateInstance:
         with pytest.raises(ContractViolation):
             EnsembleSpec(S=10, p=0.5, alpha=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("S", 20.7), ("S", True), ("S", np.float64(20.5)), ("H", 2.9), ("H", True), ("H", np.float32(2.5))],
+    )
+    def test_size_that_would_truncate_is_refused(self, field, value):
+        params = dict(S=20, p=4, alpha=0.5, cost_model="binary", H=3)
+        params[field] = value
+        with pytest.raises(ContractViolation, match=f"^{field} must be a whole number, got "):
+            EnsembleSpec(**params)
+
+    @pytest.mark.parametrize("S, H", [(20, 3), (np.int64(20), np.int32(3)), (20.0, 3.0)])
+    def test_whole_sizes_are_kept_as_ints(self, S, H):
+        spec = EnsembleSpec(S=S, p=4, alpha=0.5, cost_model="binary", H=H)
+        assert (spec.S, spec.H) == (20, 3)
+        assert type(spec.S) is int and type(spec.H) is int
+
 
 class TestBinaryCost:
     def test_all_ones_at_full_H(self):

@@ -666,6 +666,26 @@ class TestSerialization:
         with pytest.raises(ContractViolation, match=message):
             instance_from_dict(doc)
 
+    # One case per kind of violation: (field, its new value, expected message).
+    # The document's q_values are [0.2, 0.8, 0.5, 0.5, 1.0] on the edges
+    # (0, 0), (0, 1), (1, 1), (1, 2), (2, 0).
+    INVALID = [
+        ("q_values", [0.2, 0.3, 0.5, 0.5, 1.0], r"row_sum at \(0,\): row sums to 0.5$"),
+        ("alpha", 1.5, r"discount_domain at \(\): alpha=1.5 not in \(0,1\)$"),
+        ("q_values", [0.2, 0.8, 1.5, -0.5, 1.0], r"negative_entry at \(1, 2\): Q entry -0.5$"),
+        ("cost", [1.0, -0.25, 0.0], r"negative_cost at \(1,\): cost entry -0.25$"),
+    ]
+
+    @pytest.mark.parametrize("field,value,message", INVALID, ids=[c[2].split()[0] for c in INVALID])
+    def test_invalid_instance_is_refused_naming_its_first_violation(self, field, value, message):
+        inst = instance_from(0.5, [1.0, 1.0, 0.0], [[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        doc = json.loads(json.dumps(instance_to_dict(inst)))
+        doc[field] = value
+        # The constructor stays permissive; the loader is not.
+        ProblemInstance(doc["S"], doc["alpha"], doc["cost"], inst.supergraph, doc["q_values"])
+        with pytest.raises(ContractViolation, match="^invalid instance: " + message):
+            instance_from_dict(doc)
+
     @pytest.mark.parametrize(
         "field", ["S", "alpha", "cost", "supergraph", "q_values", "supergraph.indptr", "supergraph.indices"]
     )
