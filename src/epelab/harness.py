@@ -305,8 +305,14 @@ def trial_metrics(estimate: np.ndarray, truth: np.ndarray, threshold: float) -> 
     return linf, rel, skipped
 
 
+def trial_instance(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int):
+    """The instance of ``trial`` in ``ensemble``: the one stream both the
+    run and the bound report generate it from."""
+    return generate_instance(ensemble, (config.master_seed, "instance", ensemble.S, trial))
+
+
 def _run_cell(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int, timing: bool) -> list:
-    instance = generate_instance(ensemble, (config.master_seed, "instance", ensemble.S, trial))
+    instance = trial_instance(config, ensemble, trial)
     truth = exact_value(instance)
     threshold = 1e-12 * max(instance.cost_inf, 1.0)  # far above the truth's certified error
     records = []
@@ -498,8 +504,9 @@ def bound_report(records, config: ExperimentConfig) -> list:
         recs = by_cell.get(ensemble.S)
         if not recs:
             continue
-        seeds = [(config.master_seed, "instance", ensemble.S, rec.seed) for rec in recs]
-        realized_dbar = float(np.mean([generate_instance(ensemble, seed).supergraph.avg_degree for seed in seeds]))
+        realized_dbar = float(
+            np.mean([trial_instance(config, ensemble, rec.seed).supergraph.avg_degree for rec in recs])
+        )
         c_bar = ensemble.H / ensemble.S if ensemble.cost_model == "binary" else 1.5 * ensemble.p / ensemble.S
         epsilon = eval_param(backward_specs[0].params["epsilon"], ensemble.S)
         bound = ensemble.S * c_bar * realized_dbar / (epsilon * (1.0 - ensemble.alpha))

@@ -558,11 +558,24 @@ def _integers(graph: dict, key: str) -> list:
     return entries
 
 
+def _numbers(doc: dict, key: str) -> list:
+    """``doc[key]``, refused unless a list of JSON numbers (not a string,
+    a bool or null, which numpy would read as a float)."""
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise ContractViolation(f"{key}: must be a list of numbers, got {entries!r}")
+    for i, t in enumerate(entries):
+        if type(t) not in (int, float):
+            raise ContractViolation(f"{key}: entry {i} must be a number, got {t!r}")
+    return entries
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Inverse of :func:`instance_to_dict`. A missing field, an ``S`` that
     is not an integer or an ``alpha`` that is not a number (a bool is
     neither), a malformed CSR field, an index or pointer entry that is not
-    an integer, a field of the older form that kept Q's own index pair, or
+    an integer, a ``cost`` or ``q_values`` entry that is not a number, a
+    field of the older form that kept Q's own index pair, or
     any refusal of the :class:`ProblemInstance` constructor raises
     :class:`ContractViolation` naming the field. So does an instance that
     :func:`validate_instance` rejects; the message names its first
@@ -579,7 +592,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if type(alpha) not in (int, float):
         raise ContractViolation(f"alpha: must be a number, got {alpha!r}")
     sg = Supergraph(S, _integers(graph, "indptr"), _integers(graph, "indices"))
-    instance = ProblemInstance(S, float(alpha), doc["cost"], sg, doc["q_values"])
+    instance = ProblemInstance(S, float(alpha), _numbers(doc, "cost"), sg, _numbers(doc, "q_values"))
     violations = validate_instance(instance)
     if violations:
         raise ContractViolation(f"invalid instance: {violations[0]}")

@@ -50,10 +50,10 @@ runs with identical residual sequences select identical push states.
 Traces record (state, residual, column) per push, which is enough to
 replay the run bit-for-bit (:func:`replay_states`); the dense replay of
 its fixed-point error process against any compatible completion matrix
-is :func:`~epelab.oracles.error_process`. Building a :class:`PushTrace`,
-in a traced run or by :meth:`PushTrace.from_jsonl`, replays it once, and
-that replay checks every selection; so a trace costs one replay, not a
-scan of all S residuals per push.
+is :func:`~epelab.oracles.error_process`. A trace lives in memory only.
+Building a :class:`PushTrace` replays it once, and that replay checks
+every selection; so a trace costs one replay, not a scan of all S
+residuals per push.
 
 The loop counts no draws: each estimator reads its draw count off its
 sampler and hands it to :meth:`PushOutcome.report`, which builds the
@@ -63,7 +63,6 @@ sampler and hands it to :meth:`PushOutcome.report`, which builds the
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -105,48 +104,11 @@ class PushTrace:
         """The states whose rows were estimated."""
         return frozenset(self.final_rows)
 
-    def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "kind": "push_trace",
-                "alpha": self.alpha,
-                "cost": self.cost.tolist(),
-                "encountered": sorted(self.encountered),
-                "final_rows": {str(s): {str(t): p for t, p in row.items()} for s, row in self.final_rows.items()},
-            }
-            fh.write(json.dumps(header) + "\n")
-            for k, rec in enumerate(self.records, start=1):
-                col = {str(t): q for t, q in rec.column.items()}
-                fh.write(json.dumps({"k": k, "s": rec.state, "rho": rec.residual, "col": col}) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path) -> "PushTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("kind") != "push_trace":
-                raise ContractViolation(f"{path} is not a push trace file")
-            records = []
-            for line in fh:
-                doc = json.loads(line)
-                column = {int(t): float(q) for t, q in doc["col"].items()}
-                records.append(PushRecord(state=int(doc["s"]), residual=float(doc["rho"]), column=column))
-        trace = cls(
-            alpha=float(header["alpha"]),
-            cost=np.array(header["cost"], dtype=float),
-            records=records,
-            final_rows={
-                int(s): {int(t): float(p) for t, p in row.items()}
-                for s, row in header["final_rows"].items()
-            },
-        )
-        if sorted(trace.encountered) != header["encountered"]:
-            raise ContractViolation(f"{path}: the encountered states differ from the final rows' states")
-        return trace
-
 
 def apply_push(v_hat: np.ndarray, residual: np.ndarray, alpha: float, s_k: int, column: dict) -> None:
-    """One push update, in place. Replay uses the same code path as the run,
-    so reconstructed vectors match the originals bit for bit."""
+    """One push update, in place; replay runs it. The loop spells out the
+    same float expressions inline, and a traced run's byte comparison of
+    its final vectors against the replay enforces the match."""
     rho = residual[s_k]
     v_hat[s_k] += (1.0 - alpha) * rho
     residual[s_k] = alpha * column.get(s_k, 0.0) * rho

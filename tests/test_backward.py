@@ -1,5 +1,4 @@
 import heapq
-import json
 import math
 import tracemalloc
 
@@ -9,6 +8,7 @@ import pytest
 from epelab import (
     ContractViolation,
     CountingSampler,
+    IterationLimitExceeded,
     ProblemInstance,
     Supergraph,
     approx_contributions,
@@ -24,7 +24,7 @@ from epelab import (
 )
 from epelab import model, push
 from epelab.oracles import edge_mask
-from epelab.push import ExactRows, PushTrace, apply_push, replay_states, run_push_loop
+from epelab.push import ExactRows, PushRecord, PushTrace, apply_push, replay_states, run_push_loop
 from epelab.rng import make_rng
 from conftest import instance_from, random_instance
 
@@ -230,6 +230,14 @@ class TestPushKernel:
         floor = max(epsilon, push.NEGLIGIBLE_RESIDUAL * inst.cost.max())
         assert all(-neg > floor for neg, _ in heaps[0]._heap)
 
+    def test_run_past_the_iteration_cap_is_refused(self, monkeypatch):
+        pushes = run_push_loop(ExactRows(self.MIXED), 0.005, make_rng(0)).iterations
+        monkeypatch.setattr(push, "default_iteration_cap", lambda cost, alpha, epsilon: pushes)
+        assert run_push_loop(ExactRows(self.MIXED), 0.005, make_rng(0)).iterations == pushes
+        monkeypatch.setattr(push, "default_iteration_cap", lambda cost, alpha, epsilon: pushes - 1)
+        with pytest.raises(IterationLimitExceeded, match=f"^push loop exceeded {pushes - 1} iterations"):
+            run_push_loop(ExactRows(self.MIXED), 0.005, make_rng(0))
+
     def test_cached_column_is_memoized(self):
         rows = push.CachedEmpiricalRows(CountingSampler(self.MIXED, 0), 5)
         t = int(np.argmax(self.MIXED.supergraph.in_degrees))
@@ -293,6 +301,22 @@ class TestCompletions:
         assert np.allclose(q_under.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(q_over.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("completion", ["under", "over"])
+    def test_completions_refuse_a_missing_or_unnormalized_row(self, completion):
+        inst = random_instance(S=8, p=3, alpha=0.5, seed="rows")
+
+        def build(rows, encountered):
+            if completion == "under":
+                return build_q_under(rows, encountered, inst)
+            return build_q_over(rows, encountered, inst, 4, make_rng("rows"))
+
+        row = {0: 0.25, 1: 0.75}
+        assert np.array_equal(build({2: row}, frozenset({2}))[2, :3], [0.25, 0.75, 0.0])
+        with pytest.raises(ContractViolation, match="^no estimated row for encountered state 3$"):
+            build({2: row}, frozenset({2, 3}))
+        with pytest.raises(ContractViolation, match="^estimated row 2 sums to 0.75$"):
+            build({2: {1: 0.75}}, frozenset({2}))
+
     def test_dense_oracles_refuse_large_S_before_allocating(self):
         S = model.DENSE_ORACLE_MAX_S + 1
         inst = random_instance(S=S, p=4, alpha=0.5, seed="too large")
@@ -338,6 +362,28 @@ class TestReplayInvariant:
         q_over = build_q_over(trace.final_rows, trace.encountered, inst, 5, make_rng("accoff"))
         v_over = value_function(q_over, inst.cost, inst.alpha)
         assert np.max(np.abs(report.estimate - v_over)) <= epsilon + 1e-9
+
+    def test_rejects_a_matrix_that_is_no_completion(self):
+        inst = random_instance(S=30, p=4, alpha=0.6, seed="inv", cost_model="binary", H=3)
+        _, report = run_traced(inst, 4, epsilon=0.1, n=5)
+        trace = report.trace
+        q_under = build_q_under(trace.final_rows, trace.encountered, inst)
+        assert replay_invariant(trace, q_under, inst.supergraph) <= 1e-9
+        with pytest.raises(ContractViolation, match="^P must be 30x30$"):
+            replay_invariant(trace, q_under[:, :29], inst.supergraph)
+        halved = q_under.copy()
+        halved[0] /= 2.0
+        with pytest.raises(ContractViolation, match="^P is not row stochastic$"):
+            replay_invariant(trace, halved, inst.supergraph)
+        # Move a row's mass onto a non-edge, in a row the run never estimated.
+        sg = inst.supergraph
+        s = min(set(range(30)) - trace.encountered)
+        t = min(set(range(30)) - set(sg.indices[sg.indptr[s] : sg.indptr[s + 1]].tolist()))
+        moved = q_under.copy()
+        moved[s] = 0.0
+        moved[s, t] = 1.0
+        with pytest.raises(ContractViolation, match="^P has mass outside the supergraph support$"):
+            replay_invariant(trace, moved, inst.supergraph)
 
     def test_rejects_incompatible_matrix(self):
         inst = random_instance(S=8, p=3, alpha=0.5, seed="rej")
@@ -393,40 +439,20 @@ class TestSupergraphBeyondSupport:
         assert replay_invariant(trace, q_under, inst.supergraph) <= 1e-9
 
 
-class TestTraceSerialization:
-    def test_jsonl_round_trip_preserves_replay(self, tmp_path):
-        inst = random_instance(S=10, p=4, alpha=0.6, seed="jsonl")
-        _, report = run_traced(inst, 8, epsilon=0.15, n=4)
-        path = tmp_path / "trace.jsonl"
-        report.trace.to_jsonl(path)
-        back = type(report.trace).from_jsonl(path)
-        assert np.array_equal(back.final_estimate, report.trace.final_estimate)
-        assert np.array_equal(back.final_residual, report.trace.final_residual)
-        assert back.encountered == report.trace.encountered
-        q_under = build_q_under(back.final_rows, back.encountered, inst)
-        assert replay_invariant(back, q_under, inst.supergraph) <= 1e-9
-
-    def test_header_encountered_must_match_final_rows(self, tmp_path):
-        inst = random_instance(S=10, p=4, alpha=0.6, seed="jsonl")
-        _, report = run_traced(inst, 8, epsilon=0.15, n=4)
-        path = tmp_path / "trace.jsonl"
-        report.trace.to_jsonl(path)
-        header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        doc = json.loads(header)
-        assert doc["encountered"] == sorted(int(s) for s in doc["final_rows"])
-        doc["encountered"] = doc["encountered"][1:]
-        path.write_text(json.dumps(doc) + "\n" + "".join(records), encoding="utf-8")
-        with pytest.raises(ContractViolation, match="encountered"):
-            type(report.trace).from_jsonl(path)
-
-    def test_reading_refuses_a_selection_that_is_not_a_maximizer(self, tmp_path):
+class TestTraceReplay:
+    def test_building_refuses_a_selection_that_is_not_a_maximizer(self):
         # Push 1 takes state 1 at its true residual 0.5 while state 0 holds 1.0.
-        header = {"kind": "push_trace", "alpha": 0.5, "cost": [1.0, 0.5], "encountered": [], "final_rows": {}}
-        record = {"k": 1, "s": 1, "rho": 0.5, "col": {"0": 1.0}}
-        path = tmp_path / "trace.jsonl"
-        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ContractViolation, match="not a true residual maximizer at k=1$"):
-            PushTrace.from_jsonl(path)
+            PushTrace(alpha=0.5, cost=np.array([1.0, 0.5]), records=[PushRecord(1, 0.5, {0: 1.0})], final_rows={})
+
+    def test_building_refuses_a_recorded_residual_the_replay_does_not_reach(self):
+        inst = random_instance(S=10, p=4, alpha=0.6, seed="corrupt")
+        _, report = run_traced(inst, 8, epsilon=0.15, n=4)
+        records = report.trace.records
+        assert len(records) >= 3
+        records[2].residual = np.nextafter(records[2].residual, np.inf)
+        with pytest.raises(ContractViolation, match="^trace corrupt at k=3: recorded residual"):
+            PushTrace(alpha=inst.alpha, cost=inst.cost, records=records, final_rows=report.trace.final_rows)
 
 
 class TestSampleSizeBackward:

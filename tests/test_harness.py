@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from epelab import (
     ExperimentConfig,
     ProblemInstance,
     Supergraph,
+    backward_epe,
     bound_report,
     exact_value_power_series,
     fig1_config,
@@ -158,6 +160,18 @@ class TestRunExperiment:
         assert [dataclasses.replace(rec, wall_time_ms=0) for rec in timed] == untimed
         for rec in timed:
             assert type(rec.wall_time_ms) is int and rec.wall_time_ms >= 0
+
+    def test_a_misreported_draw_count_is_refused(self, monkeypatch):
+        def misreporting(sampler, epsilon, n):
+            report = backward_epe(sampler, epsilon, n)
+            return dataclasses.replace(report, samples_used=report.samples_used + 1)
+
+        monkeypatch.setattr(harness, "backward_epe", misreporting)
+        config = small_config(algorithms=(AlgorithmSpec("backward", {"epsilon": 0.2, "n": 5}),), trials=1)
+        with pytest.raises(ContractViolation, match="^backward: reported samples_used=") as err:
+            run_experiment(config)
+        reported, counted = map(int, re.findall(r"\d+", str(err.value)))
+        assert reported == counted + 1
 
     def test_deterministic_across_thread_counts(self):
         config = small_config(trials=4)

@@ -649,6 +649,14 @@ class TestSerialization:
         ("alpha", None, "0.5", "alpha: must be a number, got '0.5'"),
         ("alpha", None, False, "alpha: must be a number, got False"),
         ("alpha", None, None, "alpha: must be a number, got None"),
+        # Cost and Q entries that numpy would read as floats, and a field that is no list.
+        ("cost", 0, "1", "^cost: entry 0 must be a number, got '1'$"),
+        ("cost", 1, True, "^cost: entry 1 must be a number, got True$"),
+        ("cost", None, [1.0, 1.0, None], "^cost: entry 2 must be a number, got None$"),
+        ("q_values", 0, "0.2", "^q_values: entry 0 must be a number, got '0.2'$"),
+        ("q_values", 4, True, "^q_values: entry 4 must be a number, got True$"),
+        ("q_values", None, [0.2, 0.8, 0.5, None, 1.0], "^q_values: entry 3 must be a number, got None$"),
+        ("cost", None, {"0": 1.0}, r"^cost: must be a list of numbers, got \{'0': 1.0\}$"),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
