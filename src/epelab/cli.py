@@ -4,9 +4,9 @@ Subcommands: generate (emit an instance JSON), run (config JSON -> trial
 CSV), summarize (trial CSV -> aggregate CSV), bounds (trial CSV + config
 -> encountered-set bound table), calc (print sample-size formulas).
 
-EPE_THREADS caps the worker pool for `run` (an integer of at least 1, as
-is --threads); --seed overrides the config's master seed. A refused input, such as a config with an unknown field,
-prints ``epelab: <message>`` to stderr and exits with status 2.
+`run` goes through its cells one after another; --seed overrides the
+config's master seed. A refused input, such as a config with an unknown
+field, prints ``epelab: <message>`` to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = ExperimentConfig.from_dict({**config.to_dict(), "master_seed": args.seed})
-    records = run_experiment(config, threads=args.threads, timing=args.timing)
+    records = run_experiment(config, timing=args.timing)
     _write_or_print(records_to_csv(records), args.out or config.output, f"{len(records)} records")
     return 0
 
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None, help="override the config's output path")
     run.add_argument("--seed", type=int, default=None, help="override the config's master seed")
-    run.add_argument("--threads", type=int, default=None, help="worker count (default: EPE_THREADS or 1)")
     run.add_argument("--timing", action="store_true", help="record real wall times (breaks byte determinism)")
     run.set_defaults(func=_cmd_run)
 

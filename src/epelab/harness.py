@@ -5,8 +5,8 @@ of algorithms with parameter blocks, a trial count, and a master seed. Every tri
 its instance from (master_seed, S, trial) and every algorithm run derives
 its own sampler stream from (master_seed, S, trial, algorithm), so the
 output is a pure function of the config: the CSV is byte-identical across
-repeat runs and across worker counts. Records are sorted canonically
-before writing regardless of completion order.
+repeat runs. Cells run one after another, and records are sorted
+canonically before writing.
 
 Parameter blocks may scale with S: any parameter value may be a string
 expression in S (e.g. "10/S", "ceil(1.5*sqrt(S))"). Count-valued
@@ -28,9 +28,7 @@ import io
 import json
 import math
 import operator
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -344,28 +342,12 @@ def _run_cell(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int, timi
     return records
 
 
-def worker_count(threads: int | None = None) -> int:
-    """``threads`` if given, else ``EPE_THREADS`` if set, else 1. A value
-    that is not an integer of at least 1 raises :class:`ContractViolation`
-    naming its source."""
-    source, value = "--threads", threads
-    if threads is None:
-        source, value = "EPE_THREADS", os.environ.get("EPE_THREADS") or "1"
-    if not str(value).isdecimal() or int(value) < 1:
-        raise ContractViolation(f"worker count {source}={value!r} is not an integer >= 1")
-    return int(value)
-
-
-def run_experiment(config: ExperimentConfig, threads: int | None = None, timing: bool = False) -> list:
+def run_experiment(config: ExperimentConfig, timing: bool = False) -> list:
     """Run every (ensemble, algorithm, trial) cell; deterministic given config."""
-    jobs = [(ens, trial) for ens in config.ensembles for trial in range(config.trials)]
-    workers = worker_count(threads)
-    if workers == 1:
-        results = [_run_cell(config, ens, trial, timing) for ens, trial in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: _run_cell(config, job[0], job[1], timing), jobs))
-    records = [rec for cell in results for rec in cell]
+    records = []
+    for ens in config.ensembles:
+        for trial in range(config.trials):
+            records.extend(_run_cell(config, ens, trial, timing))
     records.sort(key=lambda r: (r.S, r.algorithm, r.seed))
     return records
 

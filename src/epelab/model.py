@@ -462,8 +462,8 @@ class CountingSampler:
     Rows come from the instance's read-only :class:`TransitionTable`,
     built once per instance and shared by every sampler and spawned child;
     a sampler keeps no row state of its own. The stream and the tally are
-    single-owner mutable state: give each concurrent run its own sampler
-    (or a spawned child) rather than sharing one.
+    mutable state: each run gets its own sampler (or a spawned child), so
+    a run's draws depend on no other run.
     """
 
     def __init__(self, instance: ProblemInstance, seed):
@@ -548,38 +548,41 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
-def _integers(graph: dict, key: str) -> list:
-    """``graph[key]``, refused unless present and a list of ints (not bools, which numpy reads as 0 or 1)."""
-    if key not in graph:
-        raise ContractViolation(f"supergraph.{key}: missing from the instance document")
-    entries = graph[key]
-    if not isinstance(entries, list) or not all(type(t) is int for t in entries):
-        raise ContractViolation(f"supergraph.{key}: every entry must be an integer")
-    return entries
+# The words for the entry types of an instance's list fields: (plural, one entry).
+# A bool is neither an integer nor a number; numpy would read it as 0 or 1.
+_ENTRY_WORDS = {(int,): ("integers", "an integer"), (int, float): ("numbers", "a number")}
 
 
-def _numbers(doc: dict, key: str) -> list:
-    """``doc[key]``, refused unless a list of JSON numbers (not a string,
-    a bool or null, which numpy would read as a float)."""
+def _entries(doc: dict, key: str, types: tuple, where: str = "") -> list:
+    """``doc[key]``, refused unless present and a list whose every entry's
+    type is one of ``types`` (numpy would read a string or a null entry as
+    a float). A refusal names the first bad entry; ``where`` prefixes the
+    field's name in it ("supergraph.", say)."""
+    name = where + key
+    if key not in doc:
+        raise ContractViolation(f"{name}: missing from the instance document")
+    plural, one = _ENTRY_WORDS[types]
     entries = doc[key]
     if not isinstance(entries, list):
-        raise ContractViolation(f"{key}: must be a list of numbers, got {entries!r}")
+        raise ContractViolation(f"{name}: must be a list of {plural}, got {entries!r}")
     for i, t in enumerate(entries):
-        if type(t) not in (int, float):
-            raise ContractViolation(f"{key}: entry {i} must be a number, got {t!r}")
+        if type(t) not in types:
+            raise ContractViolation(f"{name}: entry {i} must be {one}, got {t!r}")
     return entries
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    """Inverse of :func:`instance_to_dict`. A missing field, an ``S`` that
-    is not an integer or an ``alpha`` that is not a number (a bool is
-    neither), a malformed CSR field, an index or pointer entry that is not
-    an integer, a ``cost`` or ``q_values`` entry that is not a number, a
-    field of the older form that kept Q's own index pair, or
-    any refusal of the :class:`ProblemInstance` constructor raises
-    :class:`ContractViolation` naming the field. So does an instance that
-    :func:`validate_instance` rejects; the message names its first
-    violation."""
+    """Inverse of :func:`instance_to_dict`. A document or a ``supergraph``
+    that is not an object, a missing field, an ``S`` that is not an integer
+    or an ``alpha`` that is not a number (a bool is neither), a malformed
+    CSR field, an index or pointer entry that is not an integer, a ``cost``
+    or ``q_values`` entry that is not a number, a field of the older form
+    that kept Q's own index pair, or any refusal of the
+    :class:`ProblemInstance` constructor raises :class:`ContractViolation`
+    naming the field. So does an instance that :func:`validate_instance`
+    rejects; the message names its first violation."""
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"the instance document must be an object, got {doc!r}")
     for key in ("q_indptr", "q_indices"):
         if key in doc:
             raise ContractViolation(f"{key}: no longer read; Q is stored as q_values on the supergraph's edges")
@@ -591,8 +594,12 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         raise ContractViolation(f"S: must be an integer, got {S!r}")
     if type(alpha) not in (int, float):
         raise ContractViolation(f"alpha: must be a number, got {alpha!r}")
-    sg = Supergraph(S, _integers(graph, "indptr"), _integers(graph, "indices"))
-    instance = ProblemInstance(S, float(alpha), _numbers(doc, "cost"), sg, _numbers(doc, "q_values"))
+    if not isinstance(graph, dict):
+        raise ContractViolation(f"supergraph: must be an object, got {graph!r}")
+    indptr, indices = (_entries(graph, key, (int,), "supergraph.") for key in ("indptr", "indices"))
+    sg = Supergraph(S, indptr, indices)
+    cost, q_values = (_entries(doc, key, (int, float)) for key in ("cost", "q_values"))
+    instance = ProblemInstance(S, float(alpha), cost, sg, q_values)
     violations = validate_instance(instance)
     if violations:
         raise ContractViolation(f"invalid instance: {violations[0]}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -622,17 +623,17 @@ class TestSerialization:
         ("supergraph.indices", 2, 3, "supergraph.indices: 3 out of range"),
         ("supergraph.indices", 3, 1, "supergraph.indices: row 1 is not strictly ascending"),
         # Entries that would truncate or parse to a valid index.
-        ("q_indices", 2, 1.7, "supergraph.indices: every entry must be an integer"),
-        ("q_indices", 2, "1", "supergraph.indices: every entry must be an integer"),
-        ("q_indptr", 1, 2.5, "supergraph.indptr: every entry must be an integer"),
-        ("q_indptr", 1, "2", "supergraph.indptr: every entry must be an integer"),
-        ("supergraph.indptr", 2, 4.0, "supergraph.indptr: every entry must be an integer"),
-        ("supergraph.indices", 1, "1", "supergraph.indices: every entry must be an integer"),
+        ("q_indices", 2, 1.7, r"^supergraph.indices: entry 2 must be an integer, got 1\.7$"),
+        ("q_indices", 2, "1", r"^supergraph.indices: entry 2 must be an integer, got '1'$"),
+        ("q_indptr", 1, 2.5, r"^supergraph.indptr: entry 1 must be an integer, got 2\.5$"),
+        ("q_indptr", 1, "2", r"^supergraph.indptr: entry 1 must be an integer, got '2'$"),
+        ("supergraph.indptr", 2, 4.0, r"^supergraph.indptr: entry 2 must be an integer, got 4\.0$"),
+        ("supergraph.indices", 1, "1", r"^supergraph.indices: entry 1 must be an integer, got '1'$"),
         # A bool among integers, which numpy reads as 0 or 1, and ragged nesting.
-        ("q_indices", 2, True, "supergraph.indices: every entry must be an integer"),
-        ("supergraph.indptr", 1, False, "supergraph.indptr: every entry must be an integer"),
-        ("q_indices", 0, [0, 1], "supergraph.indices: every entry must be an integer"),
-        ("supergraph.indices", 1, [1, 2], "supergraph.indices: every entry must be an integer"),
+        ("q_indices", 2, True, r"^supergraph.indices: entry 2 must be an integer, got True$"),
+        ("supergraph.indptr", 1, False, r"^supergraph.indptr: entry 1 must be an integer, got False$"),
+        ("q_indices", 0, [0, 1], r"^supergraph.indices: entry 0 must be an integer, got \[0, 1\]$"),
+        ("supergraph.indices", 1, [1, 2], r"^supergraph.indices: entry 1 must be an integer, got \[1, 2\]$"),
         ("q_values", 1, [0.5, 0.5], "q_values: "),
         ("cost", 0, [1.0], "cost: "),
         # A cost one entry short, and entries that are not finite.
@@ -657,6 +658,12 @@ class TestSerialization:
         ("q_values", 4, True, "^q_values: entry 4 must be a number, got True$"),
         ("q_values", None, [0.2, 0.8, 0.5, None, 1.0], "^q_values: entry 3 must be a number, got None$"),
         ("cost", None, {"0": 1.0}, r"^cost: must be a list of numbers, got \{'0': 1.0\}$"),
+        # A supergraph that is no object, or an index field that is no list.
+        ("supergraph", None, 5, "^supergraph: must be an object, got 5$"),
+        ("supergraph", None, None, "^supergraph: must be an object, got None$"),
+        ("supergraph", None, "indptr indices", "^supergraph: must be an object, got 'indptr indices'$"),
+        ("supergraph", None, [0, 1], r"^supergraph: must be an object, got \[0, 1\]$"),
+        ("supergraph.indptr", None, 4, "^supergraph.indptr: must be a list of integers, got 4$"),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
@@ -664,14 +671,19 @@ class TestSerialization:
         inst = instance_from(0.5, [1.0, 1.0, 0.0], [[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
         doc = json.loads(json.dumps(instance_to_dict(inst)))
         field = {"q_indptr": "supergraph.indptr", "q_indices": "supergraph.indices"}.get(field, field)
-        entries = doc["supergraph"][field[11:]] if field.startswith("supergraph.") else doc[field]
+        owner, key = (doc["supergraph"], field[11:]) if field.startswith("supergraph.") else (doc, field)
         if position is None:
-            doc[field] = value
+            owner[key] = value
         elif value is None:
-            del entries[position]
+            del owner[key][position]
         else:
-            entries[position] = value
+            owner[key][position] = value
         with pytest.raises(ContractViolation, match=message):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [5, None, "S", [0, 1]])
+    def test_a_document_that_is_no_object_is_refused(self, doc):
+        with pytest.raises(ContractViolation, match=f"^the instance document must be an object, got {re.escape(repr(doc))}$"):
             instance_from_dict(doc)
 
     # One case per kind of violation: (field, its new value, expected message).
