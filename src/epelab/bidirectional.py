@@ -43,7 +43,7 @@ import numpy as np
 
 from .backward import run_backward
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, TransitionTable
+from .model import WALKER_BUDGET, CountingSampler, EstimateReport, TransitionTable
 from .push import check_threshold
 
 
@@ -100,12 +100,6 @@ def dynamic_stop_threshold(S: int, n_B: int, n_F: int, alpha: float) -> int:
     """
     w = n_F * alpha / (1.0 - alpha)
     return min(math.ceil(S * w / (n_B + w)), S)
-
-
-# Walkers moved together in one frontier block. A block holds a few arrays
-# of WALKER_BUDGET entries (0.5 MB each), so memory stays bounded however
-# large S grows.
-WALKER_BUDGET = 1 << 16
 
 
 def _walk_stage(

@@ -4,6 +4,13 @@ For each state, m trajectories of T states are simulated through the
 counting sampler and their discounted truncated cost sums are averaged.
 Only transitions are charged, so a run costs exactly S * m * (T - 1)
 draws; the start state of each trajectory is given, not drawn.
+
+The S * m walkers keep their states and running sums in two arrays of
+that length, and take each step in consecutive blocks of at most
+``WALKER_BUDGET`` walkers (:mod:`epelab.model`), so every temporary of a
+step is block-sized. Consecutive blocks read consecutive uniforms of the
+sampler's stream, so the draws and floats are those of one batch over
+all walkers.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport
+from .model import WALKER_BUDGET, CountingSampler, EstimateReport
 
 
 @dataclass(frozen=True)
@@ -40,12 +47,16 @@ def forward_epe(sampler: CountingSampler, config: ForwardConfig) -> EstimateRepo
     before = sampler.draw_count
 
     current = np.repeat(np.arange(S, dtype=np.int64), m)
-    acc = (1.0 - alpha) * cost[current]
+    acc = np.empty(current.size)
+    blocks = [slice(lo, lo + WALKER_BUDGET) for lo in range(0, current.size, WALKER_BUDGET)]
+    for b in blocks:
+        acc[b] = (1.0 - alpha) * cost[current[b]]
     scale = 1.0
     for _ in range(1, T):
-        current = sampler.sample_next_batch(current)
         scale *= alpha
-        acc += (1.0 - alpha) * scale * cost[current]
+        for b in blocks:
+            current[b] = sampler.sample_next_batch(current[b])
+            acc[b] += (1.0 - alpha) * scale * cost[current[b]]
     estimate = acc.reshape(S, m).mean(axis=1)
 
     used = sampler.draw_count - before

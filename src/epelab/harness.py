@@ -38,7 +38,7 @@ from .baselines import approx_contributions, backward_epe_alternative, plug_in_e
 from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
-from .instances import EnsembleSpec, density_for_case, generate_instance
+from .instances import EnsembleSpec, density_for_case, draw_supergraph, generate_instance
 from .model import CountingSampler, check_sample_count, exact_value
 from .push import check_threshold
 
@@ -303,10 +303,15 @@ def trial_metrics(estimate: np.ndarray, truth: np.ndarray, threshold: float) -> 
     return linf, rel, skipped
 
 
+def instance_seed(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int) -> tuple:
+    """The seed of ``trial``'s instance in ``ensemble``: the one stream both
+    the run and the bound report draw it from."""
+    return (config.master_seed, "instance", ensemble.S, trial)
+
+
 def trial_instance(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int):
-    """The instance of ``trial`` in ``ensemble``: the one stream both the
-    run and the bound report generate it from."""
-    return generate_instance(ensemble, (config.master_seed, "instance", ensemble.S, trial))
+    """The instance of ``trial`` in ``ensemble``."""
+    return generate_instance(ensemble, instance_seed(config, ensemble, trial))
 
 
 def _run_cell(config: ExperimentConfig, ensemble: EnsembleSpec, trial: int, timing: bool) -> list:
@@ -471,7 +476,8 @@ def bound_report(records, config: ExperimentConfig) -> list:
 
     c_bar is the ensemble's expected per-state cost (H/S binary, 3p/2S
     mixed); d_bar is the realized average in-degree, recovered by
-    regenerating each trial's instance from the config seeds.
+    redrawing each trial's supergraph, and nothing else of its instance,
+    from the config seeds.
     """
     backward_specs = [a for a in config.algorithms if a.name == "backward"]
     if not backward_specs:
@@ -487,7 +493,9 @@ def bound_report(records, config: ExperimentConfig) -> list:
         if not recs:
             continue
         realized_dbar = float(
-            np.mean([trial_instance(config, ensemble, rec.seed).supergraph.avg_degree for rec in recs])
+            np.mean(
+                [draw_supergraph(ensemble, instance_seed(config, ensemble, rec.seed))[0].avg_degree for rec in recs]
+            )
         )
         c_bar = ensemble.H / ensemble.S if ensemble.cost_model == "binary" else 1.5 * ensemble.p / ensemble.S
         epsilon = eval_param(backward_specs[0].params["epsilon"], ensemble.S)

@@ -127,6 +127,14 @@ def _row_supports(S: int, p: float, rng: np.random.Generator) -> tuple:
     return indptr, indices
 
 
+def draw_supergraph(spec: EnsembleSpec, seed) -> tuple:
+    """(supergraph, rng): the supergraph of ``generate_instance(spec, seed)``,
+    drawn first from the seed's stream, and that stream, positioned after it.
+    Reading the supergraph alone costs no weights, cost or transition table."""
+    rng = make_rng(seed)
+    return Supergraph(spec.S, *_row_supports(spec.S, spec.p, rng)), rng
+
+
 def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
     """Draw one problem instance; a pure function of (spec, seed).
 
@@ -134,10 +142,9 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
     needs no extra bookkeeping.
     """
     S, p = spec.S, spec.p
-    rng = make_rng(seed)
-    indptr, indices = _row_supports(S, p, rng)
-    weights = rng.random(indices.size)
-    values = weights / np.add.reduceat(weights, indptr[:-1])[csr_rows(indptr)]
+    supergraph, rng = draw_supergraph(spec, seed)
+    weights = rng.random(supergraph.indices.size)
+    values = weights / np.add.reduceat(weights, supergraph.indptr[:-1])[csr_rows(supergraph.indptr)]
 
     if spec.cost_model == "binary":
         cost = _binary_cost(S, spec.H, rng)
@@ -150,4 +157,4 @@ def generate_instance(spec: EnsembleSpec, seed) -> ProblemInstance:
             raise GenerationError(f"no nonzero cost indicator after {RESAMPLE_CAP} attempts (S={S}, p={p})")
         cost = indicator + rng.uniform(0.0, p / S, size=S)
 
-    return ProblemInstance(S, spec.alpha, cost, Supergraph(S, indptr, indices), values)
+    return ProblemInstance(S, spec.alpha, cost, supergraph, values)

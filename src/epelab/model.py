@@ -42,6 +42,11 @@ from .rng import as_entropy, derive_entropy, make_rng
 
 ROW_SUM_TOL = 1e-12
 DENSE_ORACLE_MAX_S = 1000  # the dense S x S oracles refuse larger S (8 MB per float matrix)
+# Walkers moved together in one block, by forward runs and by the walk stage
+# of bidirectional runs. A block's temporaries are arrays of at most
+# WALKER_BUDGET entries (0.5 MB each), so their memory stays bounded however
+# large S grows.
+WALKER_BUDGET = 1 << 16
 
 
 def check_dense_size(S: int) -> None:
@@ -173,7 +178,8 @@ class TransitionTable:
     Each row's floats are those of one ``np.cumsum`` over that row alone
     (a cumulative sum along the rows of a block is sequential), so a draw is
     bit-identical to ``searchsorted(cum_row, u, side="right")``
-    capped at the row end. :meth:`draw_batch` is the one draw routine, and
+    capped at the row end. :meth:`draw_batch`, a branchless lifting search,
+    is the one draw routine, and
     :meth:`row` hands the row channel its views. Beyond its four arrays the
     table keeps only the S + 1 row pointers as Python ints: no Python object
     of nnz size. The column channel reads ``probs`` through the instance's
@@ -193,7 +199,8 @@ class TransitionTable:
         self._indptr = self.indptr.tolist()
         for arr in (self.indptr, self.indices, self.probs, self.cum):
             arr.setflags(write=False)
-        # Binary-search passes that shrink the widest row to one entry.
+        # Search passes: their steps, 2^(passes-1) down to 1, sum to at least
+        # the widest row's width minus one.
         widest = int(np.diff(self.indptr).max()) if self.indptr.size > 1 else 0
         self._passes = max(widest - 1, 0).bit_length()
 
@@ -221,21 +228,29 @@ class TransitionTable:
     def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i.
 
-        A binary search run over every row segment at once: the answer
-        always lies in [lo, hi], and the clamped last entry (1.0 > u) keeps
-        a converged search in place on the remaining passes.
+        A branchless lifting search run over every row segment at once. The
+        entries of a row with ``cum <= u`` are a prefix of it, because the
+        clamped last entry is 1.0 > u. Each pass halves ``step`` and adds it
+        to ``pos`` where the entry at ``pos + step - 1`` has ``cum <= u``,
+        keeping "every entry before ``pos`` has ``cum <= u``". The steps sum
+        to at least the row width minus one, so the search ends at the row
+        start plus the length of that prefix: ``searchsorted(side="right")``.
+        A candidate past the row end is clipped to its last entry, which
+        never advances. The add is a product, not a select, so no pass
+        branches on the data.
         """
-        lo = self.indptr[states]
-        hi = self.indptr[states + 1] - 1
-        if np.any(hi < lo):
-            bad = int(states[np.argmax(hi < lo)])
+        pos = self.indptr[states]
+        last = self.indptr[states + 1] - 1
+        if np.any(last < pos):
+            bad = int(states[np.argmax(last < pos)])
             raise ContractViolation(f"state {bad} has an all-zero transition row")
+        step = 1 << self._passes
         for _ in range(self._passes):
-            mid = (lo + hi) >> 1
-            right = self.cum[mid] <= u
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        return self.indices[lo]
+            step >>= 1
+            candidate = pos + (step - 1)
+            np.minimum(candidate, last, out=candidate)
+            pos += (self.cum.take(candidate) <= u) * step
+        return self.indices.take(pos)
 
 
 @dataclass(frozen=True)

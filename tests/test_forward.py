@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,21 @@ from epelab import (
     forward_epe,
     sample_size_forward,
 )
+from epelab import forward
 from conftest import instance_from, random_instance
+
+
+def one_batch_forward(sampler, T, m):
+    """(estimate, draws) of forward as one batch over all S * m walkers."""
+    cost, alpha, S = sampler.instance.cost, sampler.instance.alpha, sampler.instance.S
+    current = np.repeat(np.arange(S, dtype=np.int64), m)
+    acc = (1.0 - alpha) * cost[current]
+    scale = 1.0
+    for _ in range(1, T):
+        current = sampler.sample_next_batch(current)
+        scale *= alpha
+        acc += (1.0 - alpha) * scale * cost[current]
+    return acc.reshape(S, m).mean(axis=1), sampler.draw_count
 
 
 class TestForwardEpe:
@@ -62,6 +78,34 @@ class TestForwardEpe:
         for T in (1, 2, 5, 10):
             rep = forward_epe(CountingSampler(inst, 0), ForwardConfig(T=T, m=1))
             assert abs(rep.estimate[0] - 1.0) <= inst.cost_inf * 0.7**T + 1e-12
+
+    @pytest.mark.parametrize("budget", [7, 64])
+    def test_walker_blocks_give_the_one_batch_floats(self, monkeypatch, budget):
+        # 37 * 5 = 185 walkers: neither budget divides it, so the last block is short.
+        inst = random_instance(S=37, p=4, alpha=0.7, seed="fw blocks")
+        expected, draws = one_batch_forward(CountingSampler(inst, 5), T=6, m=5)
+        monkeypatch.setattr(forward, "WALKER_BUDGET", budget)
+        report = forward_epe(CountingSampler(inst, 5), ForwardConfig(T=6, m=5))
+        assert report.estimate.tobytes() == expected.tobytes()
+        assert report.samples_used == draws == 37 * 5 * 5
+
+    def test_memory_is_two_walker_arrays_and_block_buffers(self):
+        # 2.4 * 10^6 walkers, about 37 blocks: one batch over all of them
+        # would hold several more walker-sized arrays at once.
+        S, m = 24_000, 100
+        inst = random_instance(S=S, p=10, alpha=0.5, seed="fw memory")
+        sampler = CountingSampler(inst, 0)
+        sampler.table.cum  # the instance table is built before tracing starts
+        tracemalloc.start()
+        try:
+            report = forward_epe(sampler, ForwardConfig(T=2, m=m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples_used == S * m
+        walkers = 2 * S * m * 8  # current (int64) and acc (float64)
+        block = forward.WALKER_BUDGET * 8
+        assert peak <= walkers + 8 * block
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation):

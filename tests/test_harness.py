@@ -31,7 +31,7 @@ from epelab import (
     validate_instance,
     write_csv,
 )
-from epelab import harness, oracles
+from epelab import harness, instances, oracles
 from epelab.harness import (
     ALGORITHM_NAMES,
     BOUND_HEADER,
@@ -481,6 +481,34 @@ class TestBoundReport:
         )
         assert row["bound"] == pytest.approx(3 * dbar / (0.15 * 0.5))
         assert row["mean_encountered"] <= 30
+
+    def test_supergraph_draw_equals_the_trial_instance(self):
+        # p = 1 leaves many rows empty on their first draw, so the redraws run too.
+        config = small_config(
+            ensembles=(
+                EnsembleSpec(S=12, p=1, alpha=0.5),
+                EnsembleSpec(S=40, p=6, alpha=0.5, cost_model="binary", H=3),
+            ),
+            trials=5,
+        )
+        for ensemble in config.ensembles:
+            for trial in range(config.trials):
+                supergraph, _ = instances.draw_supergraph(ensemble, harness.instance_seed(config, ensemble, trial))
+                instance = harness.trial_instance(config, ensemble, trial)
+                assert supergraph.avg_degree == instance.supergraph.avg_degree
+                assert supergraph.indices.tobytes() == instance.supergraph.indices.tobytes()
+
+    def test_report_generates_no_instance(self, monkeypatch):
+        config = small_config(trials=3)
+        records = run_experiment(config)
+        expected = bound_report(records, config)
+
+        def refuse(*args):
+            raise AssertionError("bound_report generated a whole instance")
+
+        monkeypatch.setattr(harness, "generate_instance", refuse)
+        monkeypatch.setattr(instances, "generate_instance", refuse)
+        assert bound_report(records, config) == expected
 
     def test_requires_backward_records(self):
         config = small_config(algorithms=(AlgorithmSpec("forward", {"T": 5, "m": 2}),), trials=1)

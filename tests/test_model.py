@@ -455,6 +455,21 @@ def searchsorted_reference(Q, states, u):
     return out
 
 
+def assert_boundary_draws_equal_reference(inst):
+    """draw_batch equals the reference for uniforms on, one ulp below and
+    one ulp above every CDF entry of every row, and at 0 and the largest
+    float below 1, all clipped to [0, 1)."""
+    table = inst.transitions
+    width = np.diff(table.indptr)
+    entry_states = np.repeat(np.arange(inst.S), width)
+    below, above = np.nextafter(table.cum, -np.inf), np.nextafter(table.cum, np.inf)
+    drawable = np.flatnonzero(width)
+    states = np.concatenate([entry_states] * 3 + [drawable] * 2)
+    u = np.concatenate([below, table.cum, above, np.zeros(drawable.size), np.full(drawable.size, 1.0)])
+    u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+    assert np.array_equal(table.draw_batch(states, u), searchsorted_reference(inst.Q, states, u))
+
+
 class TestTransitionTable:
     @pytest.fixture(scope="class")
     def mixed_rows(self):
@@ -512,6 +527,78 @@ class TestTransitionTable:
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
         expected = searchsorted_reference(mixed_rows.Q, states, u)
         assert np.array_equal(table.draw_batch(states, u), expected)
+
+    @pytest.mark.parametrize("widest", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65])
+    def test_rows_of_width_power_of_two_and_one_more(self, widest):
+        # Row r has width r + 1, so the widest row sets the pass count:
+        # at 2^k it is k, and a row of 2^k + 1 needs one pass more.
+        rng = np.random.default_rng(widest)
+        S = widest + 3
+        Q = np.zeros((S, S))
+        for r in range(S):
+            cols = rng.choice(S, size=min(r + 1, widest), replace=False)
+            Q[r, cols] = rng.random(cols.size) + 0.01
+        inst = instance_from(0.5, np.ones(S), Q)
+        assert inst.transitions._passes == (widest - 1).bit_length()
+        assert_boundary_draws_equal_reference(inst)
+
+    def test_point_mass_rows_take_no_pass(self):
+        S = 40
+        successor = np.random.default_rng(3).permutation(S)
+        Q = np.zeros((S, S))
+        Q[np.arange(S), successor] = 1.0
+        inst = instance_from(0.5, np.ones(S), Q)
+        assert inst.transitions._passes == 0
+        assert_boundary_draws_equal_reference(inst)
+        u = np.random.default_rng(4).random(1000)
+        states = np.arange(u.size) % S
+        assert np.array_equal(inst.transitions.draw_batch(states, u), successor[states])
+
+    def test_tiny_probability_leaves_equal_cdf_entries(self):
+        # A probability below half an ulp of the running sum adds nothing to
+        # it, so its entry repeats the CDF entry before it and is never drawn.
+        # Row 2's tiny entry comes first instead: only a u below 1e-20 draws it.
+        Q = np.zeros((4, 4))
+        Q[0, :3] = [0.5, 1e-20, 0.5]
+        Q[1] = [0.25, 1e-30, 1e-30, 0.75]
+        Q[2, 1:] = [1e-20, 0.5, 0.5]
+        Q[3, [0, 3]] = [1.0, 1e-25]
+        inst = instance_from(0.5, np.ones(4), Q)
+        table = inst.transitions
+        assert table.row(0)[2].tolist() == [0.5, 0.5, 1.0]
+        assert table.row(1)[2].tolist() == [0.25, 0.25, 0.25, 1.0]
+        assert table.row(2)[2].tolist() == [1e-20, 0.5, 1.0]
+        assert table.row(3)[2].tolist() == [1.0, 1.0]
+        assert_boundary_draws_equal_reference(inst)
+        assert table.draw_batch(np.array([0, 0, 1]), np.array([0.5, np.nextafter(0.5, 0.0), 0.25])).tolist() == [2, 0, 3]
+
+    def test_overshooting_cdf_is_clamped_to_one(self):
+        # Rows whose running sum ends above 1.0 before the clamp; in some,
+        # a last probability below an ulp puts the entry before it above
+        # 1.0 too, so the stored CDF falls at its end.
+        rng = np.random.default_rng(8)
+        rows = []
+        for width in (3, 4, 5, 9, 17):
+            for tiny_last in (False, True):
+                while True:
+                    q = rng.random(width)
+                    if tiny_last:
+                        q[-1] *= 1e-17
+                    cum = np.cumsum(q / q.sum())
+                    if cum[-2 if tiny_last else -1] > 1.0:
+                        rows.append(q)
+                        break
+        S = 20
+        Q = np.zeros((S, S))
+        for s, q in enumerate(rows):
+            Q[s, np.sort(rng.choice(S, size=q.size, replace=False))] = q
+        inst = instance_from(0.5, np.ones(S), Q)
+        table = inst.transitions
+        for s in range(len(rows)):
+            _, probs, cum = table.row(s)
+            assert np.cumsum(probs)[-1] > 1.0 and cum[-1] == 1.0
+        assert sum(table.row(s)[2][-2] > 1.0 for s in range(len(rows))) == 5
+        assert_boundary_draws_equal_reference(inst)
 
     def test_spawned_children_share_the_instance_table(self, mixed_rows):
         parent = CountingSampler(mixed_rows, 1)
