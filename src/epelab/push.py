@@ -41,7 +41,12 @@ Layout of the kernel:
 - Selecting a state removes its heap entry; only the tied states not
   selected go back, and the push enters the selected state's new
   residual if it is above the floor. No push leaves a stale entry of its
-  own state.
+  own state, but each update of an in-neighbor leaves that state's old
+  entry behind. When a selection finds the heap past its limit, it first
+  drops every stale entry in one sweep and sets the limit to about twice
+  the live length, so each entry is popped about once. A selection
+  depends on the live entries alone, so the sweeps move no selection,
+  tie draw or float.
 
 Tie-breaking among maximal residuals is uniform over the exact-equality
 tie set, drawn from a stream separate from the sampling stream so that
@@ -136,6 +141,11 @@ def replay_states(trace: PushTrace):
         yield k, v, r
 
 
+# A heap of at most this many entries is never swept; it keeps a small
+# heap from sweeping after every few pushes.
+_COMPACT_SLACK = 64
+
+
 class _MaxResidualHeap:
     """Lazy max-heap over the residuals above ``floor``.
 
@@ -148,12 +158,25 @@ class _MaxResidualHeap:
     present whenever the loop calls :meth:`select`, so the first valid pop
     is a true maximizer, and every state tied with it is above the floor
     too. The one state :meth:`select` hands out is re-entered by its push.
+
+    Each update of an in-neighbor leaves its previous entry behind, so
+    without a sweep the stale entries would outnumber the live ones
+    several times over. When :meth:`select` finds more than ``_limit``
+    entries, it first drops every stale one in place (``_heap`` is the
+    list the loop pushes onto), re-heapifies what is left, and sets the
+    limit to twice that length plus ``_COMPACT_SLACK``; the constructor
+    sets the first limit the same way. The sweep keeps every live entry,
+    and a selection is a function of the live entries alone (the largest
+    live value, its exact tie set, sorted, and one ``tie_rng`` draw only
+    when more than one tie is live), so no selection, tie draw or float
+    depends on when it runs.
     """
 
     def __init__(self, residual: list, floor: float):
         self._residual = residual
         self._heap = [(-v, s) for s, v in enumerate(residual) if v > floor]
         heapq.heapify(self._heap)
+        self._limit = 2 * len(self._heap) + _COMPACT_SLACK
 
     def select(self, tie_rng: np.random.Generator) -> int | None:
         """Remove and return one state of maximal residual, uniform over
@@ -166,6 +189,10 @@ class _MaxResidualHeap:
         not: its push changes its residual and enters the new value.
         """
         heap, residual, pop = self._heap, self._residual, heapq.heappop
+        if len(heap) > self._limit:
+            heap[:] = [e for e in heap if residual[e[1]] == -e[0]]
+            heapq.heapify(heap)
+            self._limit = 2 * len(heap) + _COMPACT_SLACK
         while heap:
             neg, s_k = pop(heap)
             if residual[s_k] == -neg:
