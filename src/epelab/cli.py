@@ -5,8 +5,8 @@ CSV), summarize (trial CSV -> aggregate CSV), bounds (trial CSV + config
 -> encountered-set bound table), calc (print sample-size formulas).
 
 `run` goes through its cells one after another; --seed overrides the
-config's master seed. A refused input, such as a config with an unknown
-field, prints ``epelab: <message>`` to stderr and exits with status 2.
+config's master seed. A refused input (an unknown config field, an unreadable
+file) prints ``epelab: <message>`` to stderr and exits with status 2.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Experiment runner: ensembles x algorithms x trials -> CSV.
 
 A config names one ensemble cell per size S (no two share an S), a list
-of algorithms with parameter blocks, a trial count, and a master seed. Every trial derives
+of algorithms with parameter blocks, a trial count, and a master seed;
+its JSON form is read by :func:`~epelab.model.read_fields`, the reader
+of instance documents too. Every trial derives
 its instance from (master_seed, S, trial) and every algorithm run derives
 its own sampler stream from (master_seed, S, trial, algorithm), so the
 output is a pure function of the config: the CSV is byte-identical across
@@ -30,6 +32,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -39,10 +42,8 @@ from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
 from .instances import EnsembleSpec, density_for_case, draw_supergraph, generate_instance
-from .model import CountingSampler, check_sample_count, exact_value
+from .model import CountingSampler, check_sample_count, exact_value, read_fields, read_json, read_text
 from .push import check_threshold
-
-CSV_HEADER = "S,p,algorithm,seed,samples_used,linf_error,mean_relative_error,zero_value_states,encountered_size,iterations,wall_time_ms"
 
 # The parameter keys of each algorithm: (required, optional).
 ALGORITHM_PARAMS = {
@@ -179,38 +180,12 @@ def algorithm_run(spec: AlgorithmSpec, S: int):
     return lambda sampler: backward_epe_alternative(sampler, epsilon, n)
 
 
-# The types of the fields of a config document, of an ensemble and of an
-# algorithm entry. A float field takes an int too; no field takes a bool.
-# The fields in _OPTIONAL may be left out, and one that is null reads as absent.
+# The kinds of the fields of a config, an ensemble and an algorithm entry,
+# for :func:`~epelab.model.read_fields`; those in _OPTIONAL may be left out.
 _CONFIG_FIELDS = {"master_seed": int, "trials": int, "output": str, "ensembles": list, "algorithms": list}
 _ENSEMBLE_FIELDS = {"S": int, "p": float, "alpha": float, "cost_model": str, "H": int}
 _ALGORITHM_FIELDS = {"name": str, "params": dict}
 _OPTIONAL = {"output", "cost_model", "H", "params"}
-_TYPE_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
-
-
-def _read_fields(doc, kinds: dict, where: str = "") -> dict:
-    """The fields of the JSON object ``doc`` that are set; ``where`` names
-    its place in the config ("ensembles[0]", say), "" for the top level.
-    An unknown field, a missing required one, or a value of the wrong type
-    raises :class:`ContractViolation` naming the field."""
-    at = f"{where}: " if where else ""
-    if not isinstance(doc, dict):
-        raise ContractViolation(f"{where or 'a config'} must be an object, got {doc!r}")
-    unknown = doc.keys() - kinds.keys()
-    if unknown:
-        raise ContractViolation(f"{at}config field {min(unknown)!r} is unknown; the fields are {sorted(kinds)}")
-    out = {}
-    for key, kind in kinds.items():
-        value = doc.get(key)
-        if key in _OPTIONAL and value is None:
-            continue
-        if key not in doc:
-            raise ContractViolation(f"{at}config field {key!r} is missing")
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise ContractViolation(f"{at}config field {key!r} must be {_TYPE_WORDS[kind]}, got {value!r}")
-        out[key] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -222,6 +197,9 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for name in ("ensembles", "algorithms"):
+            if not getattr(self, name):
+                raise ContractViolation(f"{name}: must not be empty")
         if self.trials < 1:
             raise ContractViolation(f"trials must be >= 1, got {self.trials}")
         # Instance streams, summaries and bound reports are keyed by S alone.
@@ -252,24 +230,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """The config of a JSON document. An unknown or missing field, or a
-        value of the wrong type (a count that is not an integer, say, or any
-        bool), raises :class:`ContractViolation` naming the field."""
-        top = _read_fields(doc, _CONFIG_FIELDS)
-        ensembles = [_read_fields(e, _ENSEMBLE_FIELDS, f"ensembles[{i}]") for i, e in enumerate(top["ensembles"])]
-        algorithms = [_read_fields(a, _ALGORITHM_FIELDS, f"algorithms[{i}]") for i, a in enumerate(top["algorithms"])]
+        """The config of a JSON document; a field that :func:`~epelab.model.read_fields`
+        refuses (unknown, missing, or of the wrong type) raises :class:`ContractViolation`."""
+        read = partial(read_fields, optional=_OPTIONAL, document="the config")
+        top = read(doc, _CONFIG_FIELDS)
+        ensembles = [read(e, _ENSEMBLE_FIELDS, f"ensembles[{i}]") for i, e in enumerate(top["ensembles"])]
+        algorithms = [read(a, _ALGORITHM_FIELDS, f"algorithms[{i}]") for i, a in enumerate(top["algorithms"])]
         top["ensembles"] = tuple(EnsembleSpec(**e) for e in ensembles)
         top["algorithms"] = tuple(AlgorithmSpec(a["name"], dict(a.get("params", {}))) for a in algorithms)
         return cls(**top)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ContractViolation(f"{path} is not JSON: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path))
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -289,6 +262,9 @@ class TrialRecord:
     encountered_size: int | None
     iterations: int
     wall_time_ms: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 def trial_metrics(estimate: np.ndarray, truth: np.ndarray, threshold: float) -> tuple:
@@ -389,24 +365,23 @@ def read_csv(path) -> list:
     """Trial records from a CSV written by :func:`write_csv`; each cell is
     parsed by the type of its :class:`TrialRecord` field."""
     parsers = {f.name: _CELL_PARSERS[f.type] for f in fields(TrialRecord)}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise ContractViolation(f"unexpected CSV header in {path}")
-        records = []
-        for row in reader:
-            # A short row's missing cells read None; a long row's extras sit under the key None.
-            if None in row or None in row.values():
-                raise ContractViolation(f"{path}, line {reader.line_num}: expected {len(parsers)} cells")
-            cells = {}
-            for name, parse in parsers.items():
-                try:
-                    cells[name] = parse(row[name])
-                except ValueError:
-                    where = f"{path}, line {reader.line_num}, column {name}"
-                    raise ContractViolation(f"{where}: cannot parse {row[name]!r}") from None
-            records.append(TrialRecord(**cells))
-        return records
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames != CSV_HEADER.split(","):
+        raise ContractViolation(f"unexpected CSV header in {path}")
+    records = []
+    for row in reader:
+        # A short row's missing cells read None; a long row's extras sit under the key None.
+        if None in row or None in row.values():
+            raise ContractViolation(f"{path}, line {reader.line_num}: expected {len(parsers)} cells")
+        cells = {}
+        for name, parse in parsers.items():
+            try:
+                cells[name] = parse(row[name])
+            except ValueError:
+                where = f"{path}, line {reader.line_num}, column {name}"
+                raise ContractViolation(f"{where}: cannot parse {row[name]!r}") from None
+        records.append(TrialRecord(**cells))
+    return records
 
 
 SUMMARY_HEADER = (

@@ -25,6 +25,9 @@ The truth, :func:`exact_value`, is value iteration with certified bounds;
 the dense solve :func:`~epelab.oracles.value_function` is the oracle it is
 tested against.
 
+Every JSON input, instance or experiment config, is read by
+:func:`read_json` and checked by :func:`read_fields`, one strict reader.
+
 States are 0-based everywhere, including on disk.
 """
 
@@ -563,58 +566,78 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
-# The words for the entry types of an instance's list fields: (plural, one entry).
-# A bool is neither an integer nor a number; numpy would read it as 0 or 1.
-_ENTRY_WORDS = {(int,): ("integers", "an integer"), (int, float): ("numbers", "a number")}
+# Each kind of field: the exact types its JSON value may take, and the words
+# for one value. A bool is none of them; numpy would read it as 0 or 1.
+_KINDS = {
+    int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string"),
+    list: ({list}, "a list"), dict: ({dict}, "an object"),
+}
 
 
-def _entries(doc: dict, key: str, types: tuple, where: str = "") -> list:
-    """``doc[key]``, refused unless present and a list whose every entry's
-    type is one of ``types`` (numpy would read a string or a null entry as
-    a float). A refusal names the first bad entry; ``where`` prefixes the
-    field's name in it ("supergraph.", say)."""
-    name = where + key
-    if key not in doc:
-        raise ContractViolation(f"{name}: missing from the instance document")
-    plural, one = _ENTRY_WORDS[types]
-    entries = doc[key]
-    if not isinstance(entries, list):
-        raise ContractViolation(f"{name}: must be a list of {plural}, got {entries!r}")
-    for i, t in enumerate(entries):
-        if type(t) not in types:
-            raise ContractViolation(f"{name}: entry {i} must be {one}, got {t!r}")
-    return entries
+def read_fields(doc, kinds: dict, where: str = "", optional=(), document: str = "the document") -> dict:
+    """The fields of the JSON object ``doc`` that are set; ``where`` is its
+    dotted path ("supergraph", "ensembles[0]"), "" for ``document`` itself.
+    ``kinds`` maps each field to ``int``, ``float`` (an int passes too),
+    ``str``, ``list`` or ``dict``, or to ``[int]`` or ``[float]`` for a list
+    of such entries. A field in ``optional`` may be left out, and reads as
+    absent if null. An unknown or missing field, or a value or entry of the
+    wrong type, raises :class:`ContractViolation` naming the field's path."""
+    if type(doc) is not dict:
+        raise ContractViolation(f"{where + ':' if where else document} must be an object, got {doc!r}")
+    at = f"{where}." if where else ""
+    unknown = doc.keys() - kinds.keys()
+    if unknown:
+        raise ContractViolation(f"{at}{min(unknown)}: unknown field; the fields are {sorted(kinds)}")
+    for key, kind in kinds.items():
+        value = doc.get(key)
+        if value is None and key in optional:
+            continue
+        if key not in doc:
+            raise ContractViolation(f"{at}{key}: missing from {document}")
+        if type(kind) is list:
+            types, one = _KINDS[kind[0]]
+            if type(value) is not list:
+                raise ContractViolation(f"{at}{key}: must be a list of {one.split()[1]}s, got {value!r}")
+            if not types.issuperset(map(type, value)):  # C speed over a million entries
+                i = next(i for i, t in enumerate(value) if type(t) not in types)
+                raise ContractViolation(f"{at}{key}: entry {i} must be {one}, got {value[i]!r}")
+        elif type(value) not in _KINDS[kind][0]:
+            raise ContractViolation(f"{at}{key}: must be {_KINDS[kind][1]}, got {value!r}")
+    return {key: value for key, value in doc.items() if value is not None}  # no kind admits null
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, line ends untranslated; an
+    unreadable file raises :class:`ContractViolation` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ContractViolation(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; one that :func:`read_text`
+    refuses, or that is not JSON, raises :class:`ContractViolation` naming the path."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ContractViolation(f"{path} is not JSON: {exc}") from None
+
+
+_INSTANCE_FIELDS = {"S": int, "alpha": float, "cost": [float], "supergraph": dict, "q_values": [float]}
+_SUPERGRAPH_FIELDS = {"indptr": [int], "indices": [int]}
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
-    """Inverse of :func:`instance_to_dict`. A document or a ``supergraph``
-    that is not an object, a missing field, an ``S`` that is not an integer
-    or an ``alpha`` that is not a number (a bool is neither), a malformed
-    CSR field, an index or pointer entry that is not an integer, a ``cost``
-    or ``q_values`` entry that is not a number, a field of the older form
-    that kept Q's own index pair, or any refusal of the
-    :class:`ProblemInstance` constructor raises :class:`ContractViolation`
-    naming the field. So does an instance that :func:`validate_instance`
-    rejects; the message names its first violation."""
-    if not isinstance(doc, dict):
-        raise ContractViolation(f"the instance document must be an object, got {doc!r}")
-    for key in ("q_indptr", "q_indices"):
-        if key in doc:
-            raise ContractViolation(f"{key}: no longer read; Q is stored as q_values on the supergraph's edges")
-    missing = [key for key in ("S", "alpha", "cost", "supergraph", "q_values") if key not in doc]
-    if missing:
-        raise ContractViolation(f"{missing[0]}: missing from the instance document")
-    S, alpha, graph = doc["S"], doc["alpha"], doc["supergraph"]
-    if type(S) is not int:
-        raise ContractViolation(f"S: must be an integer, got {S!r}")
-    if type(alpha) not in (int, float):
-        raise ContractViolation(f"alpha: must be a number, got {alpha!r}")
-    if not isinstance(graph, dict):
-        raise ContractViolation(f"supergraph: must be an object, got {graph!r}")
-    indptr, indices = (_entries(graph, key, (int,), "supergraph.") for key in ("indptr", "indices"))
-    sg = Supergraph(S, indptr, indices)
-    cost, q_values = (_entries(doc, key, (int, float)) for key in ("cost", "q_values"))
-    instance = ProblemInstance(S, float(alpha), cost, sg, q_values)
+    """Inverse of :func:`instance_to_dict`. A document that :func:`read_fields`
+    refuses, a malformed CSR field, a refusal of the :class:`ProblemInstance`
+    constructor, or an instance that :func:`validate_instance` rejects raises
+    :class:`ContractViolation` naming the field or the first violation."""
+    top = read_fields(doc, _INSTANCE_FIELDS, document="the instance document")
+    graph = read_fields(top["supergraph"], _SUPERGRAPH_FIELDS, "supergraph", document="the instance document")
+    sg = Supergraph(top["S"], graph["indptr"], graph["indices"])
+    instance = ProblemInstance(top["S"], float(top["alpha"]), top["cost"], sg, top["q_values"])
     violations = validate_instance(instance)
     if violations:
         raise ContractViolation(f"invalid instance: {violations[0]}")
@@ -627,5 +650,4 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(read_json(path))

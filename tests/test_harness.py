@@ -298,43 +298,63 @@ class TestRunExperiment:
 
     def test_ensemble_without_alpha_is_refused(self):
         doc = dict(small_config().to_dict(), ensembles=[{"S": 20, "p": 4}])
-        with pytest.raises(ContractViolation, match="config field 'alpha' is missing"):
+        with pytest.raises(ContractViolation, match=r"^ensembles\[0\]\.alpha: missing from the config$"):
             ExperimentConfig.from_dict(doc)
 
     # One row per refusal: (path to the edited entry of a valid config
-    # document, its new value, the field the message names).
+    # document, its new value, the start of the message, which names the
+    # field by its dotted path).
     @pytest.mark.parametrize(
-        "path, value, field",
+        "path, value, message",
         [
-            (("ensembles", 0, "cost_modle"), "binary", "cost_modle"),
-            (("trails",), 3, "trails"),
-            (("trials",), 2.7, "trials"),
-            (("ensembles", 0, "S"), 20.5, "S"),
-            (("trials",), "x", "trials"),
-            (("ensembles", 0, "S"), "x", "S"),
-            (("ensembles", 0, "alpha"), "x", "alpha"),
-            (("ensembles", 0, "H"), "x", "H"),
-            (("algorithms", 0, "params"), [0.2, 5], "params"),
-            (("ensembles",), {"S": 12, "p": 4, "alpha": 0.5}, "ensembles"),
-            (("trials",), True, "trials"),
-            (("ensembles", 0, "S"), False, "S"),
-            # The field, then the algorithm listed a second time.
+            (("ensembles", 0, "cost_modle"), "binary", "ensembles[0].cost_modle: unknown field; the fields are ['H', "),
+            (("trails",), 3, "trails: unknown field"),
+            (("trials",), 2.7, "trials: must be an integer, got 2.7"),
+            (("ensembles", 0, "S"), 20.5, "ensembles[0].S: must be an integer, got 20.5"),
+            (("trials",), "x", "trials: must be an integer, got 'x'"),
+            (("ensembles", 0, "S"), "x", "ensembles[0].S: must be an integer, got 'x'"),
+            (("ensembles", 0, "alpha"), "x", "ensembles[0].alpha: must be a number, got 'x'"),
+            (("ensembles", 0, "H"), "x", "ensembles[0].H: must be an integer, got 'x'"),
+            (("algorithms", 0, "params"), [0.2, 5], "algorithms[0].params: must be an object, got [0.2, 5]"),
+            (("ensembles",), {"S": 12, "p": 4, "alpha": 0.5}, "ensembles: must be a list, got {"),
+            (("ensembles", 0), [12, 4, 0.5], "ensembles[0]: must be an object, got [12, 4, 0.5]"),
+            (("trials",), True, "trials: must be an integer, got True"),
+            (("ensembles", 0, "S"), False, "ensembles[0].S: must be an integer, got False"),
+            (("master_seed",), None, "master_seed: must be an integer, got None"),
+            # An algorithm listed a second time.
             (
                 ("algorithms", 1),
                 {"name": "backward", "params": {"epsilon": 0.05, "n": 5}},
-                "algorithms' lists 'backward",
+                "config field 'algorithms' lists 'backward' more than once",
             ),
         ],
     )
-    def test_malformed_config_is_refused_naming_the_field(self, path, value, field):
+    def test_malformed_config_is_refused_naming_the_field(self, path, value, message):
         doc = small_config().to_dict()
         *parents, key = path
         entry = doc
         for step in parents:
             entry = entry[step]
         entry[key] = value
-        with pytest.raises(ContractViolation, match=f"config field '{field}'"):
+        with pytest.raises(ContractViolation, match="^" + re.escape(message)):
             ExperimentConfig.from_dict(doc)
+
+    def test_a_null_optional_field_reads_as_absent(self):
+        doc = small_config().to_dict()
+        doc["ensembles"][0].update(cost_model=None, H=None)
+        doc["algorithms"][0]["params"] = None
+        with pytest.raises(ContractViolation, match="^backward needs the parameter 'epsilon'$"):
+            ExperimentConfig.from_dict(doc)
+        del doc["algorithms"][0]
+        assert ExperimentConfig.from_dict(doc) == small_config(algorithms=small_config().algorithms[1:])
+
+    @pytest.mark.parametrize("field", ["ensembles", "algorithms"])
+    def test_an_empty_list_is_refused(self, field):
+        # A run of it would write a header-only CSV that summarize refuses.
+        with pytest.raises(ContractViolation, match=f"^{field}: must not be empty$"):
+            small_config(**{field: ()})
+        with pytest.raises(ContractViolation, match=f"^{field}: must not be empty$"):
+            ExperimentConfig.from_dict(dict(small_config().to_dict(), **{field: []}))
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -552,12 +572,31 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         res = self.run_cli("run", "--config", str(cfg_path))
         assert res.returncode == 2
-        assert res.stderr.startswith("epelab: ") and "'cost_modle'" in res.stderr
+        assert res.stderr.startswith("epelab: ensembles[0].cost_modle: unknown field")
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
         cfg_path.write_text(json.dumps(cfg)[:-1])
         res = self.run_cli("run", "--config", str(cfg_path))
         assert res.returncode == 2 and "is not JSON" in res.stderr and "Traceback" not in res.stderr
+
+    def test_unreadable_input_exits_2_naming_the_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(cfg_path.read_bytes().replace(b"backward", b"r\xe9tro", 1))
+        missing = tmp_path / "missing"
+        cases = [
+            (("run", "--config", missing), f"cannot read {missing}: No such file or directory"),
+            (("run", "--config", tmp_path), f"cannot read {tmp_path}: Is a directory"),
+            (("run", "--config", latin), f"cannot read {latin}: 'utf-8' codec can't decode byte 0xe9"),
+            (("summarize", "--csv", missing), f"cannot read {missing}: No such file or directory"),
+            (("bounds", "--csv", missing, "--config", cfg_path), f"cannot read {missing}: No such file or directory"),
+        ]
+        for args, message in cases:
+            res = self.run_cli(*map(str, args))
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.startswith(f"epelab: {message}"), res.stderr
+            assert "Traceback" not in res.stderr and res.stdout == ""
 
     def test_threads_flag_is_refused(self, tmp_path):
         # Cells run serially; the worker-count flag is gone, not ignored.

@@ -751,6 +751,9 @@ class TestSerialization:
         ("supergraph", None, "indptr indices", "^supergraph: must be an object, got 'indptr indices'$"),
         ("supergraph", None, [0, 1], r"^supergraph: must be an object, got \[0, 1\]$"),
         ("supergraph.indptr", None, 4, "^supergraph.indptr: must be a list of integers, got 4$"),
+        # Fields that no reader would look at.
+        ("costs", None, [1.0, 1.0, 0.0], r"^costs: unknown field; the fields are \['S', 'alpha', 'cost', 'q_values', 'supergraph'\]$"),
+        ("supergraph.weights", None, [1.0] * 5, r"^supergraph.weights: unknown field; the fields are \['indices', 'indptr'\]$"),
     ]
 
     @pytest.mark.parametrize("field,position,value,message", MALFORMED, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in MALFORMED])
@@ -810,6 +813,19 @@ class TestSerialization:
         doc[field] = doc["supergraph"][field[2:]]
         with pytest.raises(ContractViolation, match=f"^{field}: "):
             instance_from_dict(doc)
+
+    def test_load_instance_refuses_an_unreadable_file_naming_it(self, tmp_path):
+        path = tmp_path / "instance.json"
+        with pytest.raises(ContractViolation, match=f"^cannot read {re.escape(str(path))}: No such file or directory$"):
+            model.load_instance(path)
+        model.save_instance(instance_from(0.5, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]), path)
+        text = path.read_text()
+        path.write_text(text[:-1])
+        with pytest.raises(ContractViolation, match=f"^{re.escape(str(path))} is not JSON: "):
+            model.load_instance(path)
+        path.write_bytes(b"\xff" + text.encode())
+        with pytest.raises(ContractViolation, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec can't decode"):
+            model.load_instance(path)
 
     def test_each_construction_checks_the_csr_pair_once(self, monkeypatch):
         calls = []
