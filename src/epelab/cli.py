@@ -6,7 +6,8 @@ CSV), summarize (trial CSV -> aggregate CSV), bounds (trial CSV + config
 
 `run` goes through its cells one after another; --seed overrides the
 config's master seed. A refused input (an unknown config field, an unreadable
-file) prints ``epelab: <message>`` to stderr and exits with status 2.
+file) or an output file that cannot be written prints ``epelab: <message>``
+to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .harness import (
     table_to_csv,
 )
 from .instances import EnsembleSpec, generate_instance
-from .model import save_instance
+from .model import save_instance, write_text
 
 
 def _cmd_generate(args) -> int:
@@ -43,8 +44,7 @@ def _cmd_generate(args) -> int:
 def _write_or_print(text: str, out, what: str) -> None:
     """Write ``text`` to the file ``out`` and say so, or print it if no file is named."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(out, text)
         print(f"wrote {what} to {out}")
     else:
         sys.stdout.write(text)

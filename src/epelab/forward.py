@@ -7,10 +7,12 @@ draws; the start state of each trajectory is given, not drawn.
 
 The S * m walkers keep their states and running sums in two arrays of
 that length, and take each step in consecutive blocks of at most
-``WALKER_BUDGET`` walkers (:mod:`epelab.model`), so every temporary of a
-step is block-sized. Consecutive blocks read consecutive uniforms of the
+``FORWARD_BLOCK`` walkers, so every temporary of a step is block-sized.
+The block is forward's own, chosen by measurement (see its comment); the
+walk stage of bidirectional runs keeps ``WALKER_BUDGET``, which is part
+of its stream layout. Consecutive blocks read consecutive uniforms of the
 sampler's stream, so the draws and floats are those of one batch over
-all walkers.
+all walkers, whatever the block size.
 """
 
 from __future__ import annotations
@@ -21,7 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import WALKER_BUDGET, CountingSampler, EstimateReport
+from .model import CountingSampler, EstimateReport
+
+# Walkers moved together in one step, chosen by measurement. Each of a
+# step's temporaries (the uniforms, the search's positions, candidates,
+# gathers and mask, the cost gather and the product) is then 128 KB, so a
+# step's set of them fits in a 2 MB L2 and the allocator reuses their
+# memory from block to block, where blocks of 2**16 (0.5 MB temporaries)
+# were returned to the system and faulted in again every step. On the
+# forward_wide shape (S=1600, m=80, T=15; 2-core Xeon, numpy 2.4) a call
+# faults in about 600 pages, against about 17,200 at 2**16, 725 at 2**15
+# and 470 at 2**12, and takes the least CPU time of those sizes: about 0.6
+# of 2**16's. Smaller blocks pay more per-step overhead than they save.
+FORWARD_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,7 @@ def forward_epe(sampler: CountingSampler, config: ForwardConfig) -> EstimateRepo
 
     current = np.repeat(np.arange(S, dtype=np.int64), m)
     acc = np.empty(current.size)
-    blocks = [slice(lo, lo + WALKER_BUDGET) for lo in range(0, current.size, WALKER_BUDGET)]
+    blocks = [slice(lo, lo + FORWARD_BLOCK) for lo in range(0, current.size, FORWARD_BLOCK)]
     for b in blocks:
         acc[b] = (1.0 - alpha) * cost[current[b]]
     scale = 1.0

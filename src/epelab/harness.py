@@ -42,7 +42,7 @@ from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
 from .instances import EnsembleSpec, density_for_case, draw_supergraph, generate_instance
-from .model import CountingSampler, check_sample_count, exact_value, read_fields, read_json, read_text
+from .model import CountingSampler, check_sample_count, exact_value, read_fields, read_json, read_text, write_text
 from .push import check_threshold
 
 # The parameter keys of each algorithm: (required, optional).
@@ -245,8 +245,7 @@ class ExperimentConfig:
         return cls.from_dict(read_json(path))
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_text(path, json.dumps(self.to_dict(), indent=2))
 
 
 @dataclass
@@ -354,8 +353,7 @@ def records_to_csv(records) -> str:
 
 
 def write_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(records_to_csv(records))
+    write_text(path, records_to_csv(records))
 
 
 _CELL_PARSERS = {"int": int, "float": float, "str": str, "int | None": lambda cell: int(cell) if cell else None}

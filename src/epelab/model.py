@@ -45,10 +45,12 @@ from .rng import as_entropy, derive_entropy, make_rng
 
 ROW_SUM_TOL = 1e-12
 DENSE_ORACLE_MAX_S = 1000  # the dense S x S oracles refuse larger S (8 MB per float matrix)
-# Walkers moved together in one block, by forward runs and by the walk stage
-# of bidirectional runs. A block's temporaries are arrays of at most
-# WALKER_BUDGET entries (0.5 MB each), so their memory stays bounded however
-# large S grows.
+# Walkers moved together in one block by the walk stage of bidirectional
+# runs. A block's temporaries are arrays of at most WALKER_BUDGET entries
+# (0.5 MB each), so their memory stays bounded however large S grows. The
+# value is part of the walk stage's stream layout: a block's walk lengths
+# are one vector of uniforms, so another value moves its draws. Forward
+# runs step in blocks of their own, ``forward.FORWARD_BLOCK``.
 WALKER_BUDGET = 1 << 16
 
 
@@ -339,18 +341,18 @@ class ProblemInstance:
         return TransitionTable(indptr, self.supergraph.indices[keep], probs)
 
     @cached_property
-    def in_edge_probs(self) -> np.ndarray:
+    def in_edge_probs(self) -> tuple:
         """The table's probability on every supergraph edge in transpose
         order (t's in-edges at ``colptr[t]:colptr[t + 1]``): 0.0 where Q is
-        not positive, NaN out of an all-zero row. Built on first use; read-only."""
+        not positive, NaN out of an all-zero row. A tuple of Python floats,
+        built on first use, so the column channel draws from it without
+        numpy's per-call array checks."""
         table = self.transitions
         probs = np.zeros(self.q_values.size)
         probs[self.q_values > 0] = table.probs
         empty = np.diff(table.indptr) == 0
         probs[np.repeat(empty, np.diff(self.supergraph.indptr))] = np.nan
-        probs = probs[self.supergraph.transpose[1]]
-        probs.setflags(write=False)
-        return probs
+        return tuple(probs[self.supergraph.transpose[1]].tolist())
 
     @property
     def cost_inf(self) -> float:
@@ -529,20 +531,21 @@ class CountingSampler:
     def sample_empirical_column(self, t: int, n: int) -> dict:
         """Estimate Q(s, t) for each in-neighbor s of t from n fresh draws of
         its row; counts n samples per in-neighbor. Entry t of a multinomial
-        row is Binomial(n, Q(s, t)), so this is one ``binomial`` call over
-        :attr:`ProblemInstance.in_edge_probs`. Returns {s: hits / n}, ascending."""
+        row is Binomial(n, Q(s, t)), so this is one scalar ``binomial`` call
+        per in-edge, in order, over :attr:`ProblemInstance.in_edge_probs`:
+        the draws of one vector call over them. Returns {s: hits / n}, ascending."""
         check_sample_count(n)
         self._check_state(t)
         colptr, _, sources = self.instance.supergraph.transpose
         lo, hi = colptr[t], colptr[t + 1]
         probs = self.instance.in_edge_probs[lo:hi]
-        try:
-            hits = self.rng.binomial(n, probs)
-        except ValueError:  # a NaN marks an edge out of an all-zero row; nothing was drawn
-            s = sources[lo + int(np.argmax(np.isnan(probs)))]
-            raise ContractViolation(f"state {s} has an all-zero transition row") from None
+        if math.isnan(sum(probs)):  # a NaN marks an edge out of an all-zero row; refused before any draw
+            s = sources[lo + next(i for i, q in enumerate(probs) if math.isnan(q))]
+            raise ContractViolation(f"state {s} has an all-zero transition row")
+        binomial = self.rng.binomial
+        column = {s: binomial(n, q) / n for s, q in zip(sources[lo:hi], probs)}
         self.draw_count += n * (hi - lo)
-        return {s: h / n for s, h in zip(sources[lo:hi], hits.tolist())}
+        return column
 
     def derive(self, *labels) -> np.random.Generator:
         """Independent auxiliary stream tied to this sampler's seed."""
@@ -616,6 +619,16 @@ def read_text(path) -> str:
         raise ContractViolation(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8, line ends untranslated;
+    a file that cannot be written raises :class:`ContractViolation` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ContractViolation(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def read_json(path):
     """The JSON document in the file at ``path``; one that :func:`read_text`
     refuses, or that is not JSON, raises :class:`ContractViolation` naming the path."""
@@ -645,8 +658,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(instance_to_dict(instance)))  # json.dump would skip the C encoder
+    write_text(path, json.dumps(instance_to_dict(instance)))  # json.dump would skip the C encoder
 
 
 def load_instance(path) -> ProblemInstance:

@@ -79,18 +79,28 @@ class TestForwardEpe:
             rep = forward_epe(CountingSampler(inst, 0), ForwardConfig(T=T, m=1))
             assert abs(rep.estimate[0] - 1.0) <= inst.cost_inf * 0.7**T + 1e-12
 
-    @pytest.mark.parametrize("budget", [7, 64])
-    def test_walker_blocks_give_the_one_batch_floats(self, monkeypatch, budget):
-        # 37 * 5 = 185 walkers: neither budget divides it, so the last block is short.
-        inst = random_instance(S=37, p=4, alpha=0.7, seed="fw blocks")
-        expected, draws = one_batch_forward(CountingSampler(inst, 5), T=6, m=5)
-        monkeypatch.setattr(forward, "WALKER_BUDGET", budget)
-        report = forward_epe(CountingSampler(inst, 5), ForwardConfig(T=6, m=5))
+    @pytest.mark.parametrize(
+        "budget, S, m",
+        [(7, 37, 5), (64, 37, 5), (None, 127, 129), (None, 128, 128), (None, 113, 145)],
+        ids=["7", "64", "block-1", "block", "block+1"],
+    )
+    def test_walker_blocks_give_the_one_batch_floats(self, monkeypatch, budget, S, m):
+        # 37 * 5 = 185 walkers: neither budget divides it, so the last block is
+        # short. The others run forward's own block on 2**14 - 1, 2**14 and
+        # 2**14 + 1 walkers: one short block, one full block, and a full block
+        # followed by a block of one walker.
+        inst = random_instance(S=S, p=4, alpha=0.7, seed="fw blocks")
+        expected, draws = one_batch_forward(CountingSampler(inst, 5), T=6, m=m)
+        if budget is None:
+            assert forward.FORWARD_BLOCK == 1 << 14
+        else:
+            monkeypatch.setattr(forward, "FORWARD_BLOCK", budget)
+        report = forward_epe(CountingSampler(inst, 5), ForwardConfig(T=6, m=m))
         assert report.estimate.tobytes() == expected.tobytes()
-        assert report.samples_used == draws == 37 * 5 * 5
+        assert report.samples_used == draws == S * m * 5
 
     def test_memory_is_two_walker_arrays_and_block_buffers(self):
-        # 2.4 * 10^6 walkers, about 37 blocks: one batch over all of them
+        # 2.4 * 10^6 walkers, about 147 blocks: one batch over all of them
         # would hold several more walker-sized arrays at once.
         S, m = 24_000, 100
         inst = random_instance(S=S, p=10, alpha=0.5, seed="fw memory")
@@ -104,7 +114,7 @@ class TestForwardEpe:
             tracemalloc.stop()
         assert report.samples_used == S * m
         walkers = 2 * S * m * 8  # current (int64) and acc (float64)
-        block = forward.WALKER_BUDGET * 8
+        block = forward.FORWARD_BLOCK * 8
         assert peak <= walkers + 8 * block
 
     def test_config_validation(self):

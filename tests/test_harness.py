@@ -598,6 +598,26 @@ class TestCli:
             assert res.stderr.startswith(f"epelab: {message}"), res.stderr
             assert "Traceback" not in res.stderr and res.stdout == ""
 
+    def test_unwritable_output_exits_2_naming_the_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
+        csv_path = tmp_path / "out.csv"
+        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(csv_path)).returncode == 0
+        out = tmp_path / "missing" / "out"
+        cases = [
+            ("generate", "--S", "8", "--p", "3", "--alpha", "0.5", "--seed", "4", "--out", out),
+            ("run", "--config", cfg_path, "--out", out),
+            ("summarize", "--csv", csv_path, "--out", out),
+            ("bounds", "--csv", csv_path, "--config", cfg_path, "--out", out),
+        ]
+        for args in cases:
+            res = self.run_cli(*map(str, args))
+            assert res.returncode == 2, res.stderr
+            assert res.stderr == f"epelab: cannot write {out}: No such file or directory\n"
+            assert res.stdout == ""
+        res = self.run_cli("summarize", "--csv", str(csv_path), "--out", str(tmp_path))
+        assert res.returncode == 2 and res.stderr == f"epelab: cannot write {tmp_path}: Is a directory\n"
+
     def test_threads_flag_is_refused(self, tmp_path):
         # Cells run serially; the worker-count flag is gone, not ignored.
         cfg_path = tmp_path / "cfg.json"

@@ -309,22 +309,27 @@ class TestCountingSampler:
         assert [child_a.sample_next(1) for _ in range(20)] == [child_b.sample_next(1) for _ in range(20)]
 
 
+def column_instance():
+    """Column 2: states 0, 1, 2 and 4 lead to it, state 3 has an edge to it
+    that carries 0.0, state 1 is a degree-1 row, and state 4 reaches it with
+    probability 0.7."""
+    Q = np.array(
+        [
+            [0.0, 0.2, 0.5, 0.3, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.4, 0.0, 0.1, 0.0, 0.5],
+            [0.6, 0.0, 0.0, 0.0, 0.4],
+            [0.0, 0.0, 0.7, 0.3, 0.0],
+        ]
+    )
+    mask = Q != 0
+    mask[3, 2] = True
+    return instance_from(0.5, [1.0] * 5, Q, Supergraph.from_mask(mask))
+
+
 class TestEmpiricalColumn:
     def test_zero_edge_and_degree_one_row_are_exact(self):
-        # Column 2: states 0, 1, 2 and 4 lead to it, state 3 has an edge to
-        # it that carries 0.0, and state 1 is a degree-1 row.
-        Q = np.array(
-            [
-                [0.0, 0.2, 0.5, 0.3, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0],
-                [0.4, 0.0, 0.1, 0.0, 0.5],
-                [0.6, 0.0, 0.0, 0.0, 0.4],
-                [0.0, 0.0, 0.7, 0.3, 0.0],
-            ]
-        )
-        mask = Q != 0
-        mask[3, 2] = True
-        sampler = CountingSampler(instance_from(0.5, [1.0] * 5, Q, Supergraph.from_mask(mask)), 11)
+        sampler = CountingSampler(column_instance(), 11)
         for n in (1, 3, 7, 50):
             for _ in range(10):
                 before = sampler.draw_count
@@ -354,7 +359,23 @@ class TestEmpiricalColumn:
             fourth = n * q * (1.0 - q) * (1.0 + 3.0 * (n - 2) * q * (1.0 - q)) / n**4
             assert np.all(np.abs(draws.mean(axis=0) - q) <= 5.0 * np.sqrt(var / reps) + 1e-12)
             assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 5.0 * np.sqrt((fourth - var**2) / reps) + 1e-12)
-        assert not inst.in_edge_probs.flags.writeable
+        assert type(inst.in_edge_probs) is tuple
+
+    @pytest.mark.parametrize("n", [1, 20, 1000, 10**6])
+    def test_columns_and_the_stream_after_equal_one_vector_call(self, n):
+        # One scalar binomial per in-edge reads the stream as one vector call
+        # over the column does, for p = 0, p = 1, p > 0.5 and n past the
+        # inversion sampler's range; the uniforms after the columns agree too.
+        for inst in (column_instance(), random_instance(S=30, p=4, alpha=0.5, seed="colstream")):
+            sampler, reference = CountingSampler(inst, 7), CountingSampler(inst, 7).rng
+            colptr, _, sources = inst.supergraph.transpose
+            probs = np.array(inst.in_edge_probs)
+            for t in list(range(inst.S)) * 2:
+                lo, hi = colptr[t], colptr[t + 1]
+                column = sampler.sample_empirical_column(t, n)
+                assert list(column) == sources[lo:hi]
+                assert list(column.values()) == (reference.binomial(n, probs[lo:hi]) / n).tolist()
+            assert sampler.rng.random(4).tolist() == reference.random(4).tolist()
 
     def test_out_of_range_target_or_bad_count_refused_before_any_draw(self, two_cycle):
         a, b = CountingSampler(two_cycle, 5), CountingSampler(two_cycle, 5)
@@ -371,6 +392,8 @@ class TestEmpiricalColumn:
         with pytest.raises(ContractViolation, match="state 1 has an all-zero"):
             sampler.sample_empirical_column(0, 5)
         assert sampler.draw_count == 0
+        # State 0's edge comes first in column 0, and its draw was not made either.
+        assert sampler.rng.random() == CountingSampler(inst, 0).rng.random()
 
 
 def out_rows(sg):
