@@ -31,22 +31,33 @@ Layout of the kernel:
   vector of binomials (the law of that entry of a multinomial row) and
   draws nothing else.
 - The loop stops before it selects a state whose residual is at or
-  below ``floor = max(epsilon, NEGLIGIBLE_RESIDUAL * ||c||_inf)``, so the
-  max-heap keeps an entry only for a residual above that floor. When the
-  heap runs empty, one scan of the residual names the stop reason.
+  below ``floor = max(epsilon, NEGLIGIBLE_RESIDUAL * ||c||_inf)``, so no
+  such residual is kept anywhere. When the heap finds nothing above the
+  floor, one scan of the residual names the stop reason.
+- The max-heap holds only what a coming selection can need. It takes a
+  residual only above a level theta, which starts at ``_BAND`` times the
+  largest cost; a residual in (floor, theta] is appended to a plain
+  pending list. When the heap and the tie group (below) both run dry,
+  one pass dedupes the list, lowers theta to ``_BAND`` times the largest
+  pending residual and moves everything above it into the heap.
 - One pass over the pushed state's column updates the residuals and
-  pushes each new value above the floor straight onto the heap. An
-  in-neighbor whose column entry is exactly 0.0 keeps its residual, so
-  it is not re-entered: its live entry, if any, is still valid.
-- Selecting a state removes its heap entry; only the tied states not
-  selected go back, and the push enters the selected state's new
-  residual if it is above the floor. No push leaves a stale entry of its
-  own state, but each update of an in-neighbor leaves that state's old
+  enters each new value in the heap or the pending list. The pushed
+  state's residual is cleared first, so its own entry needs no special
+  case. An in-neighbor whose column entry is exactly 0.0 keeps its
+  residual, so it is not re-entered: its heap entry or pending place, if
+  any, still stands.
+- Selecting a state removes its heap entry, and the push enters its new
+  residual. After a tied selection, the ties not selected wait outside
+  the heap as one sorted group with their value, so a tie set is popped
+  once, not at every selection. The group is chosen while its value is
+  at least the heap's live top, with any heap entries of exactly that
+  value merged in; a member selected through the heap leaves it. Each
+  update of an in-neighbor above theta leaves that state's old heap
   entry behind. When a selection finds the heap past its limit, it first
   drops every stale entry in one sweep and sets the limit to about twice
   the live length, so each entry is popped about once. A selection
-  depends on the live entries alone, so the sweeps move no selection,
-  tie draw or float.
+  depends on the live residuals alone, so neither the sweeps nor theta
+  move a selection, tie draw or float.
 
 Tie-breaking among maximal residuals is uniform over the exact-equality
 tie set, drawn from a stream separate from the sampling stream so that
@@ -67,6 +78,7 @@ sampler and hands it to :meth:`PushOutcome.report`, which builds the
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -145,48 +157,105 @@ def replay_states(trace: PushTrace):
 # heap from sweeping after every few pushes.
 _COMPACT_SLACK = 64
 
+# The heap takes a residual only above theta, which starts at, and is reset
+# to, this share of the largest residual outside the heap; the rest wait in
+# a list until the heap runs dry. On exact rows at S=800, alpha 0.9,
+# epsilon 10/S (TestHeapBand's instance), taking every residual above the
+# floor made 4.37 heap pushes per push and reached 968 entries, most of
+# them superseded before any selection reached them; at 0.8 the heap takes
+# 1.66 pushes plus 0.19 refill moves per push and holds at most 365, and
+# it is refilled 17 times in 3581 pushes. On push_rows-shaped runs (three
+# S=3200 instances, 12 alternating repeats on a shared 2-core host) the
+# fastest run took 1.65 s of CPU at 0, 1.43 s at 0.5, 1.33 s at 0.8 and
+# 1.46 s at 0.95; the medians spread too widely to rank 0.5 to 0.95. At 0
+# it is the floor-only heap. It must lie in [0, 1).
+_BAND = 0.8
+
 
 class _MaxResidualHeap:
-    """Lazy max-heap over the residuals above ``floor``.
+    """Lazy max-heap over the residuals above ``theta``, with the ones in
+    (``floor``, ``theta``] pending in a list and the unselected ties of the
+    last tied selection waiting as one group.
 
     Entries are never deleted on update; instead each residual change
-    pushes a fresh entry and stale ones are discarded when popped (stale
+    enters a fresh entry and stale ones are discarded when popped (stale
     means the stored value no longer equals the live residual). The loop
     never selects a residual at or below ``floor``, so no such value gets
-    an entry: the caller pushes a new residual onto ``_heap`` only if it
-    is above the floor. Every live residual above the floor has an entry
-    present whenever the loop calls :meth:`select`, so the first valid pop
-    is a true maximizer, and every state tied with it is above the floor
-    too. The one state :meth:`select` hands out is re-entered by its push.
+    an entry anywhere. The caller reads :attr:`theta` after each
+    :meth:`select` and enters each new residual: onto ``_heap`` if it is
+    above ``theta``, else onto ``_pending`` if it is above the floor.
 
-    Each update of an in-neighbor leaves its previous entry behind, so
-    without a sweep the stale entries would outnumber the live ones
-    several times over. When :meth:`select` finds more than ``_limit``
-    entries, it first drops every stale one in place (``_heap`` is the
-    list the loop pushes onto), re-heapifies what is left, and sets the
-    limit to twice that length plus ``_COMPACT_SLACK``; the constructor
-    sets the first limit the same way. The sweep keeps every live entry,
-    and a selection is a function of the live entries alone (the largest
-    live value, its exact tie set, sorted, and one ``tie_rng`` draw only
-    when more than one tie is live), so no selection, tie draw or float
-    depends on when it runs.
+    Three invariants hold whenever the loop calls :meth:`select`:
+
+    - Residuals only fall for the pushed state, and ``theta`` only falls.
+    - So every live residual above ``theta`` has a live entry in ``_heap``
+      or sits in ``_group``, and every residual in (``floor``, ``theta``]
+      has its state in ``_pending``.
+    - Therefore the top of the heap or the group is the true maximum, and
+      its tie set, sorted, is the tie set of a full scan; the same one
+      ``tie_rng`` draw is made, only when more than one tie is live.
+
+    The group holds, sorted, the states of value ``_group_value`` that a
+    tied selection did not take. A member's residual can only rise, and a
+    risen member has a live heap entry above the group's value; a member
+    selected through the heap leaves the group. So when the group's value
+    is at least the heap's live top, every member is live; the heap's live
+    entries of exactly that value are merged in, and the draw is made from
+    the group, which pops no heap entry for the states it holds.
+
+    When the heap and the group both run dry, one pass dedupes
+    ``_pending``, sets ``theta`` to ``_BAND`` times the largest pending
+    residual above the floor (or to the floor, should that not fall below
+    it) and moves every residual above the new ``theta`` into the heap; the
+    constructor fills the heap the same way from every state above the
+    floor.
+
+    Each update of an in-neighbor above ``theta`` leaves its previous heap
+    entry behind. When :meth:`select` finds more than ``_limit`` entries,
+    it first drops every stale one in place (``_heap`` is the list the loop
+    pushes onto), re-heapifies what is left, and sets the limit to twice
+    that length plus ``_COMPACT_SLACK``; each refill sets the limit the
+    same way. The sweep keeps every live entry, and a selection is a
+    function of the live residuals alone, so no selection, tie draw or
+    float depends on when it runs.
     """
 
     def __init__(self, residual: list, floor: float):
-        self._residual = residual
-        self._heap = [(-v, s) for s, v in enumerate(residual) if v > floor]
-        heapq.heapify(self._heap)
-        self._limit = 2 * len(self._heap) + _COMPACT_SLACK
+        self._residual, self._floor = residual, floor
+        self._heap: list = []
+        self._pending: list = []
+        self._group: list = []
+        self._group_value = 0.0
+        self._refill([s for s, v in enumerate(residual) if v > floor])
+
+    def _refill(self, states) -> None:
+        """Set ``theta`` from the residuals of ``states`` (distinct), enter
+        those above it in the heap and keep those in (floor, theta] pending."""
+        residual, floor = self._residual, self._floor
+        values = list(map(residual.__getitem__, states))
+        top = max(values, default=floor)
+        theta = _BAND * top
+        if not floor <= theta < top:
+            theta = floor
+        self.theta = theta
+        heap = self._heap
+        heap[:] = [(-v, s) for s, v in zip(states, values) if v > theta]
+        heapq.heapify(heap)
+        self._pending[:] = [s for s, v in zip(states, values) if floor < v <= theta]
+        self._limit = 2 * len(heap) + _COMPACT_SLACK
 
     def select(self, tie_rng: np.random.Generator) -> int | None:
         """Remove and return one state of maximal residual, uniform over
         the exact-equality tie set, or None once no residual above the
         floor is left; ``tie_rng`` is drawn only when there is a tie.
 
-        Stale entries are popped until a live one comes off; the rest of
-        its tie set is collected only if the next entry holds the same
-        value. The ties not selected are re-entered. The selected state is
-        not: its push changes its residual and enters the new value.
+        Stale entries are popped off the top first. The group is chosen
+        when its value is at least the live top. Otherwise the live top
+        comes off; the rest of its tie set is collected only if the next
+        entry holds the same value, and then the old group's live members
+        go back to the heap and the ties not selected become the group. The
+        selected state is not re-entered: its push changes its residual and
+        enters the new value.
         """
         heap, residual, pop = self._heap, self._residual, heapq.heappop
         if len(heap) > self._limit:
@@ -194,11 +263,32 @@ class _MaxResidualHeap:
             heapq.heapify(heap)
             self._limit = 2 * len(heap) + _COMPACT_SLACK
         while heap:
-            neg, s_k = pop(heap)
+            neg, s_k = heap[0]
             if residual[s_k] == -neg:
                 break
-        else:
-            return None
+            pop(heap)
+        group, value = self._group, self._group_value
+        if not heap and not group:
+            self._refill(list(set(self._pending)))
+            if not heap:
+                return None
+            neg, s_k = heap[0]
+        if group and (not heap or neg >= -value):
+            merged = set()
+            while heap and heap[0][0] == -value:
+                _, s = pop(heap)
+                if residual[s] == value:
+                    merged.add(s)
+            if merged:
+                group = self._group = sorted(merged.union(group))
+            if len(group) == 1:
+                return group.pop()
+            return group.pop(int(tie_rng.integers(len(group))))
+        pop(heap)
+        if group:
+            i = bisect.bisect_left(group, s_k)
+            if i < len(group) and group[i] == s_k:
+                del group[i]
         if not heap or heap[0][0] != neg:
             return s_k
         ties = {s_k}
@@ -206,12 +296,14 @@ class _MaxResidualHeap:
             _, s = pop(heap)
             if residual[s] == -neg:
                 ties.add(s)
-        ties = sorted(ties)
         if len(ties) == 1:
-            return ties[0]
+            return s_k
+        ties = sorted(ties)
         s_k = ties.pop(int(tie_rng.integers(len(ties))))
-        for s in ties:
-            heapq.heappush(heap, (neg, s))
+        for s in group:
+            if residual[s] == value:
+                heapq.heappush(heap, (-value, s))
+        self._group, self._group_value = ties, -neg
         return s_k
 
 
@@ -373,7 +465,7 @@ def run_push_loop(
     negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
     floor = max(epsilon, negligible)
     heap = _MaxResidualHeap(residual, floor)
-    entries, heappush = heap._heap, heapq.heappush
+    entries, pend, heappush = heap._heap, heap._pending.append, heapq.heappush
     records: list[PushRecord] = [] if trace else None
     cap = default_iteration_cap(cost, alpha, epsilon)
     rows = row_source.rows
@@ -387,22 +479,26 @@ def run_push_loop(
             )
         k += 1
         rho = residual[s_k]
+        theta = heap.theta
 
         column = row_source.column(s_k)
         if records is not None:
             records.append(PushRecord(state=s_k, residual=rho, column=dict(column)))
-        # apply_push's update, with each new residual above the floor
-        # entered in the heap.
+        # apply_push's update, with each new residual above theta entered
+        # in the heap and each one in (floor, theta] in the pending list.
+        # The pushed state's residual is cleared first, so adding its own
+        # entry gives apply_push's alpha * q * rho (0.0 + x is x for x >= 0).
         v_hat[s_k] += (1.0 - alpha) * rho
-        r = residual[s_k] = alpha * column.get(s_k, 0.0) * rho
-        if r > floor:
-            heappush(entries, (-r, s_k))
+        residual[s_k] = 0.0
         for s, q in column.items():
-            if s != s_k:
-                r = residual[s] = residual[s] + alpha * q * rho
-                # A zero entry left residual[s] as it was, so its heap entry stands.
-                if r > floor and q != 0.0:
+            r = residual[s] = residual[s] + alpha * q * rho
+            # A zero entry left an in-neighbor's residual as it was, so its
+            # heap entry or pending place stands.
+            if r > theta:
+                if q != 0.0:
                     heappush(entries, (-r, s))
+            elif r > floor and q != 0.0:
+                pend(s)
 
         if max_rows is not None and len(rows) >= max_rows:
             stop_reason = "dynamic"

@@ -158,9 +158,10 @@ class TestHeapTies:
 
 
 
-def reference_push_loop(row_source, epsilon, tie_rng, max_rows=None):
+def reference_push_loop(row_source, epsilon, tie_rng, max_rows=None, selected=None):
     """The push loop as a full scan of numpy arrays: the largest residual,
-    its exact tie set, apply_push, and the stop rules in their order."""
+    its exact tie set, apply_push, and the stop rules in their order. Each
+    state pushed is appended to ``selected``, if given."""
     inst = row_source.instance
     v, r = np.zeros(inst.S), inst.cost.astype(float).copy()
     negligible = push.NEGLIGIBLE_RESIDUAL * inst.cost.max()
@@ -175,10 +176,27 @@ def reference_push_loop(row_source, epsilon, tie_rng, max_rows=None):
             return v, r, k, "negligible"
         ties = np.flatnonzero(r == top)
         s_k = int(ties[0] if ties.size == 1 else ties[tie_rng.integers(ties.size)])
+        if selected is not None:
+            selected.append(s_k)
         apply_push(v, r, inst.alpha, s_k, row_source.column(s_k))
         k += 1
         if max_rows is not None and len(row_source.rows) >= max_rows:
             return v, r, k, "dynamic"
+
+
+# Half the states start tied at residual 1.0, so most selections draw from
+# the heap's tie group.
+DENSE = random_instance(S=40, p=4, alpha=0.7, seed="kernel", cost_model="binary", H=20)
+# States 0-5 self-loop at cost 1, and state 6 (cost 0.5) moves to state 0.
+# The push of 0 raises 6 to exactly 1.0 while the other ties wait in the
+# group, and nothing raises it again before it is drawn from the group.
+MERGE = instance_from(0.5, [1.0] * 6 + [0.5], np.eye(7)[[0, 1, 2, 3, 4, 5, 0]])
+# Costs of two subnormal ulps: the band's share of the largest residual
+# rounds back up to it, so theta has to drop to the floor (here 0.0).
+SUBNORMAL = instance_from(0.5, [1e-323, 0.0, 1e-323], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+
+# Test id suffixes of the kernel cases on these instances.
+CASE_TAGS = {id(DENSE): "-dense", id(MERGE): "-merge", id(SUBNORMAL): "-subnormal"}
 
 
 class TestPushKernel:
@@ -201,7 +219,14 @@ class TestPushKernel:
         # Exact rows cache none, so max_rows is never reached.
         ("negligible", random_instance(S=12, p=3, alpha=0.5, seed="kernel"), "exact", 0.0, 1),
         ("dynamic", MIXED, "cached", 0.0, 6),
+        ("threshold", DENSE, "exact", 0.02, None),
+        ("threshold", DENSE, "cached", 0.02, None),
+        ("threshold", DENSE, "fresh", 0.02, None),
+        ("dynamic", DENSE, "cached", 0.0, 12),
+        ("threshold", MERGE, "exact", 0.1, None),
+        ("exhausted", SUBNORMAL, "exact", 0.0, 1),
     ]
+    IDS = [f"{c[0]}-{c[2]}{CASE_TAGS.get(id(c[1]), '')}" for c in CASES]
 
     @staticmethod
     def source(kind, inst):
@@ -210,7 +235,7 @@ class TestPushKernel:
         rows = push.CachedEmpiricalRows if kind == "cached" else push.FreshEmpiricalRows
         return rows(CountingSampler(inst, 3), 6)
 
-    @pytest.mark.parametrize("reason,inst,kind,epsilon,max_rows", CASES, ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    @pytest.mark.parametrize("reason,inst,kind,epsilon,max_rows", CASES, ids=IDS)
     def test_run_matches_the_full_scan_loop(self, monkeypatch, reason, inst, kind, epsilon, max_rows):
         heaps = []
 
@@ -220,9 +245,11 @@ class TestPushKernel:
                 heaps.append(self)
 
         monkeypatch.setattr(push, "_MaxResidualHeap", Recorded)
-        outcome = run_push_loop(self.source(kind, inst), epsilon, make_rng("ties"), max_rows=max_rows)
-        v, r, k, expected = reference_push_loop(self.source(kind, inst), epsilon, make_rng("ties"), max_rows)
+        outcome = run_push_loop(self.source(kind, inst), epsilon, make_rng("ties"), trace=True, max_rows=max_rows)
+        selected = []
+        v, r, k, expected = reference_push_loop(self.source(kind, inst), epsilon, make_rng("ties"), max_rows, selected)
         assert outcome.stop_reason == expected == reason
+        assert [rec.state for rec in outcome.trace.records] == selected
         assert outcome.iterations == k
         assert outcome.estimate.tobytes() == v.tobytes()
         assert outcome.residual.tobytes() == r.tobytes()
@@ -291,6 +318,13 @@ class TestHeapCompaction:
             self._limit = math.inf
             return super().select(tie_rng)
 
+    @pytest.fixture(autouse=True)
+    def floor_only_heap(self, monkeypatch):
+        # The band keeps most superseded entries out of the heap, so on
+        # some cases it leaves none for a sweep to drop; the sweeps are
+        # checked on the heap that takes every residual above the floor.
+        monkeypatch.setattr(push, "_BAND", 0.0)
+
     TIES = random_instance(S=40, p=4, alpha=0.7, seed=("ties", 3), cost_model="binary", H=3)
     # (instance, row source, epsilon, max_rows, trace)
     CASES = [
@@ -351,6 +385,102 @@ class TestHeapCompaction:
         assert outcome.iterations > 3 * inst.S
         assert len(pops) <= 1.5 * outcome.iterations
         assert largest[0] <= 1.5 * inst.S
+
+
+class TestHeapBand:
+    """Residuals at or below theta wait in a list, and a tie set waits as
+    one group. Neither moves a selection: every band gives the floats,
+    draws, tie draws and trace of the heap that takes every residual above
+    the floor. The heap then holds about what the next selection needs."""
+
+    class Counted(push._MaxResidualHeap):
+        # The entries its refills put in the heap, how many refills after
+        # the constructor's put any there, and its largest length at a
+        # selection; ``last`` is the heap made last.
+        last = None
+
+        def __init__(self, residual, floor):
+            self.moved, self.refills, self.largest = 0, -1, 0
+            type(self).last = self
+            super().__init__(residual, floor)
+
+        def _refill(self, states):
+            super()._refill(states)
+            self.moved += len(self._heap)
+            self.refills += len(self._heap) > 0
+
+        def select(self, tie_rng):
+            self.largest = max(self.largest, len(self._heap))
+            return super().select(tie_rng)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        monkeypatch.setattr(self.Counted, "last", None)
+        monkeypatch.setattr(push, "_MaxResidualHeap", self.Counted)
+        return self.Counted
+
+    @pytest.mark.parametrize(
+        "inst,kind,epsilon,max_rows,trace",
+        TestHeapCompaction.CASES,
+        ids=[f"{c[1]}-{i}" for i, c in enumerate(TestHeapCompaction.CASES)],
+    )
+    def test_every_band_gives_the_floor_only_run(self, monkeypatch, counted, inst, kind, epsilon, max_rows, trace):
+        runs, refills = {}, {}
+        for band in (0.0, 0.5, 0.8, 0.95):
+            monkeypatch.setattr(push, "_BAND", band)
+            source = TestPushKernel.source(kind, inst)
+            tie_rng = TestHeapTies.CountingTies(make_rng("ties"))
+            outcome = run_push_loop(source, epsilon, tie_rng, trace=trace, max_rows=max_rows)
+            records = [(r.state, r.residual, r.column) for r in outcome.trace.records] if trace else None
+            runs[band] = (
+                outcome.estimate.tobytes(),
+                outcome.residual.tobytes(),
+                outcome.iterations,
+                outcome.stop_reason,
+                tie_rng.ties,
+                getattr(getattr(source, "sampler", None), "draw_count", 0),
+                records,
+            )
+            refills[band] = counted.last.refills
+        assert runs[0.5] == runs[0.8] == runs[0.95] == runs[0.0]
+        # The floor-only heap never refills. At 0.95 the list is read back,
+        # unless the run stops at its few rows before the heap runs dry.
+        assert refills[0.0] == 0
+        if max_rows is None:
+            assert refills[0.95] > 0
+
+    def test_dense_headline_row_pops_few_entries_per_push(self, monkeypatch):
+        # The dense row of tests/test_headline.py at S=3200 (binary costs,
+        # H = S // 8, p 10, alpha 0.5, epsilon 0.15, n from
+        # sample_size_backward), and the draws of the ROADMAP's table.
+        # Measured: 1.75 pops per push; a heap that pops the whole tie set
+        # and re-enters it at each selection makes 23.8.
+        S = 3200
+        inst = random_instance(S=S, p=10, alpha=0.5, seed=(7, "instance", S, 0), cost_model="binary", H=S // 8)
+        pops = []
+        pop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or pop(heap))
+        sampler = CountingSampler(inst, (7, "run", S, 0, "backward"))
+        report = backward_epe(sampler, 0.15, sample_size_backward(0.15, 0.1, 0.5, 1.0, S))
+        monkeypatch.undo()
+        assert (report.samples_used, report.encountered_size, report.iterations) == (3_362_242, 2906, 791)
+        assert len(pops) <= 2.0 * report.iterations
+
+    def test_heap_takes_few_entries_per_push(self, monkeypatch, counted):
+        # The instance of TestHeapCompaction's size test. Measured: 1.66
+        # heap pushes and 0.19 entries moved by refills per push, and at
+        # most 365 entries. The heap that takes every residual above the
+        # floor makes 4.37 heap pushes per push and reaches 968 entries.
+        inst = random_instance(S=800, p=10, alpha=0.9, seed="bound")
+        pushes = []
+        heappush = heapq.heappush
+        monkeypatch.setattr(heapq, "heappush", lambda heap, entry: pushes.append(1) or heappush(heap, entry))
+        outcome = run_push_loop(ExactRows(inst), 10 / inst.S, make_rng("ties"))
+        heap = counted.last
+        monkeypatch.undo()
+        assert outcome.iterations > 3 * inst.S
+        assert len(pushes) + heap.moved <= 2.0 * outcome.iterations
+        assert heap.largest <= inst.S / 2
 
 
 class TestCompletions:
