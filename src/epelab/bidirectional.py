@@ -25,10 +25,11 @@ Layout of the walk stage (:func:`_walk_stage`):
   ``WALKER_BUDGET`` walkers, so memory stays bounded as S grows. A
   block's walks are numbered state by state, and their lengths come from
   one vector of uniforms through :func:`geometric_length`.
-- One frontier. All walkers of a block move together, one step at a
-  time, longest walks first (ties in walk order). Walkers at encountered
-  states step through the stored rows for free, with uniforms from the
-  walks stream; the rest take one charged batch draw on the true table.
+- One frontier, one masked step. All walkers of a block move together,
+  one step at a time, longest walks first (ties in walk order). Walkers at
+  encountered states step through the stored rows for free, with uniforms
+  from the walks stream; the rest take one charged batch draw on the true
+  table. An empty side reads no uniform, so every step takes this path.
 
 Endpoint residuals are summed per state in walk order, so the estimate
 is bit-identical to a per-walk running sum.
@@ -43,8 +44,15 @@ import numpy as np
 
 from .backward import run_backward
 from .errors import ContractViolation
-from .model import WALKER_BUDGET, CountingSampler, EstimateReport, TransitionTable
+from .model import CountingSampler, EstimateReport, TransitionTable
 from .push import check_threshold
+
+# Walkers moved together in one block by the walk stage. A block's
+# temporaries are arrays of at most WALKER_BUDGET entries (0.5 MB each), so
+# their memory stays bounded however large S grows. The value is part of
+# the walk stage's stream layout: a block's walk lengths are one vector of
+# uniforms, so another value moves its draws.
+WALKER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,8 @@ class BidirectionalConfig:
             if self.epsilon is None:
                 raise ContractViolation("fixed mode needs epsilon > 0, got None")
             check_threshold(self.epsilon)
+        elif self.epsilon is not None:
+            raise ContractViolation(f"epsilon={self.epsilon} is read by the fixed termination mode only, not by 'dynamic'")
 
 
 def geometric_length(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -126,8 +136,7 @@ def _walk_stage(
     """
     S = residual.size
     stored = TransitionTable.from_rows(S, rows)
-    is_stored = np.zeros(S, dtype=bool)
-    is_stored[list(rows)] = True
+    is_stored = np.diff(stored.indptr) > 0  # a stored row is never empty
     walks = sampler.derive("walks")
     cap = walk_step_cap(alpha)
     per_block = max(1, WALKER_BUDGET // n_F)
@@ -145,14 +154,8 @@ def _walk_stage(
             at = x[:n]
             free_here = is_stored[at]
             k = int(np.count_nonzero(free_here))
-            if k == n:
-                at[:] = stored.draw_batch(at, walks.random(n))
-            elif k == 0:
-                at[:] = sampler.sample_next_batch(at)
-            else:
-                true_here = ~free_here
-                at[free_here] = stored.draw_batch(at[free_here], walks.random(k))
-                at[true_here] = sampler.sample_next_batch(at[true_here])
+            at[free_here] = stored.draw_batch(at[free_here], walks.random(k))
+            at[~free_here] = sampler.sample_next_batch(at[~free_here])
             free += k
             charged += n - k
 

@@ -9,10 +9,11 @@ The S * m walkers keep their states and running sums in two arrays of
 that length, and take each step in consecutive blocks of at most
 ``FORWARD_BLOCK`` walkers, so every temporary of a step is block-sized.
 The block is forward's own, chosen by measurement (see its comment); the
-walk stage of bidirectional runs keeps ``WALKER_BUDGET``, which is part
-of its stream layout. Consecutive blocks read consecutive uniforms of the
-sampler's stream, so the draws and floats are those of one batch over
-all walkers, whatever the block size.
+walk stage of bidirectional runs has its own block,
+``bidirectional.WALKER_BUDGET``, which is part of its stream layout.
+Consecutive blocks read consecutive uniforms of the sampler's stream, so
+the draws and floats are those of one batch over all walkers, whatever
+the block size.
 """
 
 from __future__ import annotations

@@ -45,13 +45,6 @@ from .rng import as_entropy, derive_entropy, make_rng
 
 ROW_SUM_TOL = 1e-12
 DENSE_ORACLE_MAX_S = 1000  # the dense S x S oracles refuse larger S (8 MB per float matrix)
-# Walkers moved together in one block by the walk stage of bidirectional
-# runs. A block's temporaries are arrays of at most WALKER_BUDGET entries
-# (0.5 MB each), so their memory stays bounded however large S grows. The
-# value is part of the walk stage's stream layout: a block's walk lengths
-# are one vector of uniforms, so another value moves its draws. Forward
-# runs step in blocks of their own, ``forward.FORWARD_BLOCK``.
-WALKER_BUDGET = 1 << 16
 
 
 def check_dense_size(S: int) -> None:

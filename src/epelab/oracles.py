@@ -21,8 +21,6 @@ from .errors import ContractViolation
 from .model import ProblemInstance, Supergraph, check_dense_size, csr_rows
 from .push import PushTrace, replay_states
 
-ROW_MATCH_TOL = 0.0  # completion matrices must copy estimated rows exactly
-
 
 def densify(rows: dict, out: np.ndarray) -> np.ndarray:
     """Replace row s of the dense matrix ``out`` by the sparse row
@@ -133,20 +131,24 @@ def _check_estimated_rows(rows: dict, encountered) -> None:
 def replay_invariant(trace: PushTrace, P: np.ndarray, supergraph: Supergraph) -> float:
     """Max over k, s of |v_hat_k(s) + nu_s r_k - nu_s c| with nu from P.
 
-    P must be row stochastic, must equal the traced run's estimated rows on
-    the encountered set, and must put no mass on non-edges of the
-    supergraph; outside those hypotheses the identity is not claimed.
+    P must be finite and row stochastic, must equal the traced run's
+    estimated rows exactly on the encountered set, and must put no mass on
+    non-edges of the supergraph; outside those hypotheses the identity is
+    not claimed.
     """
     S = trace.cost.size
     check_dense_size(S)
     if P.shape != (S, S):
         raise ContractViolation(f"P must be {S}x{S}")
+    if not np.all(np.isfinite(P)):
+        s, t = np.argwhere(~np.isfinite(P))[0]
+        raise ContractViolation(f"P[{s}, {t}] is {P[s, t]}, not finite")
     row_sums = P.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ContractViolation("P is not row stochastic")
     estimated = densify({s: trace.final_rows[s] for s in trace.encountered}, np.zeros((S, S)))
     for s in trace.encountered:
-        if np.max(np.abs(P[s] - estimated[s])) > ROW_MATCH_TOL:
+        if np.any(P[s] != estimated[s]):
             raise ContractViolation(f"P row {s} differs from the estimated row")
     if np.any(P[~edge_mask(supergraph)] != 0.0):
         raise ContractViolation("P has mass outside the supergraph support")

@@ -595,6 +595,12 @@ class TestReplayInvariant:
         moved[s, t] = 1.0
         with pytest.raises(ContractViolation, match="^P has mass outside the supergraph support$"):
             replay_invariant(trace, moved, inst.supergraph)
+        # A NaN on an edge would pass the three checks above: a comparison with NaN is False.
+        t = int(sg.indices[sg.indptr[s]])
+        unfinished = q_under.copy()
+        unfinished[s, t] = np.nan
+        with pytest.raises(ContractViolation, match=rf"^P\[{s}, {t}\] is nan, not finite$"):
+            replay_invariant(trace, unfinished, inst.supergraph)
 
     def test_rejects_incompatible_matrix(self):
         inst = random_instance(S=8, p=3, alpha=0.5, seed="rej")

@@ -150,6 +150,10 @@ class TestBidirectionalEpe:
         with pytest.raises(ContractViolation):
             BidirectionalConfig(epsilon=0.1, n_B=1, n_F=1, termination_mode="sometimes")
         BidirectionalConfig(epsilon=None, n_B=1, n_F=1, termination_mode="dynamic")
+        # The dynamic mode runs its backward stage at epsilon 0 and would ignore this one.
+        refused = "^epsilon=0.1 is read by the fixed termination mode only, not by 'dynamic'$"
+        with pytest.raises(ContractViolation, match=refused):
+            BidirectionalConfig(epsilon=0.1, n_B=1, n_F=1, termination_mode="dynamic")
 
 
 def scalar_walk_oracle(sampler, inst, config):

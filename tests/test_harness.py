@@ -376,6 +376,10 @@ class TestRunExperiment:
                 AlgorithmSpec("bidirectional", {"epsilon": 0.3, "n_B": 5, "n_F": "2**60"}),
                 r"bidirectional at S=40: count parameter '2\*\*60'",
             ),
+            (
+                AlgorithmSpec("bidirectional", {"epsilon": "1/S", "n_B": 5, "n_F": 3, "termination_mode": "dynamic"}),
+                r"^bidirectional at S=40: epsilon=0\.025 is read by the fixed termination mode only, not by 'dynamic'$",
+            ),
         ],
     )
     def test_parameter_values_are_refused_when_the_config_is_built(self, monkeypatch, spec, message):
