@@ -194,7 +194,7 @@ def bidirectional_epe(
     counted_forward = free_forward = capped_walks = 0
     # A residual of exactly zero everywhere contributes exactly zero per
     # walk, so the walks are skipped (identical estimate, zero cost).
-    if residual.size and residual.max() > 0.0:
+    if residual.max() > 0.0:
         counted_forward, free_forward, capped_walks = _walk_stage(
             sampler, outcome.rows, residual, alpha, config.n_F, report.estimate
         )

@@ -30,6 +30,7 @@ import io
 import json
 import math
 import operator
+import reprlib
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -101,20 +102,19 @@ def eval_param(value, S: int) -> float:
 
     Expressions are read, not executed: numbers, ``S``, ``+ - * / **``,
     unary minus and calls of the names in ``_EXPR_NAMES`` are allowed, all
-    evaluated in floats; anything else, and a result that is not finite,
-    raises :class:`ContractViolation`.
+    evaluated in floats; anything else, an expression nested too deeply to
+    parse or evaluate, and a result that is not finite, raises
+    :class:`ContractViolation`.
     """
-    if isinstance(value, str):
-        try:
-            node = ast.parse(value, mode="eval").body
-        except SyntaxError as exc:
-            raise ContractViolation(f"cannot parse parameter expression {value!r}: {exc.msg}") from None
-    else:
-        node = ast.Constant(value)
     try:
+        node = ast.parse(value, mode="eval").body if isinstance(value, str) else ast.Constant(value)
         result = _eval_expr(node, S)
     except ContractViolation:
         raise
+    except SyntaxError as exc:
+        raise ContractViolation(f"cannot parse parameter expression {value!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ContractViolation(f"parameter {reprlib.repr(value)} is nested too deeply") from None
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise ContractViolation(f"parameter {value!r} failed: {exc}") from None
     if not math.isfinite(result):
@@ -268,7 +268,7 @@ CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 def trial_metrics(estimate: np.ndarray, truth: np.ndarray, threshold: float) -> tuple:
     """(sup-norm error, mean relative error over nonzero-value states, skipped count)."""
-    linf = float(np.max(np.abs(estimate - truth))) if truth.size else 0.0
+    linf = float(np.max(np.abs(estimate - truth)))
     alive = truth > threshold
     skipped = int(np.size(truth) - np.count_nonzero(alive))
     if alive.any():
@@ -364,21 +364,24 @@ def read_csv(path) -> list:
     parsed by the type of its :class:`TrialRecord` field."""
     parsers = {f.name: _CELL_PARSERS[f.type] for f in fields(TrialRecord)}
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    if reader.fieldnames != CSV_HEADER.split(","):
-        raise ContractViolation(f"unexpected CSV header in {path}")
     records = []
-    for row in reader:
-        # A short row's missing cells read None; a long row's extras sit under the key None.
-        if None in row or None in row.values():
-            raise ContractViolation(f"{path}, line {reader.line_num}: expected {len(parsers)} cells")
-        cells = {}
-        for name, parse in parsers.items():
-            try:
-                cells[name] = parse(row[name])
-            except ValueError:
-                where = f"{path}, line {reader.line_num}, column {name}"
-                raise ContractViolation(f"{where}: cannot parse {row[name]!r}") from None
-        records.append(TrialRecord(**cells))
+    try:  # csv.Error: a line the csv module cannot read, such as a cell above its field size limit
+        if reader.fieldnames != CSV_HEADER.split(","):
+            raise ContractViolation(f"unexpected CSV header in {path}")
+        for row in reader:
+            # A short row's missing cells read None; a long row's extras sit under the key None.
+            if None in row or None in row.values():
+                raise ContractViolation(f"{path}, line {reader.line_num}: expected {len(parsers)} cells")
+            cells = {}
+            for name, parse in parsers.items():
+                try:
+                    cells[name] = parse(row[name])
+                except ValueError:
+                    where = f"{path}, line {reader.line_num}, column {name}"
+                    raise ContractViolation(f"{where}: cannot parse {row[name]!r}") from None
+            records.append(TrialRecord(**cells))
+    except csv.Error as exc:  # the DictReader's own line_num counts only the lines it has read whole
+        raise ContractViolation(f"{path}, line {reader.reader.line_num}: {exc}") from None
     return records
 
 

@@ -85,9 +85,12 @@ def csr_transpose(S: int, indices: np.ndarray) -> tuple:
 
 
 def check_csr(S: int, indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Raise :class:`ContractViolation` naming the field
-    (``supergraph.indptr`` or ``supergraph.indices``) unless the pair is a
-    CSR matrix with S rows and S columns whose rows are strictly ascending."""
+    """Raise :class:`ContractViolation` naming ``S`` or the field
+    (``supergraph.indptr`` or ``supergraph.indices``) unless S >= 1 and the
+    pair is a CSR matrix with S rows and S columns whose rows are strictly
+    ascending."""
+    if S < 1:
+        raise ContractViolation(f"S must be >= 1, got {S}")
     if indptr.shape != (S + 1,) or indices.ndim != 1:
         raise ContractViolation(f"supergraph.indptr needs S + 1 = {S + 1} entries and supergraph.indices one dimension")
     if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
@@ -170,8 +173,8 @@ class TransitionTable:
     successor states, ascending), ``probs`` (their probabilities) and
     ``cum`` (the running sum of ``probs`` with its last entry clamped to
     1.0, so that every uniform in [0, 1) falls inside the row). A row
-    without successors is empty; drawing from it raises
-    :class:`ContractViolation`.
+    without successors is empty; only the walk stage's stored table has
+    such rows, and it draws from stored rows alone.
 
     Each row's floats are those of one ``np.cumsum`` over that row alone
     (a cumulative sum along the rows of a block is sequential), so a draw is
@@ -199,8 +202,7 @@ class TransitionTable:
             arr.setflags(write=False)
         # Search passes: their steps, 2^(passes-1) down to 1, sum to at least
         # the widest row's width minus one.
-        widest = int(np.diff(self.indptr).max()) if self.indptr.size > 1 else 0
-        self._passes = max(widest - 1, 0).bit_length()
+        self._passes = max(int(np.diff(self.indptr).max()) - 1, 0).bit_length()
 
     @classmethod
     def from_rows(cls, S: int, rows: dict) -> "TransitionTable":
@@ -219,12 +221,11 @@ class TransitionTable:
     def row(self, s: int) -> tuple:
         """(successors, probabilities, cumulative) views of row s."""
         lo, hi = self._indptr[s], self._indptr[s + 1]
-        if lo == hi:
-            raise ContractViolation(f"state {s} has an all-zero transition row")
         return self.indices[lo:hi], self.probs[lo:hi], self.cum[lo:hi]
 
     def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i.
+        """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i;
+        every row drawn from has an entry.
 
         A branchless lifting search run over every row segment at once. The
         entries of a row with ``cum <= u`` are a prefix of it, because the
@@ -239,9 +240,6 @@ class TransitionTable:
         """
         pos = self.indptr[states]
         last = self.indptr[states + 1] - 1
-        if np.any(last < pos):
-            bad = int(states[np.argmax(last < pos)])
-            raise ContractViolation(f"state {bad} has an all-zero transition row")
         step = 1 << self._passes
         for _ in range(self._passes):
             step >>= 1
@@ -323,10 +321,15 @@ class ProblemInstance:
 
         Row s holds the positive entries of Q's row s divided by their sum
         on the row's contiguous slice: the floats of ``Q[s, idx] / Q[s, idx].sum()``.
+        A row with no positive entry raises :class:`ContractViolation`
+        naming its state, so no sampler is built on such an instance.
         """
         keep = self.q_values > 0
         probs = self.q_values[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[self.supergraph.indptr]
+        empty = np.flatnonzero(np.diff(indptr) == 0)
+        if empty.size:
+            raise ContractViolation(f"state {empty[0]} has an all-zero transition row")
         # A block's row sums are those of each row alone: one pairwise sum each.
         for pos in csr_row_blocks(indptr):
             block = probs[pos]
@@ -337,19 +340,15 @@ class ProblemInstance:
     def in_edge_probs(self) -> tuple:
         """The table's probability on every supergraph edge in transpose
         order (t's in-edges at ``colptr[t]:colptr[t + 1]``): 0.0 where Q is
-        not positive, NaN out of an all-zero row. A tuple of Python floats,
-        built on first use, so the column channel draws from it without
-        numpy's per-call array checks."""
-        table = self.transitions
+        not positive. A tuple of Python floats, built on first use, so the
+        column channel draws from it without numpy's per-call array checks."""
         probs = np.zeros(self.q_values.size)
-        probs[self.q_values > 0] = table.probs
-        empty = np.diff(table.indptr) == 0
-        probs[np.repeat(empty, np.diff(self.supergraph.indptr))] = np.nan
+        probs[self.q_values > 0] = self.transitions.probs
         return tuple(probs[self.supergraph.transpose[1]].tolist())
 
     @property
     def cost_inf(self) -> float:
-        return float(np.max(self.cost)) if self.S else 0.0
+        return float(np.max(self.cost))
 
     def min_positive_entry(self) -> float:
         positive = self.q_values[self.q_values > 0]
@@ -532,9 +531,6 @@ class CountingSampler:
         colptr, _, sources = self.instance.supergraph.transpose
         lo, hi = colptr[t], colptr[t + 1]
         probs = self.instance.in_edge_probs[lo:hi]
-        if math.isnan(sum(probs)):  # a NaN marks an edge out of an all-zero row; refused before any draw
-            s = sources[lo + next(i for i, q in enumerate(probs) if math.isnan(q))]
-            raise ContractViolation(f"state {s} has an all-zero transition row")
         binomial = self.rng.binomial
         column = {s: binomial(n, q) / n for s, q in zip(sources[lo:hi], probs)}
         self.draw_count += n * (hi - lo)
@@ -627,7 +623,7 @@ def read_json(path):
     refuses, or that is not JSON, raises :class:`ContractViolation` naming the path."""
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ContractViolation(f"{path} is not JSON: {exc}") from None
 
 

@@ -399,7 +399,7 @@ def default_iteration_cap(cost: np.ndarray, alpha: float, epsilon: float) -> int
     """
     S = cost.size
     c1 = float(np.abs(cost).sum())
-    c_inf = float(np.max(cost)) if S else 0.0
+    c_inf = float(np.max(cost))
     if epsilon <= 0.0 or c_inf == 0.0:
         return S * (100 + math.ceil(37.0 / (1.0 - alpha))) + 1000
     typical = 10 * math.ceil(c1 / (epsilon * (1.0 - alpha)))
@@ -427,7 +427,7 @@ class PushOutcome:
             trace=self.trace,
             diagnostics={
                 "stop_reason": self.stop_reason,
-                "final_residual_max": float(self.residual.max()) if self.residual.size else 0.0,
+                "final_residual_max": float(self.residual.max()),
             },
         )
 
@@ -462,7 +462,7 @@ def run_push_loop(
 
     v_hat = [0.0] * cost.size
     residual = cost.astype(float).tolist()
-    negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost)) if cost.size else 0.0
+    negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost))
     floor = max(epsilon, negligible)
     heap = _MaxResidualHeap(residual, floor)
     entries, pend, heappush = heap._heap, heap._pending.append, heapq.heappush
@@ -507,7 +507,7 @@ def run_push_loop(
     if stop_reason is None:
         # Every residual is at or below the floor; name the first stop rule
         # it meets.
-        top = max(residual, default=0.0)
+        top = max(residual)
         stop_reason = "exhausted" if top <= 0.0 else "threshold" if top <= epsilon else "negligible"
 
     v_hat = np.array(v_hat, dtype=float)

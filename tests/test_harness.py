@@ -273,6 +273,16 @@ class TestRunExperiment:
         with pytest.raises(ContractViolation, match=r"out\.csv, line 3, column samples_used: cannot parse 'abc'"):
             read_csv(path)
 
+    def test_csv_cell_above_the_field_size_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(run_experiment(small_config(trials=2)), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "x" * 200_000
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ContractViolation, match=r"out\.csv, line 3: field larger than field limit"):
+            read_csv(path)
+
     def test_ensembles_sharing_an_S_are_refused(self):
         # They would share instance streams, and summarize and bound_report
         # would merge their rows.
@@ -380,6 +390,9 @@ class TestRunExperiment:
                 AlgorithmSpec("bidirectional", {"epsilon": "1/S", "n_B": 5, "n_F": 3, "termination_mode": "dynamic"}),
                 r"^bidirectional at S=40: epsilon=0\.025 is read by the fixed termination mode only, not by 'dynamic'$",
             ),
+            # Too deep for ast.parse, and parsed but too deep to evaluate.
+            (AlgorithmSpec("forward", {"T": 5, "m": "1+" * 3000 + "1"}), r"^forward at S=40: parameter '1\+1\+.*' is nested"),
+            (AlgorithmSpec("forward", {"T": 5, "m": "-" * 1200 + "1"}), r"^forward at S=40: parameter '---.*' is nested"),
         ],
     )
     def test_parameter_values_are_refused_when_the_config_is_built(self, monkeypatch, spec, message):

@@ -54,6 +54,25 @@ class TestValidate:
         with pytest.raises(ContractViolation, match=r"Q\[0, 1\] = 0.5 lies off the supergraph"):
             ProblemInstance.from_arrays(0.5, [1.0, 1.0], [[0.5, 0.5], [1.0, 0.0]], sg)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Supergraph(0, [0], []),
+            lambda: ProblemInstance.from_arrays(0.5, [], np.zeros((0, 0))),
+            lambda: instance_from_dict(
+                {"S": 0, "alpha": 0.5, "cost": [], "supergraph": {"indptr": [0], "indices": []}, "q_values": []}
+            ),
+            # An indptr of S + 1 = 0 entries, which has no first entry to check.
+            lambda: instance_from_dict(
+                {"S": -1, "alpha": 0.5, "cost": [], "supergraph": {"indptr": [], "indices": []}, "q_values": []}
+            ),
+        ],
+        ids=["supergraph", "from_arrays", "document", "negative_document"],
+    )
+    def test_zero_states_are_refused_where_they_are_built(self, build):
+        with pytest.raises(ContractViolation, match=r"^S must be >= 1, got (0|-1)$"):
+            build()
+
     def test_supergraph_of_another_size_is_refused(self):
         sg = Supergraph(1, [0, 1], [0])
         with pytest.raises(ContractViolation, match="one row per supergraph state"):
@@ -386,14 +405,12 @@ class TestEmpiricalColumn:
         assert a.rng.random() == b.rng.random()
 
     def test_all_zero_row_rejected(self):
-        # State 1 has edges to both states, and both carry 0.0.
+        # State 1 has edges to both states, and both carry 0.0: the instance
+        # is built, and the sampler, with its column channel, is refused.
         inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]], Supergraph.from_mask(np.ones((2, 2))))
-        sampler = CountingSampler(inst, 0)
-        with pytest.raises(ContractViolation, match="state 1 has an all-zero"):
-            sampler.sample_empirical_column(0, 5)
-        assert sampler.draw_count == 0
-        # State 0's edge comes first in column 0, and its draw was not made either.
-        assert sampler.rng.random() == CountingSampler(inst, 0).rng.random()
+        assert [v.kind for v in validate_instance(inst)] == ["row_sum"]
+        with pytest.raises(ContractViolation, match="^state 1 has an all-zero transition row$"):
+            CountingSampler(inst, 0)
 
 
 def out_rows(sg):
@@ -615,6 +632,8 @@ class TestTransitionTable:
         Q = np.zeros((S, S))
         for s, q in enumerate(rows):
             Q[s, np.sort(rng.choice(S, size=q.size, replace=False))] = q
+        for s in range(len(rows), S):
+            Q[s, s] = 1.0
         inst = instance_from(0.5, np.ones(S), Q)
         table = inst.transitions
         for s in range(len(rows)):
@@ -651,15 +670,14 @@ class TestTransitionTable:
                 arr[0] = 0
 
     def test_instance_table_equals_per_row_build(self):
-        # A random matrix with a point-mass row and an all-zero row; every
-        # array of the table built from the instance's CSR entries must
-        # equal a row-by-row build of the dense view's rows.
+        # A random matrix with a point-mass row; every array of the table
+        # built from the instance's CSR entries must equal a row-by-row
+        # build of the dense view's rows.
         rng = np.random.default_rng(11)
         S = 200
         Q = rng.random((S, S)) * (rng.random((S, S)) < 0.08)
         Q[5] = 0.0
         Q[5, 17] = 0.3
-        Q[9] = 0.0
         Q[S - 1, :] = rng.random(S)  # a dense row, longer than a pairwise-sum block
         Q[7, 3] = -0.25  # stored in the instance, left out of the table
         inst = instance_from(0.5, np.ones(S), Q)
@@ -668,8 +686,7 @@ class TestTransitionTable:
         rows = {}
         for s in range(S):
             idx = np.flatnonzero(dense[s] > 0)
-            if idx.size:
-                rows[s] = dict(zip(idx.tolist(), (dense[s, idx] / dense[s, idx].sum()).tolist()))
+            rows[s] = dict(zip(idx.tolist(), (dense[s, idx] / dense[s, idx].sum()).tolist()))
         table = inst.transitions
         reference = TransitionTable.from_rows(S, rows)
         for name in ("indptr", "indices", "probs", "cum"):
@@ -679,21 +696,16 @@ class TestTransitionTable:
             cum[-1] = 1.0
             assert table.row(s)[2].tobytes() == cum.tobytes()
         assert table.row(5)[0].tolist() == [17] and table.row(5)[1].tolist() == [1.0]
-        with pytest.raises(ContractViolation, match="all-zero"):
-            table.row(9)
+        Q[9] = 0.0
+        with pytest.raises(ContractViolation, match="^state 9 has an all-zero transition row$"):
+            instance_from(0.5, np.ones(S), Q).transitions
 
     def test_all_zero_row_constructs_but_cannot_be_drawn(self):
+        # State 1 has no edge; no sampler, so no channel, draws on this instance.
         inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]])
         assert [v.kind for v in validate_instance(inst)] == ["row_sum"]
-        sampler = CountingSampler(inst, 0)
-        assert sampler.sample_next(0) in (0, 1)
-        with pytest.raises(ContractViolation, match="all-zero"):
-            sampler.sample_next(1)
-        with pytest.raises(ContractViolation, match="all-zero"):
-            sampler.sample_next_batch(np.array([0, 1, 0]))
-        with pytest.raises(ContractViolation, match="all-zero"):
-            sampler.sample_empirical_row(1, 5)
-        assert sampler.draw_count == 1
+        with pytest.raises(ContractViolation, match="^state 1 has an all-zero transition row$"):
+            CountingSampler(inst, 0)
 
 
 class TestSerialization:
@@ -843,9 +855,10 @@ class TestSerialization:
             model.load_instance(path)
         model.save_instance(instance_from(0.5, [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]), path)
         text = path.read_text()
-        path.write_text(text[:-1])
-        with pytest.raises(ContractViolation, match=f"^{re.escape(str(path))} is not JSON: "):
-            model.load_instance(path)
+        for broken in (text[:-1], "[" * 100000 + "]" * 100000):  # cut short, and nested too deeply to decode
+            path.write_text(broken)
+            with pytest.raises(ContractViolation, match=f"^{re.escape(str(path))} is not JSON: "):
+                model.load_instance(path)
         path.write_bytes(b"\xff" + text.encode())
         with pytest.raises(ContractViolation, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec can't decode"):
             model.load_instance(path)
