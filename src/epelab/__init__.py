@@ -21,6 +21,7 @@ from .harness import (
     bound_report,
     fig1_config,
     fig2_config,
+    headline_config,
     read_csv,
     run_experiment,
     summarize,
@@ -88,6 +89,7 @@ __all__ = [
     "generate_binary_cost",
     "generate_instance",
     "geometric_length",
+    "headline_config",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",

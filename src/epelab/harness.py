@@ -539,3 +539,41 @@ def fig2_config(
         trials=trials,
         master_seed=master_seed,
     )
+
+
+def headline_config(
+    support: str,
+    sizes,
+    trials: int,
+    algorithms=("backward", "forward"),
+    master_seed: int = DEFAULT_MASTER_SEED,
+) -> ExperimentConfig:
+    """The paper's headline at a fixed guarantee: binary costs, p 10,
+    alpha 0.5, the cost on H = 5 states (``support`` "sparse") or on
+    H = S // 8 ("dense"), one ensemble per S in ``sizes``.
+
+    Backward runs at epsilon 0.15 and forward at T 6; backward's n and
+    forward's m are written in S so that they equal
+    :func:`sample_size_backward` and :func:`sample_size_forward` at
+    epsilon 0.15, delta 0.1 and c_inf 1. ``algorithms`` names which of the
+    two run. The two supports are two configs, since a config refuses a
+    repeated S.
+    """
+    if support not in ("sparse", "dense"):
+        raise ContractViolation(f"support must be 'sparse' or 'dense', got {support!r}")
+    schedules = {
+        "backward": AlgorithmSpec("backward", {"epsilon": 0.15, "n": "88.88888888888889*log(140.0*S)"}),
+        "forward": AlgorithmSpec("forward", {"T": 6, "m": "22.22222222222222*log(120.0*S)"}),
+    }
+    for name in algorithms:
+        if name not in schedules:
+            raise ContractViolation(f"the headline runs backward and forward only, got {name!r}")
+    return ExperimentConfig(
+        ensembles=tuple(
+            EnsembleSpec(S=S, p=10.0, alpha=0.5, cost_model="binary", H=5 if support == "sparse" else S // 8)
+            for S in sizes
+        ),
+        algorithms=tuple(schedules[name] for name in algorithms),
+        trials=trials,
+        master_seed=master_seed,
+    )

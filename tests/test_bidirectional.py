@@ -268,6 +268,18 @@ class TestWalkFrontier:
             assert labels == [("tie_break",), ("walks",)], S
 
 
+class TestLongestFirst:
+    @pytest.mark.parametrize("top", [0, 255, 256, 65535, 65536])
+    def test_equals_the_stable_argsort_of_negated_lengths(self, top):
+        # 5000 walks over a few dozen lengths from 0 to top: many ties, and
+        # a sort key of 8, 16 or 32 bits.
+        rng = make_rng(("longest", top))
+        values = np.unique(np.concatenate(([0, top], rng.integers(0, top + 1, 30))))
+        lengths = rng.choice(values, 5000)
+        lengths[[0, 2500]] = top
+        assert np.array_equal(bd.longest_first(lengths), np.argsort(-lengths, kind="stable"))
+
+
 class TestSampleSizeCalculators:
     def test_forward_frozen_value(self):
         assert sample_size_forward_bd(0.1, 0.5, 0.1, 0.1, 10) == 7765

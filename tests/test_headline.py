@@ -3,9 +3,10 @@ backward's draws grow like log S; with cost on a fixed share of states,
 they grow like S. Forward's draws are S * m * (T - 1) by construction, so
 it runs only for coverage.
 
-Binary costs, p 10, alpha 0.5, epsilon 0.15, delta 0.1, and H = 5
-(sparse) or H = S // 8 (dense). The schedules are the guarantee's own
-sample sizes, written as expressions in S.
+The configs come from ``harness.headline_config``: binary costs, p 10,
+alpha 0.5, epsilon 0.15, delta 0.1, and H = 5 (sparse) or H = S // 8
+(dense). The schedules are the guarantee's own sample sizes, written as
+expressions in S.
 
 The trial counts and master seed were fixed from seed runs before the
 asserts were written. Over master seeds 1..20, the sparse slope at 40
@@ -17,10 +18,9 @@ import numpy as np
 import pytest
 
 from epelab import (
-    AlgorithmSpec,
-    EnsembleSpec,
-    ExperimentConfig,
+    ContractViolation,
     bound_report,
+    headline_config,
     run_experiment,
     sample_size_backward,
     sample_size_forward,
@@ -30,36 +30,38 @@ from epelab.harness import count_param
 
 EPSILON, DELTA, ALPHA, C_INF = 0.15, 0.1, 0.5, 1.0
 SIZES = (200, 800, 3200)
-BACKWARD = AlgorithmSpec("backward", {"epsilon": EPSILON, "n": "88.88888888888889*log(140.0*S)"})
-FORWARD = AlgorithmSpec("forward", {"T": 6, "m": "22.22222222222222*log(120.0*S)"})
 MASTER_SEED = 7
-
-
-def config(support: str, algorithms: tuple, trials: int) -> ExperimentConfig:
-    ensembles = tuple(
-        EnsembleSpec(S=S, p=10, alpha=ALPHA, cost_model="binary", H=5 if support == "sparse" else S // 8)
-        for S in SIZES
-    )
-    return ExperimentConfig(ensembles=ensembles, algorithms=algorithms, trials=trials, master_seed=MASTER_SEED)
-
 
 # (support, algorithms, trials, bounds on backward's log-log slope of mean draws)
 RUNS = [
-    ("sparse", (BACKWARD,), 40, (-np.inf, 0.15)),
-    ("dense", (BACKWARD, FORWARD), 5, (0.8, np.inf)),
+    ("sparse", ("backward",), 40, (-np.inf, 0.15)),
+    ("dense", ("backward", "forward"), 5, (0.8, np.inf)),
 ]
 
 
-@pytest.mark.parametrize("S", [200, 800, 3200, 12800, 100000])
+@pytest.mark.parametrize("S", [200, 800, 3200, 12800, 100000, 1000000])
 def test_schedules_are_the_guarantee_sample_sizes(S):
-    assert count_param(BACKWARD.params["n"], S) == sample_size_backward(EPSILON, DELTA, ALPHA, C_INF, S)
+    cfg = headline_config("sparse", (S,), 1)
+    (ensemble,) = cfg.ensembles
+    assert (ensemble.p, ensemble.alpha, ensemble.cost_model, ensemble.H) == (10.0, ALPHA, "binary", 5)
+    assert headline_config("dense", (S,), 1).ensembles[0].H == S // 8
+    backward, forward = (spec.params for spec in cfg.algorithms)
+    assert backward["epsilon"] == EPSILON
+    assert count_param(backward["n"], S) == sample_size_backward(EPSILON, DELTA, ALPHA, C_INF, S)
     T, m = sample_size_forward(EPSILON, DELTA, ALPHA, C_INF, S)
-    assert (count_param(FORWARD.params["T"], S), count_param(FORWARD.params["m"], S)) == (T, m)
+    assert (count_param(forward["T"], S), count_param(forward["m"], S)) == (T, m)
+
+
+def test_headline_config_refuses_other_supports_and_algorithms():
+    with pytest.raises(ContractViolation, match="^support must be 'sparse' or 'dense', got 'mixed'$"):
+        headline_config("mixed", SIZES, 1)
+    with pytest.raises(ContractViolation, match="^the headline runs backward and forward only, got 'bidirectional'$"):
+        headline_config("sparse", SIZES, 1, ("backward", "bidirectional"))
 
 
 @pytest.mark.parametrize("support,algorithms,trials,slope_range", RUNS, ids=[run[0] for run in RUNS])
 def test_backward_draws_scale_with_where_the_cost_sits(support, algorithms, trials, slope_range):
-    cfg = config(support, algorithms, trials)
+    cfg = headline_config(support, SIZES, trials, algorithms, master_seed=MASTER_SEED)
     records = run_experiment(cfg)
 
     assert [row["passed"] for row in bound_report(records, cfg)] == [True] * len(SIZES)

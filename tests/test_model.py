@@ -523,6 +523,19 @@ class TestTransitionTable:
             Q[s, t] = 1.0
         return instance_from(0.9, base.cost, Q)
 
+    @pytest.mark.parametrize("widest", [3, 300, 70_000])
+    def test_row_blocks_group_rows_by_length_in_row_order(self, widest):
+        # Many tied lengths, the widest needing an 8-, 16- or 32-bit sort key.
+        degree = np.random.default_rng(widest).integers(0, 4, 2000)
+        degree[[5, 1500]] = widest
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        expected = {}
+        for s, d in enumerate(degree.tolist()):
+            if d:
+                expected.setdefault(d, []).append(list(range(indptr[s], indptr[s + 1])))
+        blocks = list(model.csr_row_blocks(indptr))
+        assert [block.tolist() for block in blocks] == [expected[d] for d in sorted(expected)]
+
     def test_rows_match_dense_matrix(self, mixed_rows):
         table = mixed_rows.transitions
         for s in range(mixed_rows.S):
