@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import run_backward
+from .backward import check_formula_inputs, run_backward
 from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport, TransitionTable
 from .push import check_threshold
@@ -238,11 +238,7 @@ def sample_size_forward_bd(epsilon: float, epsilon_rel: float, epsilon_abs: floa
     guarantee, given the backward stage ran at threshold epsilon."""
     if not (0.0 < epsilon_rel < 1.0):
         raise ContractViolation(f"epsilon_rel must lie in (0,1), got {epsilon_rel}")
-    if epsilon <= 0 or epsilon_abs <= 0 or delta <= 0 or S < 1:
-        raise ContractViolation(
-            f"need epsilon, epsilon_abs, delta > 0 and S >= 1; got "
-            f"epsilon={epsilon}, epsilon_abs={epsilon_abs}, delta={delta}, S={S}"
-        )
+    check_formula_inputs(S, epsilon=epsilon, epsilon_abs=epsilon_abs, delta=delta)
     value = 324.0 * epsilon * math.log(4.0 * S / delta) / (epsilon_rel**2 * epsilon_abs)
     return max(1, math.ceil(value))
 
@@ -266,11 +262,7 @@ def sample_size_backward_bd(
         raise ContractViolation(f"epsilon_rel must lie in (0,1), got {epsilon_rel}")
     if not (0.0 < q_min <= 1.0):
         raise ContractViolation(f"q_min must lie in (0,1], got {q_min}")
-    if epsilon_abs <= 0 or delta <= 0 or c_inf <= 0 or S < 1 or not (0.0 < alpha < 1.0):
-        raise ContractViolation(
-            f"need epsilon_abs, delta, c_inf > 0, S >= 1, alpha in (0,1); got "
-            f"epsilon_abs={epsilon_abs}, delta={delta}, c_inf={c_inf}, S={S}, alpha={alpha}"
-        )
+    check_formula_inputs(S, alpha, epsilon_abs=epsilon_abs, delta=delta, c_inf=c_inf)
     horizon = max(1, math.ceil(math.log(2.0 * c_inf / epsilon_abs) / (1.0 - alpha)))
     value = (
         3.0

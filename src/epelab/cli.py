@@ -13,6 +13,7 @@ to stderr and exits with status 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bidirectional import sample_size_backward_bd, sample_size_forward_bd
@@ -53,7 +54,7 @@ def _write_or_print(text: str, out, what: str) -> None:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "master_seed": args.seed})
+        config = dataclasses.replace(config, master_seed=args.seed)
     records = run_experiment(config, timing=args.timing)
     _write_or_print(records_to_csv(records), args.out or config.output, f"{len(records)} records")
     return 0

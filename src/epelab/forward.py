@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backward import check_formula_inputs
 from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport
 
@@ -88,11 +89,7 @@ def forward_epe(sampler: CountingSampler, config: ForwardConfig) -> EstimateRepo
 def sample_size_forward(epsilon: float, delta: float, alpha: float, c_inf: float, S: int) -> tuple:
     """Trajectory length and count sufficient for a 2*epsilon sup-norm
     guarantee with failure probability delta; returns (T, m)."""
-    if epsilon <= 0 or delta <= 0 or c_inf <= 0 or S < 1 or not (0.0 < alpha < 1.0):
-        raise ContractViolation(
-            f"need epsilon, delta, c_inf > 0, S >= 1, alpha in (0,1); got "
-            f"epsilon={epsilon}, delta={delta}, c_inf={c_inf}, S={S}, alpha={alpha}"
-        )
+    check_formula_inputs(S, alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
     T = max(1, math.ceil(math.log(2.0 * c_inf / epsilon) / (1.0 - alpha)))
     m = max(
         1,

@@ -453,7 +453,9 @@ def bound_report(records, config: ExperimentConfig) -> list:
     c_bar is the ensemble's expected per-state cost (H/S binary, 3p/2S
     mixed); d_bar is the realized average in-degree, recovered by
     redrawing each trial's supergraph, and nothing else of its instance,
-    from the config seeds.
+    from the config seeds. Records without a backward row, and backward
+    records whose S has no ensemble in the config or whose p differs from
+    that ensemble's, are refused.
     """
     backward_specs = [a for a in config.algorithms if a.name == "backward"]
     if not backward_specs:
@@ -462,6 +464,20 @@ def bound_report(records, config: ExperimentConfig) -> list:
     for rec in records:
         if rec.algorithm == "backward":
             by_cell.setdefault(rec.S, []).append(rec)
+    if not by_cell:
+        raise ContractViolation("bound report needs backward records, and the trial records hold none")
+    # A record carries its ensemble's S and p but not its alpha, H or master
+    # seed, so only S and p can be checked against the config.
+    ensembles = {ensemble.S: ensemble for ensemble in config.ensembles}
+    for S, recs in by_cell.items():
+        if S not in ensembles:
+            raise ContractViolation(f"bound report: backward records at S={S}, but the config has no ensemble at S={S}")
+        other = next((rec.p for rec in recs if rec.p != ensembles[S].p), None)
+        if other is not None:
+            raise ContractViolation(
+                f"bound report: backward records at S={S} have p={other}, "
+                f"but the config's ensemble at S={S} has p={ensembles[S].p}"
+            )
 
     rows = []
     for ensemble in config.ensembles:

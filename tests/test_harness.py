@@ -31,7 +31,7 @@ from epelab import (
     validate_instance,
     write_csv,
 )
-from epelab import harness, instances, oracles
+from epelab import cli, harness, instances, oracles
 from epelab.harness import (
     ALGORITHM_NAMES,
     BOUND_HEADER,
@@ -553,50 +553,201 @@ class TestBoundReport:
         with pytest.raises(ContractViolation):
             bound_report(records, config)
 
+    # Two backward trials at S=20, p 4, read back from their CSV and checked
+    # against a config with another S, or with the same S at p 6. Unrefused,
+    # the first gives a report with no row and the second a bound for p 6.
+    @pytest.mark.parametrize(
+        "ensemble, message",
+        [
+            (EnsembleSpec(S=30, p=4, alpha=0.5), "^bound report: backward records at S=20, but the config has no ensemble"),
+            (EnsembleSpec(S=20, p=6, alpha=0.5), r"^bound report: backward records at S=20 have p=4\.0, but .* has p=6\.0$"),
+        ],
+        ids=["other-S", "other-p"],
+    )
+    def test_records_of_another_ensemble_are_refused(self, tmp_path, ensemble, message):
+        config = small_config(ensembles=(EnsembleSpec(S=20, p=4, alpha=0.5),), trials=2)
+        path = tmp_path / "out.csv"
+        write_csv(run_experiment(config), path)
+        records = read_csv(path)
+        assert len(bound_report(records, config)) == 1
+        with pytest.raises(ContractViolation, match=message):
+            bound_report(records, dataclasses.replace(config, ensembles=(ensemble,)))
+
+    def test_records_without_a_backward_row_are_refused(self):
+        config = small_config(trials=1)
+        forward_only = [rec for rec in run_experiment(config) if rec.algorithm != "backward"]
+        assert forward_only
+        with pytest.raises(ContractViolation, match="^bound report needs backward records, and the trial records hold none$"):
+            bound_report(forward_only, config)
+
+
+# Every byte pin of a whole `epelab run` output: a config document, run
+# in-process through `cli.main`, and the sha256 of the CSV it writes. A
+# digest moves only with a deliberate change to a random stream or to float
+# arithmetic; such a change re-pins the row here and says which moved and why.
+def _bidirectional_run(alpha):
+    return {
+        "master_seed": 1,
+        "trials": 1,
+        "ensembles": [{"S": 1600, "p": 10, "alpha": alpha}],
+        "algorithms": [{"name": "bidirectional", "params": {"n_B": "S", "n_F": 60, "termination_mode": "dynamic"}}],
+    }
+
+
+PINNED_RUNS = [
+    # Forward alone, 700 * 100 = 70,000 walkers: four full forward blocks of
+    # 2**14 and a short fifth, which write the bytes of the same run walked
+    # as one batch of all walkers.
+    pytest.param(
+        {
+            "master_seed": 1,
+            "trials": 1,
+            "ensembles": [{"S": 700, "p": 4, "alpha": 0.5}],
+            "algorithms": [{"name": "forward", "params": {"T": 3, "m": 100}}],
+        },
+        "1a21b12dad094adf889a2f4639c3a501a785dccc7063cbee9f5d6eb0fd2e0b1a",
+        id="fw",
+    ),
+    # Bidirectional alone at S=1600 with n_F 60: its walk stage spans two
+    # blocks of WALKER_BUDGET walkers (1092 states, then 508), and writes the
+    # bytes pinned from the stream layout of those blocks.
+    pytest.param(
+        _bidirectional_run(0.9),
+        "705d2193d83122c3c1ec7c4831f2a9c74a5f59fd136deb5230d8bf8eca7a5f53",
+        id="bd",
+    ),
+    # The same run at alpha 0.5: two blocks again, whose walks are ordered by
+    # 8-bit keys (bidirectional.longest_first).
+    pytest.param(
+        _bidirectional_run(0.5),
+        "2914fc812eed6b775d6d5b7c6dd8e75760489c7cec19b49d89d9546b6da58c58",
+        id="bd05",
+    ),
+    # The push estimators at S=800: their three push loops sweep the stale
+    # entries out of their heaps 14 times in all, and write the bytes of a
+    # heap that takes every residual above the floor and never sweeps.
+    pytest.param(
+        {
+            "master_seed": 1,
+            "trials": 1,
+            "ensembles": [{"S": 800, "p": 10, "alpha": 0.9}],
+            "algorithms": [
+                {"name": "backward", "params": {"epsilon": "10/S", "n": "S"}},
+                {"name": "approx_contributions", "params": {"epsilon": "10/S"}},
+                {"name": "backward_alternative", "params": {"epsilon": "10/S", "n": 20}},
+            ],
+        },
+        "56b11134866fafd02aa4424e15cfe21c006a1feba795b47e13d2425124775c81",
+        id="push",
+    ),
+    # Dense binary backward at S=1600 (H = S // 8, with the schedule of
+    # tests/test_headline.py): its 200 states that start tied at residual 1.0
+    # wait outside the heap as one group, and it writes the bytes of the heap
+    # that popped and re-entered the whole tie set at every selection.
+    pytest.param(
+        {
+            "master_seed": 1,
+            "trials": 1,
+            "ensembles": [{"S": 1600, "p": 10, "alpha": 0.5, "cost_model": "binary", "H": 200}],
+            "algorithms": [{"name": "backward", "params": {"epsilon": 0.15, "n": "88.88888888888889*log(140.0*S)"}}],
+        },
+        "1299b84820c0a7d4cea352cf00ccd8848254a1de432c91bd67b23fbb3a37da58",
+        id="dense",
+    ),
+    # The two figure presets, cut to two sizes and two trials.
+    pytest.param(
+        fig1_config(S_values=(100, 200), trials=2).to_dict(),
+        "6704747c7024c50cb960b12c0088cff54b3a0ac72bd52f6e571aead1aa8e4162",
+        id="fig1",
+    ),
+    pytest.param(
+        fig2_config(S_values=(100, 200), trials=2).to_dict(),
+        "7639ad56b3adb201f51bbd19d98bf097e1ef796e1e21b2bfe655b6ff8d019e5a",
+        id="fig2",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, digest", PINNED_RUNS)
+def test_run_writes_the_pinned_bytes(tmp_path, doc, digest):
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestCli:
-    def run_cli(self, *args):
-        return subprocess.run([sys.executable, "-m", "epelab.cli", *args], capture_output=True, text=True)
+    @pytest.fixture
+    def epelab(self, capsys):
+        """Run ``epelab *args`` in-process; a refusal returns 2 from ``main``,
+        and any exception that escapes fails the test."""
 
-    def test_generate_and_load(self, tmp_path):
-        out = tmp_path / "inst.json"
-        res = self.run_cli(
-            "generate", "--S", "8", "--p", "3", "--alpha", "0.5", "--seed", "4", "--out", str(out)
+        def run(*args):
+            args = list(map(str, args))
+            status = cli.main(args)
+            out, err = capsys.readouterr()
+            return subprocess.CompletedProcess(args, status, out, err)
+
+        return run
+
+    def test_module_entry_point_prints_the_headline_sizes(self):
+        # The one launch of `python -m epelab.cli`: the schedule of
+        # tests/test_headline.py at S=3200.
+        res = subprocess.run(
+            [sys.executable, "-m", "epelab.cli", "calc", "--epsilon", "0.15", "--delta", "0.1", "--alpha", "0.5",
+             "--c-inf", "1", "--S", "3200"],
+            capture_output=True,
+            text=True,
         )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["backward n*        = 1157", "forward (T, m)     = (6, 286)"]
+
+    def test_generate_and_load(self, tmp_path, epelab):
+        out = tmp_path / "inst.json"
+        res = epelab("generate", "--S", "8", "--p", "3", "--alpha", "0.5", "--seed", "4", "--out", out)
         assert res.returncode == 0
         doc = json.loads(out.read_text())
         assert doc["S"] == 8
         assert len(doc["supergraph"]["indptr"]) == 9
 
-    def test_run_summarize_bounds_pipeline(self, tmp_path):
+    def test_run_summarize_bounds_pipeline(self, tmp_path, epelab):
         cfg = small_config(trials=2).to_dict()
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         csv_path = tmp_path / "out.csv"
-        res = self.run_cli("run", "--config", str(cfg_path), "--out", str(csv_path))
+        res = epelab("run", "--config", cfg_path, "--out", csv_path)
         assert res.returncode == 0, res.stderr
-        res2 = self.run_cli("summarize", "--csv", str(csv_path))
+        res2 = epelab("summarize", "--csv", csv_path)
         assert res2.returncode == 0
         assert res2.stdout.startswith("S,algorithm")
-        res3 = self.run_cli("bounds", "--csv", str(csv_path), "--config", str(cfg_path))
+        res3 = epelab("bounds", "--csv", csv_path, "--config", cfg_path)
         assert res3.returncode == 0
         assert "True" in res3.stdout
 
-    def test_malformed_config_exits_2_naming_the_field(self, tmp_path):
+    def test_timing_flag_fills_only_the_wall_time_column(self, tmp_path, epelab):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(trials=2).to_dict()))
+        untimed = epelab("run", "--config", cfg_path).stdout.splitlines()
+        timed = epelab("run", "--config", cfg_path, "--timing").stdout.splitlines()
+        assert CSV_HEADER.split(",")[-1] == "wall_time_ms"
+        assert len(timed) == len(untimed) == 1 + 2 * 2
+        assert [line.rsplit(",", 1)[0] for line in timed] == [line.rsplit(",", 1)[0] for line in untimed]
+        assert {line.rsplit(",", 1)[1] for line in untimed[1:]} == {"0"}
+
+    def test_malformed_config_exits_2_naming_the_field(self, tmp_path, epelab):
         cfg = small_config(trials=1).to_dict()
         cfg["ensembles"][0]["cost_modle"] = "binary"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        res = self.run_cli("run", "--config", str(cfg_path))
+        res = epelab("run", "--config", cfg_path)
         assert res.returncode == 2
         assert res.stderr.startswith("epelab: ensembles[0].cost_modle: unknown field")
-        assert "Traceback" not in res.stderr
         assert res.stdout == ""
         cfg_path.write_text(json.dumps(cfg)[:-1])
-        res = self.run_cli("run", "--config", str(cfg_path))
-        assert res.returncode == 2 and "is not JSON" in res.stderr and "Traceback" not in res.stderr
+        res = epelab("run", "--config", cfg_path)
+        assert res.returncode == 2 and "is not JSON" in res.stderr
 
-    def test_unreadable_input_exits_2_naming_the_file(self, tmp_path):
+    def test_unreadable_input_exits_2_naming_the_file(self, tmp_path, epelab):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
         latin = tmp_path / "latin.json"
@@ -610,16 +761,16 @@ class TestCli:
             (("bounds", "--csv", missing, "--config", cfg_path), f"cannot read {missing}: No such file or directory"),
         ]
         for args, message in cases:
-            res = self.run_cli(*map(str, args))
+            res = epelab(*args)
             assert res.returncode == 2, res.stderr
             assert res.stderr.startswith(f"epelab: {message}"), res.stderr
-            assert "Traceback" not in res.stderr and res.stdout == ""
+            assert res.stdout == ""
 
-    def test_unwritable_output_exits_2_naming_the_file(self, tmp_path):
+    def test_unwritable_output_exits_2_naming_the_file(self, tmp_path, epelab):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
         csv_path = tmp_path / "out.csv"
-        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(csv_path)).returncode == 0
+        assert epelab("run", "--config", cfg_path, "--out", csv_path).returncode == 0
         out = tmp_path / "missing" / "out"
         cases = [
             ("generate", "--S", "8", "--p", "3", "--alpha", "0.5", "--seed", "4", "--out", out),
@@ -628,23 +779,24 @@ class TestCli:
             ("bounds", "--csv", csv_path, "--config", cfg_path, "--out", out),
         ]
         for args in cases:
-            res = self.run_cli(*map(str, args))
+            res = epelab(*args)
             assert res.returncode == 2, res.stderr
             assert res.stderr == f"epelab: cannot write {out}: No such file or directory\n"
             assert res.stdout == ""
-        res = self.run_cli("summarize", "--csv", str(csv_path), "--out", str(tmp_path))
+        res = epelab("summarize", "--csv", csv_path, "--out", tmp_path)
         assert res.returncode == 2 and res.stderr == f"epelab: cannot write {tmp_path}: Is a directory\n"
 
-    def test_threads_flag_is_refused(self, tmp_path):
+    def test_threads_flag_is_refused(self, tmp_path, capsys):
         # Cells run serially; the worker-count flag is gone, not ignored.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
-        res = self.run_cli("run", "--config", str(cfg_path), "--threads", "2")
-        assert res.returncode == 2, res.stderr
-        assert "unrecognized arguments: --threads 2" in res.stderr
-        assert "Traceback" not in res.stderr and res.stdout == ""
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "--config", str(cfg_path), "--threads", "2"])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments: --threads 2" in err and out == ""
 
-    def test_summarize_zero_draw_forward(self, tmp_path):
+    def test_summarize_zero_draw_forward(self, tmp_path, epelab):
         # Forward with T = 1 makes no draws, so the backward/forward ratio
         # has no value; its cell is left empty.
         cfg = small_config(
@@ -654,24 +806,24 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         csv_path = tmp_path / "out.csv"
-        assert self.run_cli("run", "--config", str(cfg_path), "--out", str(csv_path)).returncode == 0
-        res = self.run_cli("summarize", "--csv", str(csv_path))
+        assert epelab("run", "--config", cfg_path, "--out", csv_path).returncode == 0
+        res = epelab("summarize", "--csv", csv_path)
         assert res.returncode == 0, res.stderr
         header, backward_row, forward_row = (line.split(",") for line in res.stdout.splitlines())
         ratio = header.index("ratio_backward_over_forward")
         assert backward_row[1] == "backward" and backward_row[ratio] == ""
         assert forward_row[3] == "0.0"
 
-    def test_seed_override_changes_output(self, tmp_path):
+    def test_seed_override_changes_output(self, tmp_path, epelab):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(trials=1).to_dict()))
-        a = self.run_cli("run", "--config", str(cfg_path))
-        b = self.run_cli("run", "--config", str(cfg_path), "--seed", "999")
+        a = epelab("run", "--config", cfg_path)
+        b = epelab("run", "--config", cfg_path, "--seed", "999")
         assert a.returncode == b.returncode == 0
         assert a.stdout != b.stdout
 
-    def test_calc_prints_all_sizes(self):
-        res = self.run_cli(
+    def test_calc_prints_all_sizes(self, epelab):
+        res = epelab(
             "calc", "--epsilon", "0.1", "--delta", "0.1", "--alpha", "0.5", "--c-inf", "1.0",
             "--S", "10", "--epsilon-rel", "0.5", "--epsilon-abs", "0.1", "--q-min", "0.1",
         )
@@ -680,3 +832,22 @@ class TestCli:
         assert "(6, 355)" in res.stdout
         assert "7765" in res.stdout
         assert "179897" in res.stdout
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epsilon", "nan", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=nan,"),
+            ("--epsilon", "inf", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=inf,"),
+            ("--delta", "nan", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=0.1, delta=nan,"),
+            ("--c-inf", "inf", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=0.1, delta=0.1, c_inf=inf,"),
+            ("--epsilon-abs", "nan", "need epsilon, epsilon_abs, delta > 0 and finite, S >= 1; got epsilon=0.1, epsilon_abs=nan,"),
+        ],
+        ids=["epsilon-nan", "epsilon-inf", "delta-nan", "c_inf-inf", "epsilon_abs-nan"],
+    )
+    def test_calc_refuses_a_non_finite_input(self, epelab, flag, value, message):
+        args = {"--epsilon": "0.1", "--delta": "0.1", "--alpha": "0.5", "--c-inf": "1.0", "--S": "10",
+                "--epsilon-rel": "0.5", "--epsilon-abs": "0.1"}
+        args[flag] = value
+        res = epelab("calc", *(item for pair in args.items() for item in pair))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"epelab: {message}"), res.stderr
