@@ -3,17 +3,12 @@ estimators of a Markov chain's discounted value function under a
 draw-counting sampling model, plus the experiment harness that measures
 their sample complexity."""
 
-from .backward import backward_epe, sample_size_backward
+from .backward import backward_epe
 from .baselines import approx_contributions, backward_epe_alternative, plug_in_estimate
-from .bidirectional import (
-    BidirectionalConfig,
-    bidirectional_epe,
-    geometric_length,
-    sample_size_backward_bd,
-    sample_size_forward_bd,
-)
+from .bidirectional import BidirectionalConfig, bidirectional_epe, geometric_length
 from .errors import ContractViolation, GenerationError, IterationLimitExceeded
-from .forward import ForwardConfig, forward_epe, sample_size_forward
+from .forward import ForwardConfig, forward_epe
+from .guarantees import sample_size_backward, sample_size_backward_bd, sample_size_forward, sample_size_forward_bd
 from .harness import (
     AlgorithmSpec,
     ExperimentConfig,

@@ -18,9 +18,6 @@ fixed-point identity. The completions and that check are dense oracles in
 
 from __future__ import annotations
 
-import math
-
-from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport
 from .push import CachedEmpiricalRows, PushOutcome, run_push_loop
 
@@ -53,34 +50,3 @@ def backward_epe(
     before = sampler.draw_count
     outcome = run_backward(sampler, epsilon, n, trace=trace)
     return outcome.report(sampler.draw_count - before, len(outcome.rows))
-
-
-def check_formula_inputs(S: int, alpha: float | None = None, **positive: float) -> None:
-    """Refuse the inputs of a sample-size formula unless every one of
-    ``positive`` is finite and > 0, S is finite and >= 1, and alpha, when
-    given, lies in (0,1).
-
-    Each test is written as the condition to pass, so a NaN, which fails
-    every comparison, is refused with the rest.
-    """
-    got = {**positive, "S": S}
-    need = f"need {', '.join(positive)} > 0 and finite, S >= 1"
-    ok = all(0.0 < value < math.inf for value in positive.values()) and 1 <= S < math.inf
-    if alpha is not None:
-        got["alpha"] = alpha
-        need += ", alpha in (0,1)"
-        ok = ok and 0.0 < alpha < 1.0
-    if not ok:
-        raise ContractViolation(f"{need}; got " + ", ".join(f"{name}={value}" for name, value in got.items()))
-
-
-def sample_size_backward(epsilon: float, delta: float, alpha: float, c_inf: float, S: int) -> int:
-    """Per-state draw count sufficient for a 2*epsilon sup-norm guarantee
-    with failure probability delta."""
-    check_formula_inputs(S, alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
-    # Horizon factor; clamps to 1 when epsilon >= 4*c_inf makes the log nonpositive.
-    horizon = max(1, math.ceil(math.log(4.0 * c_inf / epsilon) / (1.0 - alpha)))
-    value = (2.0 * c_inf**2 * alpha**2 / (epsilon**2 * (1.0 - alpha) ** 2)) * math.log(
-        (2.0 * S / delta) * horizon
-    )
-    return max(1, math.ceil(value))

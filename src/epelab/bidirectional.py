@@ -25,21 +25,18 @@ Layout of the walk stage (:func:`_walk_stage`):
   ``WALKER_BUDGET`` walkers, so memory stays bounded as S grows. A
   block's walks are numbered state by state, and their lengths come from
   one vector of uniforms through :func:`geometric_length`.
-- One frontier, one split step. All walkers of a block move together,
-  one step at a time, longest walks first (ties in walk order). Walkers at
-  encountered states step through the stored rows for free, with uniforms
-  from the walks stream; the rest take one charged batch draw on the true
-  table. An empty side reads no uniform, so every step takes this path.
+- One frontier, one split step. All walkers of a block move together, one
+  step at a time, longest walks first (:func:`longest_first`, a radix sort;
+  ties in walk order). Walkers at encountered states step through the
+  stored rows for free, with uniforms from the walks stream; the rest take
+  one charged batch draw on the true table. An empty side reads no
+  uniform, so every step takes this path.
 - Index arrays, not masks. A step finds its two sides once, as
   ``np.flatnonzero`` of the stored-row mask and of its complement, and
   gathers and scatters through them. Four boolean-mask indexings of the
   frontier cost about three times as much: 0.98 ms against 0.30 ms for the
   gathers and scatters of one step of 34,400 walkers, half of them at
   stored rows in random order (numpy 2.4, one core).
-- A radix sort for the order. :func:`longest_first` sorts a block's walks
-  by a key of the smallest unsigned type that holds the longest length;
-  for 16 bits or less numpy's stable sort is a radix sort, about 6x faster
-  than the merge sort of an int64 key, with the same permutation.
 
 Endpoint residuals are summed per state in walk order, so the estimate
 is bit-identical to a per-walk running sum.
@@ -52,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import check_formula_inputs, run_backward
+from .backward import run_backward
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, TransitionTable
+from .model import CountingSampler, EstimateReport, TransitionTable, stable_order
 from .push import check_threshold
 
 # Walkers moved together in one block by the walk stage. A block's
@@ -124,15 +121,9 @@ def dynamic_stop_threshold(S: int, n_B: int, n_F: int, alpha: float) -> int:
 
 def longest_first(lengths: np.ndarray) -> np.ndarray:
     """The permutation ``np.argsort(-lengths, kind="stable")`` of walk
-    lengths (non-negative): longest first, ties in index order.
-
-    It sorts the key ``top - lengths`` in the smallest unsigned type that
-    holds ``top = lengths.max()``, which orders the same way. numpy sorts a
-    key of 16 bits or less stably by radix: 0.25 ms for 34,400 walks,
-    against 1.7 ms for the merge sort of an int64 key.
-    """
-    top = int(lengths.max())
-    return np.argsort((top - lengths).astype(np.min_scalar_type(top)), kind="stable")
+    lengths (non-negative): longest first, ties in index order, found as the
+    :func:`~epelab.model.stable_order` of ``lengths.max() - lengths``."""
+    return stable_order(lengths.max() - lengths)
 
 
 def _walk_stage(
@@ -231,43 +222,3 @@ def bidirectional_epe(
     )
     report.samples_used += counted_forward
     return report
-
-
-def sample_size_forward_bd(epsilon: float, epsilon_rel: float, epsilon_abs: float, delta: float, S: int) -> int:
-    """Per-state walk count sufficient for the relative-plus-absolute
-    guarantee, given the backward stage ran at threshold epsilon."""
-    if not (0.0 < epsilon_rel < 1.0):
-        raise ContractViolation(f"epsilon_rel must lie in (0,1), got {epsilon_rel}")
-    check_formula_inputs(S, epsilon=epsilon, epsilon_abs=epsilon_abs, delta=delta)
-    value = 324.0 * epsilon * math.log(4.0 * S / delta) / (epsilon_rel**2 * epsilon_abs)
-    return max(1, math.ceil(value))
-
-
-def sample_size_backward_bd(
-    epsilon_rel: float,
-    epsilon_abs: float,
-    delta: float,
-    alpha: float,
-    c_inf: float,
-    S: int,
-    q_min: float,
-) -> int:
-    """Per-state backward draw count for the relative-plus-absolute guarantee.
-
-    q_min is the smallest positive transition probability; it must be
-    supplied by the caller (a sampling-only agent cannot observe it, so a
-    practical caller passes a lower-bound assumption).
-    """
-    if not (0.0 < epsilon_rel < 1.0):
-        raise ContractViolation(f"epsilon_rel must lie in (0,1), got {epsilon_rel}")
-    if not (0.0 < q_min <= 1.0):
-        raise ContractViolation(f"q_min must lie in (0,1], got {q_min}")
-    check_formula_inputs(S, alpha, epsilon_abs=epsilon_abs, delta=delta, c_inf=c_inf)
-    horizon = max(1, math.ceil(math.log(2.0 * c_inf / epsilon_abs) / (1.0 - alpha)))
-    value = (
-        3.0
-        * math.log(4.0 * S * S / delta)
-        / ((math.log1p(epsilon_rel / 2.0)) ** 2 * q_min)
-        * horizon**2
-    )
-    return max(1, math.ceil(value))

@@ -16,10 +16,8 @@ import argparse
 import dataclasses
 import sys
 
-from .bidirectional import sample_size_backward_bd, sample_size_forward_bd
-from .backward import sample_size_backward
 from .errors import ContractViolation
-from .forward import sample_size_forward
+from .guarantees import sample_size_backward, sample_size_backward_bd, sample_size_forward, sample_size_forward_bd
 from .harness import (
     BOUND_HEADER,
     SUMMARY_HEADER,
@@ -75,18 +73,17 @@ def _cmd_bounds(args) -> int:
 def _cmd_calc(args) -> int:
     n = sample_size_backward(args.epsilon, args.delta, args.alpha, args.c_inf, args.S)
     T, m = sample_size_forward(args.epsilon, args.delta, args.alpha, args.c_inf, args.S)
-    print(f"backward n*        = {n}")
-    print(f"forward (T, m)     = ({T}, {m})")
+    lines = [f"backward n*        = {n}", f"forward (T, m)     = ({T}, {m})"]
     if args.epsilon_rel is not None and args.epsilon_abs is not None:
         n_f = sample_size_forward_bd(args.epsilon, args.epsilon_rel, args.epsilon_abs, args.delta, args.S)
-        print(f"bidirectional n_F* = {n_f}")
+        n_b = "(supply --q-min)"
         if args.q_min is not None:
             n_b = sample_size_backward_bd(
                 args.epsilon_rel, args.epsilon_abs, args.delta, args.alpha, args.c_inf, args.S, args.q_min
             )
-            print(f"bidirectional n_B* = {n_b}")
-        else:
-            print("bidirectional n_B* = (supply --q-min)")
+        lines += [f"bidirectional n_F* = {n_f}", f"bidirectional n_B* = {n_b}"]
+    # Every size is found before any is printed, so a refused input prints none.
+    print("\n".join(lines))
     return 0
 
 

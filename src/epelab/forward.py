@@ -18,12 +18,10 @@ the block size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import check_formula_inputs
 from .errors import ContractViolation
 from .model import CountingSampler, EstimateReport
 
@@ -84,18 +82,3 @@ def forward_epe(sampler: CountingSampler, config: ForwardConfig) -> EstimateRepo
         iterations=S * m,
         encountered_size=None,
     )
-
-
-def sample_size_forward(epsilon: float, delta: float, alpha: float, c_inf: float, S: int) -> tuple:
-    """Trajectory length and count sufficient for a 2*epsilon sup-norm
-    guarantee with failure probability delta; returns (T, m)."""
-    check_formula_inputs(S, alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
-    T = max(1, math.ceil(math.log(2.0 * c_inf / epsilon) / (1.0 - alpha)))
-    m = max(
-        1,
-        math.ceil(
-            (c_inf**2 * alpha**2 / (2.0 * epsilon**2 * (1.0 - alpha) ** 2))
-            * math.log(2.0 * S * T / delta)
-        ),
-    )
-    return T, m

@@ -454,8 +454,8 @@ def bound_report(records, config: ExperimentConfig) -> list:
     mixed); d_bar is the realized average in-degree, recovered by
     redrawing each trial's supergraph, and nothing else of its instance,
     from the config seeds. Records without a backward row, and backward
-    records whose S has no ensemble in the config or whose p differs from
-    that ensemble's, are refused.
+    records whose S has no ensemble in the config, whose p differs from that
+    ensemble's or that hold no encountered_size, are refused.
     """
     backward_specs = [a for a in config.algorithms if a.name == "backward"]
     if not backward_specs:
@@ -472,12 +472,14 @@ def bound_report(records, config: ExperimentConfig) -> list:
     for S, recs in by_cell.items():
         if S not in ensembles:
             raise ContractViolation(f"bound report: backward records at S={S}, but the config has no ensemble at S={S}")
-        other = next((rec.p for rec in recs if rec.p != ensembles[S].p), None)
-        if other is not None:
-            raise ContractViolation(
-                f"bound report: backward records at S={S} have p={other}, "
-                f"but the config's ensemble at S={S} has p={ensembles[S].p}"
-            )
+        for rec in recs:
+            if rec.p != ensembles[S].p:
+                raise ContractViolation(
+                    f"bound report: backward records at S={S} have p={rec.p}, "
+                    f"but the config's ensemble at S={S} has p={ensembles[S].p}"
+                )
+            if rec.encountered_size is None:
+                raise ContractViolation(f"bound report: backward record at S={S}, seed={rec.seed} has no encountered_size")
 
     rows = []
     for ensemble in config.ensembles:

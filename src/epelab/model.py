@@ -59,14 +59,20 @@ def csr_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, sorted in
+    the smallest unsigned type that holds the largest, so that numpy's stable
+    sort is a radix sort (up to 16 bits): 4.7 ms against 56 ms for the row
+    degrees at S = 10^6, p 10, 0.25 ms against 1.7 ms for 34,400 walk lengths."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
+
+
 def csr_row_blocks(indptr: np.ndarray):
     """Entry positions of a CSR matrix's non-empty rows, grouped by length:
     one (k, d) array for each row length d, whose rows are the positions of
-    the k rows of that length, in row order. The degrees are sorted in the
-    smallest unsigned type that holds them, so that numpy's stable sort is a
-    radix sort (up to 16 bits): 4.7 ms against 56 ms at S = 10^6, p 10."""
+    the k rows of that length, in row order (:func:`stable_order`)."""
     degree = np.diff(indptr)
-    rows = np.argsort(degree.astype(np.min_scalar_type(degree.max())), kind="stable")
+    rows = stable_order(degree)
     lengths, first = np.unique(degree[rows], return_index=True)
     for d, group in zip(lengths.tolist(), np.split(rows, first[1:])):
         if d:

@@ -495,6 +495,22 @@ class TestSummarize:
             summarize([])
 
 
+def write_csv_without_first_encountered_size(path):
+    """Write two backward and forward trials at S=20, p 4 to the CSV ``path``
+    with the first backward row's encountered_size cell empty; return their config."""
+    config = small_config(
+        ensembles=(EnsembleSpec(S=20, p=4, alpha=0.5),),
+        algorithms=(AlgorithmSpec("backward", {"epsilon": 0.2, "n": 5}), AlgorithmSpec("forward", {"T": 3, "m": 2})),
+        trials=2,
+    )
+    records = run_experiment(config)
+    first = next(i for i, rec in enumerate(records) if rec.algorithm == "backward")
+    assert records[first].seed == 0
+    records[first] = dataclasses.replace(records[first], encountered_size=None)
+    write_csv(records, path)
+    return config
+
+
 class TestBoundReport:
     def test_binary_bound_formula(self):
         config = ExperimentConfig(
@@ -579,6 +595,16 @@ class TestBoundReport:
         assert forward_only
         with pytest.raises(ContractViolation, match="^bound report needs backward records, and the trial records hold none$"):
             bound_report(forward_only, config)
+
+    def test_backward_record_without_encountered_size_is_refused(self, tmp_path):
+        # Unrefused, the mean of the encountered sizes adds None to an int.
+        path = tmp_path / "out.csv"
+        config = write_csv_without_first_encountered_size(path)
+        records = read_csv(path)
+        assert [rec.encountered_size is None for rec in records if rec.algorithm == "backward"] == [True, False]
+        message = "^bound report: backward record at S=20, seed=0 has no encountered_size$"
+        with pytest.raises(ContractViolation, match=message):
+            bound_report(records, config)
 
 
 # Every byte pin of a whole `epelab run` output: a config document, run
@@ -674,6 +700,10 @@ def test_run_writes_the_pinned_bytes(tmp_path, doc, digest):
     config.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# What math.ceil says of a count that overflowed to inf.
+INFINITE_COUNT = "cannot convert float infinity to integer"
 
 
 class TestCli:
@@ -822,6 +852,14 @@ class TestCli:
         assert a.returncode == b.returncode == 0
         assert a.stdout != b.stdout
 
+    def test_bounds_refuses_a_backward_row_without_encountered_size(self, tmp_path, epelab):
+        csv_path, cfg_path = tmp_path / "out.csv", tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(write_csv_without_first_encountered_size(csv_path).to_dict()))
+        res = epelab("bounds", "--csv", csv_path, "--config", cfg_path)
+        assert res.returncode == 2
+        assert res.stderr == "epelab: bound report: backward record at S=20, seed=0 has no encountered_size\n"
+        assert res.stdout == ""
+
     def test_calc_prints_all_sizes(self, epelab):
         res = epelab(
             "calc", "--epsilon", "0.1", "--delta", "0.1", "--alpha", "0.5", "--c-inf", "1.0",
@@ -851,3 +889,26 @@ class TestCli:
         res = epelab("calc", *(item for pair in args.items() for item in pair))
         assert res.returncode == 2
         assert res.stderr.startswith(f"epelab: {message}"), res.stderr
+
+    # Finite inputs whose formula overflows or underflows. Each printed a
+    # ZeroDivisionError or OverflowError traceback and exited 1.
+    @pytest.mark.parametrize(
+        "flags, formula, error",
+        [
+            (("--epsilon", "1e-300"), "sample_size_backward", "float division by zero"),
+            (("--c-inf", "1e300"), "sample_size_backward", "Numerical result out of range"),
+            (("--delta", "1e-320"), "sample_size_backward", INFINITE_COUNT),
+            (("--epsilon-rel", "0.5", "--epsilon-abs", "1e-320"), "sample_size_forward_bd", INFINITE_COUNT),
+            (("--epsilon-rel", "0.5", "--epsilon-abs", "0.1", "--q-min", "1e-320"), "sample_size_backward_bd", INFINITE_COUNT),
+            (("--S", "1" + "0" * 400), "sample_size_backward", "int too large to convert to float"),
+        ],
+        ids=["epsilon-tiny", "c_inf-huge", "delta-tiny", "epsilon_abs-tiny", "q_min-tiny", "S-401-digits"],
+    )
+    def test_calc_refuses_a_formula_it_cannot_evaluate(self, epelab, flags, formula, error):
+        args = {"--epsilon": "0.1", "--delta": "0.1", "--alpha": "0.9", "--c-inf": "1", "--S": "100"}
+        args.update(zip(flags[::2], flags[1::2]))
+        res = epelab("calc", *(item for pair in args.items() for item in pair))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"epelab: {formula} cannot be evaluated at epsilon"), res.stderr
+        assert f": {error}" in res.stderr and res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+        assert res.stdout == ""
