@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CountingSampler, EstimateReport, ProblemInstance, TransitionTable, certified_value, csr_rows
+from .model import CountingSampler, EstimateReport, ProblemInstance, TransitionTable, certified_value, check_count, csr_rows
 from .push import ExactRows, FreshEmpiricalRows, run_push_loop
 
 
@@ -58,7 +58,8 @@ def backward_epe_alternative(
 
 def plug_in_estimate(sampler: CountingSampler, n: int) -> EstimateReport:
     """Value function of a fully offline empirical matrix (n draws per row,
-    all counted: samples_used = n * S); the row channel refuses n < 1."""
+    all counted: samples_used = n * S); n is a count, kept as an int."""
+    n = check_count("per-state sample count", n)
     instance = sampler.instance
     before = sampler.draw_count
     rows = {s: sampler.sample_empirical_row(s, n) for s in range(instance.S)}

@@ -51,7 +51,7 @@ import numpy as np
 
 from .backward import run_backward
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport, TransitionTable, stable_order
+from .model import CountingSampler, EstimateReport, TransitionTable, check_count, check_discount, stable_order
 from .push import check_threshold
 
 # Walkers moved together in one block by the walk stage. A block's
@@ -72,8 +72,8 @@ class BidirectionalConfig:
     def __post_init__(self):
         if self.termination_mode not in ("fixed", "dynamic"):
             raise ContractViolation(f"unknown termination_mode {self.termination_mode!r}")
-        if self.n_B < 1 or self.n_F < 1:
-            raise ContractViolation(f"need n_B, n_F >= 1, got n_B={self.n_B}, n_F={self.n_F}")
+        for name in ("n_B", "n_F"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if self.termination_mode == "fixed":
             if self.epsilon is None:
                 raise ContractViolation("fixed mode needs epsilon > 0, got None")
@@ -91,13 +91,13 @@ def geometric_length(alpha: float, u: np.ndarray) -> np.ndarray:
     resolution floor) maps to the cap.
     """
     with np.errstate(divide="ignore"):
-        steps = np.log(u) / math.log(alpha)
+        steps = np.log(u) / math.log(check_discount(alpha))
     return np.minimum(steps, walk_step_cap(alpha)).astype(np.int64)
 
 
 def walk_step_cap(alpha: float) -> int:
     # Exceeding this has probability alpha^(100/(1-alpha)) ~ e^-100.
-    return math.ceil(100.0 / (1.0 - alpha))
+    return math.ceil(100.0 / (1.0 - check_discount(alpha)))
 
 
 def dynamic_stop_threshold(S: int, n_B: int, n_F: int, alpha: float) -> int:
@@ -115,7 +115,7 @@ def dynamic_stop_threshold(S: int, n_B: int, n_F: int, alpha: float) -> int:
     which balances the two stages' draw counts. Solved for the encountered
     count this is the threshold returned here.
     """
-    w = n_F * alpha / (1.0 - alpha)
+    w = n_F * check_discount(alpha) / (1.0 - alpha)
     return min(math.ceil(S * w / (n_B + w)), S)
 
 

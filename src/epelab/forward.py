@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import CountingSampler, EstimateReport
+from .model import CountingSampler, EstimateReport, check_count
 
 # Walkers moved together in one step, chosen by measurement. Each of a
 # step's temporaries (the uniforms, the search's positions, candidates,
@@ -40,14 +40,14 @@ FORWARD_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class ForwardConfig:
-    """T = states per trajectory (including the start), m = trajectories per state."""
+    """T = states per trajectory (including the start), m = trajectories per state; counts, kept as ints."""
 
     T: int
     m: int
 
     def __post_init__(self):
-        if self.T < 1 or self.m < 1:
-            raise ContractViolation(f"need T >= 1 and m >= 1, got T={self.T}, m={self.m}")
+        for name in ("T", "m"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
 
 def forward_epe(sampler: CountingSampler, config: ForwardConfig) -> EstimateReport:

@@ -43,7 +43,7 @@ from .bidirectional import BidirectionalConfig, bidirectional_epe
 from .errors import ContractViolation
 from .forward import ForwardConfig, forward_epe
 from .instances import EnsembleSpec, density_for_case, draw_supergraph, generate_instance
-from .model import CountingSampler, check_sample_count, exact_value, read_fields, read_json, read_text, write_text
+from .model import CountingSampler, check_count, check_number, exact_value, read_fields, read_json, read_text, write_text
 from .push import check_threshold
 
 # The parameter keys of each algorithm: (required, optional).
@@ -78,8 +78,8 @@ _EXPR_OPERATORS = {
 def _eval_expr(node, S: int) -> float:
     """Every value is a float, so no expression builds a huge integer: a
     power out of float range raises ``OverflowError`` at once."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-        return float(node.value)
+    if isinstance(node, ast.Constant):
+        return check_number("parameter", node.value)
     if isinstance(node, ast.Name) and node.id == "S":
         return float(S)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -143,6 +143,8 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.name not in ALGORITHM_PARAMS:
             raise ContractViolation(f"unknown algorithm {self.name!r}; expected one of {ALGORITHM_NAMES}")
+        if not isinstance(self.params, dict):
+            raise ContractViolation(f"{self.name}: params must be a dict, got {self.params!r}")
         required, optional = ALGORITHM_PARAMS[self.name]
         missing, unknown = required - self.params.keys(), self.params.keys() - required - optional
         if missing:
@@ -167,8 +169,7 @@ def algorithm_run(spec: AlgorithmSpec, S: int):
         config = BidirectionalConfig(eps, count_param(p["n_B"], S), count_param(p["n_F"], S), mode)
         return lambda sampler: bidirectional_epe(sampler, config)
     if "n" in p:
-        n = count_param(p["n"], S)
-        check_sample_count(n)
+        n = check_count("per-state sample count", count_param(p["n"], S))
     if spec.name == "plug_in":
         return lambda sampler: plug_in_estimate(sampler, n)
     epsilon = eval_param(p["epsilon"], S)
@@ -200,8 +201,7 @@ class ExperimentConfig:
         for name in ("ensembles", "algorithms"):
             if not getattr(self, name):
                 raise ContractViolation(f"{name}: must not be empty")
-        if self.trials < 1:
-            raise ContractViolation(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", check_count("trials", self.trials))
         # Instance streams, summaries and bound reports are keyed by S alone.
         sizes = [e.S for e in self.ensembles]
         if len(set(sizes)) != len(sizes):

@@ -23,26 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, GenerationError
-from .model import ProblemInstance, Supergraph, csr_rows
+from .model import ProblemInstance, Supergraph, check_count, check_discount, check_number, csr_rows
 from .rng import make_rng
 
 RESAMPLE_CAP = 10**6
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a bool, or a float that is not a whole number,
-    raises :class:`ContractViolation` naming the field instead of truncating."""
-    if isinstance(value, (bool, np.bool_)) or isinstance(value, (float, np.floating)) and not float(value).is_integer():
-        raise ContractViolation(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One cell of an ensemble: size, density, discount, and cost model.
 
-    ``S`` and ``H`` are whole numbers: a bool, or a float with a fractional
-    part, is refused, not truncated."""
+    ``S`` and ``H`` are counts, kept as ints, ``p`` a number and ``alpha`` a
+    discount, by :mod:`epelab.model`'s rules: a bool or a fractional S or H is refused."""
 
     S: int
     p: float
@@ -51,21 +43,17 @@ class EnsembleSpec:
     H: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "S", _whole("S", self.S))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "S", check_count("S", self.S))
+        object.__setattr__(self, "p", check_number("p", self.p))
+        object.__setattr__(self, "alpha", check_discount(self.alpha))
         if self.H is not None:
-            object.__setattr__(self, "H", _whole("H", self.H))
-        if self.S < 1:
-            raise ContractViolation(f"S must be >= 1, got {self.S}")
+            object.__setattr__(self, "H", check_count("H", self.H))
         if not (1.0 <= self.p <= self.S):
             raise ContractViolation(f"density p must lie in [1, S]; got p={self.p}, S={self.S}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ContractViolation(f"alpha must lie in (0,1), got {self.alpha}")
         if self.cost_model not in ("mixed", "binary"):
             raise ContractViolation(f"unknown cost model {self.cost_model!r}")
         if self.cost_model == "binary":
-            if self.H is None or not (1 <= self.H <= self.S):
+            if self.H is None or self.H > self.S:
                 raise ContractViolation(f"binary cost needs 1 <= H <= S, got H={self.H}")
         elif self.H is not None:
             raise ContractViolation(f"H={self.H} is read by the binary cost model only, not by {self.cost_model!r}")
@@ -95,7 +83,8 @@ def _binary_cost(S: int, H: int, rng: np.random.Generator) -> np.ndarray:
 
 def generate_binary_cost(S: int, H: int, seed) -> np.ndarray:
     """Uniformly random cost vector with exactly H entries equal to 1."""
-    if not (1 <= H <= S):
+    S, H = check_count("S", S), check_count("H", H)
+    if H > S:
         raise ContractViolation(f"need 1 <= H <= S, got H={H}, S={S}")
     return _binary_cost(S, H, make_rng(seed))
 

@@ -93,12 +93,9 @@ def csr_transpose(S: int, indices: np.ndarray) -> tuple:
 
 
 def check_csr(S: int, indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Raise :class:`ContractViolation` naming ``S`` or the field
-    (``supergraph.indptr`` or ``supergraph.indices``) unless S >= 1 and the
-    pair is a CSR matrix with S rows and S columns whose rows are strictly
-    ascending."""
-    if S < 1:
-        raise ContractViolation(f"S must be >= 1, got {S}")
+    """Raise :class:`ContractViolation` naming the field (``supergraph.indptr``
+    or ``supergraph.indices``) unless the pair is a CSR matrix with S rows
+    and S columns, S a checked count, whose rows are strictly ascending."""
     if indptr.shape != (S + 1,) or indices.ndim != 1:
         raise ContractViolation(f"supergraph.indptr needs S + 1 = {S + 1} entries and supergraph.indices one dimension")
     if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
@@ -142,6 +139,7 @@ class Supergraph:
 
     def __post_init__(self):
         _store_read_only(self, {"indptr": np.int64, "indices": np.int64})
+        object.__setattr__(self, "S", check_count("S", self.S))
         check_csr(self.S, self.indptr, self.indices)
 
     @classmethod
@@ -175,38 +173,25 @@ class Supergraph:
 
 
 class TransitionTable:
-    """Transition rows in compressed sparse row (CSR) form; read-only.
+    """Transition rows in compressed sparse row (CSR) form, read-only, on the arrays given (not copied).
 
     Row s occupies positions ``indptr[s]:indptr[s+1]`` of ``indices`` (the
-    successor states, ascending), ``probs`` (their probabilities) and
-    ``cum`` (the running sum of ``probs`` with its last entry clamped to
-    1.0, so that every uniform in [0, 1) falls inside the row). A row
+    successor states, ascending) and ``probs`` (their probabilities). A row
     without successors is empty; only the walk stage's stored table has
     such rows, and it draws from stored rows alone.
 
-    Each row's floats are those of one ``np.cumsum`` over that row alone
-    (a cumulative sum along the rows of a block is sequential), so a draw is
-    bit-identical to ``searchsorted(cum_row, u, side="right")``
-    capped at the row end. :meth:`draw_batch`, a branchless lifting search,
-    is the one draw routine, and
-    :meth:`row` hands the row channel its views. Beyond its four arrays the
-    table keeps only the S + 1 row pointers as Python ints: no Python object
-    of nnz size. The column channel reads ``probs`` through the instance's
-    :attr:`ProblemInstance.in_edge_probs`.
+    :meth:`draw_batch`, a branchless lifting search, is the one draw routine
+    and reads :attr:`cum`; :meth:`row` hands the row channel its views. Beyond
+    its arrays the table keeps only the S + 1 row pointers as Python ints. The
+    column channel reads ``probs`` through :attr:`ProblemInstance.in_edge_probs`.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
-        """Take the CSR arrays (not copied) and build ``cum``, a block of
-        equal-length rows at a time."""
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=float)
-        self.cum = np.empty_like(self.probs)
-        for pos in csr_row_blocks(self.indptr):
-            self.cum[pos] = np.cumsum(self.probs[pos], axis=1)
-            self.cum[pos[:, -1]] = 1.0
         self._indptr = self.indptr.tolist()
-        for arr in (self.indptr, self.indices, self.probs, self.cum):
+        for arr in (self.indptr, self.indices, self.probs):
             arr.setflags(write=False)
         # Search passes: their steps, 2^(passes-1) down to 1, sum to at least
         # the widest row's width minus one.
@@ -226,10 +211,21 @@ class TransitionTable:
             probs += row.values()
         return cls(np.cumsum(degree), np.array(indices, dtype=np.int64), np.array(probs, dtype=float))
 
+    @cached_property
+    def cum(self) -> np.ndarray:
+        """Each row's running sum of ``probs``, its last entry clamped to 1.0; built by the first batch
+        draw, with the floats of one ``np.cumsum`` per row (a sum along a block's rows is sequential)."""
+        cum = np.empty_like(self.probs)
+        for pos in csr_row_blocks(self.indptr):
+            cum[pos] = np.cumsum(self.probs[pos], axis=1)
+            cum[pos[:, -1]] = 1.0
+        cum.setflags(write=False)
+        return cum
+
     def row(self, s: int) -> tuple:
-        """(successors, probabilities, cumulative) views of row s."""
+        """(successors, probabilities) views of row s."""
         lo, hi = self._indptr[s], self._indptr[s + 1]
-        return self.indices[lo:hi], self.probs[lo:hi], self.cum[lo:hi]
+        return self.indices[lo:hi], self.probs[lo:hi]
 
     def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Successor of ``states[i]`` selected by ``u[i]`` in [0, 1), for all i;
@@ -276,6 +272,8 @@ class ProblemInstance:
 
     def __post_init__(self):
         _store_read_only(self, {"cost": float, "q_values": float})
+        object.__setattr__(self, "S", check_count("S", self.S))
+        object.__setattr__(self, "alpha", check_number("alpha", self.alpha))
         if self.supergraph.S != self.S:
             raise ContractViolation(f"supergraph has {self.supergraph.S} states, the instance S={self.S}")
         if self.q_values.shape != self.supergraph.indices.shape:
@@ -304,7 +302,7 @@ class ProblemInstance:
             off[rows, supergraph.indices] = False
             s, t = np.argwhere(off)[0].tolist()
             raise ContractViolation(f"Q[{s}, {t}] = {float(Q[s, t])!r} lies off the supergraph (absolute continuity)")
-        return cls(S, float(alpha), np.array(cost, dtype=float), supergraph, values)
+        return cls(S, alpha, np.array(cost, dtype=float), supergraph, values)
 
     def q_entries(self) -> tuple:
         """(rows, columns, values) of Q on every supergraph edge, row by row."""
@@ -409,8 +407,7 @@ def certified_value(rows, indices, values, cost: np.ndarray, alpha: float) -> np
     max(||c||_inf, 1) apart (rate alpha |lambda_2| on ergodic chains), or after T
     sweeps with alpha^T <= 2^-50 (rate alpha if periodic or reducible). A sweep adds
     alpha Q d to w by compensated summation; w - v would magnify w's rounding by k."""
-    if not 0.0 < alpha < 1.0:
-        raise ContractViolation(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = check_discount(alpha)
     c = (1.0 - alpha) * cost
     tau = 2.0**-50 * max(float(np.max(np.abs(c))), 1.0)
     k = alpha / (1.0 - alpha)
@@ -433,8 +430,7 @@ def exact_value(instance: ProblemInstance) -> np.ndarray:
 
 def exact_value_power_series(instance: ProblemInstance, T: int) -> np.ndarray:
     """Truncated series (1-a) * sum_{t<T} a^t Q^t c; bias at most ||c||_inf a^T."""
-    if T < 1:
-        raise ContractViolation(f"T must be >= 1, got {T}")
+    T = check_count("T", T)
     alpha, (rows, indices, values) = instance.alpha, instance.q_entries()
     term = instance.cost.copy()
     acc = (1.0 - alpha) * term
@@ -464,12 +460,6 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def check_sample_count(n: int) -> None:
-    """Raise :class:`ContractViolation` unless n, a per-state draw count, is at least 1."""
-    if n < 1:
-        raise ContractViolation(f"per-state sample count must be >= 1, got {n}")
-
-
 class CountingSampler:
     """The only channel through which estimators observe the chain.
 
@@ -493,10 +483,6 @@ class CountingSampler:
         self.rng = make_rng(self._entropy)
         self.draw_count = 0
 
-    def _check_state(self, s: int):
-        if not 0 <= s < self.instance.S:
-            raise ContractViolation(f"state index {s} out of range [0, {self.instance.S})")
-
     def sample_next(self, s: int) -> int:
         """One draw from Q(s, .) as a one-element batch; off the trial path, kept for ``bench/spans.py``."""
         return int(self.sample_next_batch([s])[0])
@@ -507,9 +493,7 @@ class CountingSampler:
         Consumes the underlying uniform stream in element order, so the
         result matches a sequence of single-draw calls.
         """
-        states = np.asarray(states, dtype=np.int64)
-        if states.size and (states.min() < 0 or states.max() >= self.instance.S):
-            raise ContractViolation("state index out of range in batch")
+        states = check_state(states, self.instance.S, batch=True)
         out = self.table.draw_batch(states, self.rng.random(states.size))
         self.draw_count += int(states.size)
         return out
@@ -521,11 +505,10 @@ class CountingSampler:
         map. Uses a multinomial on the row support, so large n costs O(d),
         not O(n).
         """
-        check_sample_count(n)
-        self._check_state(int(s))
-        idx, probs, _ = self.table.row(int(s))
+        n = check_count("per-state sample count", n)
+        idx, probs = self.table.row(check_state(s, self.instance.S))
         counts = self.rng.multinomial(n, probs)
-        self.draw_count += int(n)
+        self.draw_count += n
         return {t: c / n for t, c in zip(idx.tolist(), counts.tolist()) if c > 0}
 
     def sample_empirical_column(self, t: int, n: int) -> dict:
@@ -534,8 +517,8 @@ class CountingSampler:
         row is Binomial(n, Q(s, t)), so this is one scalar ``binomial`` call
         per in-edge, in order, over :attr:`ProblemInstance.in_edge_probs`:
         the draws of one vector call over them. Returns {s: hits / n}, ascending."""
-        check_sample_count(n)
-        self._check_state(t)
+        n = check_count("per-state sample count", n)
+        t = check_state(t, self.instance.S)
         colptr, _, sources = self.instance.supergraph.transpose
         lo, hi = colptr[t], colptr[t + 1]
         probs = self.instance.in_edge_probs[lo:hi]
@@ -572,6 +555,44 @@ _KINDS = {
     int: ({int}, "an integer"), float: ({int, float}, "a number"), str: ({str}, "a string"),
     list: ({list}, "a list"), dict: ({dict}, "an object"),
 }
+
+
+# One rule per kind of argument of the Python API, refusing what read_fields refuses in a document.
+def check_number(name: str, value) -> float:
+    """``value`` as a float if it is an int or a float, numpy's too, but not a bool; NaN and inf pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ContractViolation(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int if it is a whole number (no bool, NaN or inf) and at least 1."""
+    integral = type(value) is int or isinstance(value, np.integer)  # type(True) is bool, not int
+    if not (integral or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ContractViolation(f"{name} must be a whole number, got {value!r}")
+    if value < 1:
+        raise ContractViolation(f"{name} must be >= 1, got {int(value)}")
+    return int(value)
+
+
+def check_discount(alpha) -> float:
+    """``alpha`` as a float if it is a number (as in :func:`check_number`) in (0, 1)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, np.integer, np.floating)) or not 0 < alpha < 1:
+        raise ContractViolation(f"alpha must lie in (0, 1), got {alpha!r}")
+    return float(alpha)
+
+
+def check_state(states, S: int, batch: bool = False):
+    """A state index, an integer (numpy's too, not a bool) in [0, S), as an int; with ``batch``,
+    an int64 array of them, of any dtype if empty (``np.asarray([])`` is float64)."""
+    if batch:
+        states = np.asarray(states)
+        if states.size and (states.dtype.kind not in "iu" or states.min() < 0 or states.max() >= S):
+            raise ContractViolation(f"state index out of range in batch: each must be an integer in [0, {S})")
+        return states.astype(np.int64, copy=False)
+    if type(states) is not int and not isinstance(states, np.integer) or not 0 <= states < S:
+        raise ContractViolation(f"state index {states!r} out of range: must be an integer in [0, {S})")
+    return int(states)
 
 
 def read_fields(doc, kinds: dict, where: str = "", optional=(), document: str = "the document") -> dict:
@@ -647,7 +668,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     top = read_fields(doc, _INSTANCE_FIELDS, document="the instance document")
     graph = read_fields(top["supergraph"], _SUPERGRAPH_FIELDS, "supergraph", document="the instance document")
     sg = Supergraph(top["S"], graph["indptr"], graph["indices"])
-    instance = ProblemInstance(top["S"], float(top["alpha"]), top["cost"], sg, top["q_values"])
+    instance = ProblemInstance(top["S"], top["alpha"], top["cost"], sg, top["q_values"])
     violations = validate_instance(instance)
     if violations:
         raise ContractViolation(f"invalid instance: {violations[0]}")

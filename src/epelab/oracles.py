@@ -113,7 +113,7 @@ def build_q_over(
     out = densify({s: rows[s] for s in enc}, np.zeros((instance.S, instance.S)))
     for s in range(instance.S):
         if s not in enc:
-            idx, probs, _ = instance.transitions.row(s)
+            idx, probs = instance.transitions.row(s)
             out[s, idx] = rng.multinomial(n, probs) / n
     return out
 

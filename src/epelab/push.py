@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, IterationLimitExceeded
-from .model import CountingSampler, EstimateReport, ProblemInstance, check_sample_count
+from .model import CountingSampler, EstimateReport, ProblemInstance, check_count, check_discount, check_number
 
 
 @dataclass
@@ -312,10 +312,9 @@ class _EmpiricalRows:
     pushed state, through ``sampler``."""
 
     def __init__(self, sampler: CountingSampler, n: int):
-        check_sample_count(n)
+        self.n = check_count("per-state sample count", n)
         self.instance = sampler.instance
         self.sampler = sampler
-        self.n = n
         self.rows: dict[int, dict] = {}
 
 
@@ -383,9 +382,9 @@ NEGLIGIBLE_RESIDUAL = 2.0**-53
 
 
 def check_threshold(epsilon: float) -> None:
-    """Raise :class:`ContractViolation` unless the push threshold epsilon is
-    positive (NaN is not)."""
-    if not epsilon > 0.0:
+    """Raise :class:`ContractViolation` unless the push threshold epsilon is a
+    number above 0 (:func:`~epelab.model.check_number`; NaN is not, inf is)."""
+    if not check_number("termination threshold", epsilon) > 0.0:
         raise ContractViolation(f"termination threshold must be > 0, got {epsilon}")
 
 
@@ -456,9 +455,7 @@ def run_push_loop(
     """
     if not (epsilon == 0.0 and max_rows is not None):
         check_threshold(epsilon)
-    cost, alpha = row_source.instance.cost, row_source.instance.alpha
-    if not (0.0 < alpha < 1.0):
-        raise ContractViolation(f"discount must lie in (0,1), got {alpha}")
+    cost, alpha = row_source.instance.cost, check_discount(row_source.instance.alpha)
 
     v_hat = [0.0] * cost.size
     residual = cost.astype(float).tolist()

@@ -371,8 +371,8 @@ class TestRunExperiment:
         [
             (AlgorithmSpec("backward", {"epsilon": "S +", "n": 5}), "backward at S=40: cannot parse"),
             (AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3, "termination_mode": "dynamc"}), "'dynamc'"),
-            (AlgorithmSpec("forward", {"T": 0, "m": 2}), "forward at S=40: need T >= 1"),
-            (AlgorithmSpec("forward", {"T": "S - 30", "m": 2}), "forward at S=12: need T >= 1"),
+            (AlgorithmSpec("forward", {"T": 0, "m": 2}), "forward at S=40: T must be >= 1"),
+            (AlgorithmSpec("forward", {"T": "S - 30", "m": 2}), "forward at S=12: T must be >= 1"),
             (AlgorithmSpec("bidirectional", {"n_B": 5, "n_F": 3}), "fixed mode needs epsilon"),
             (AlgorithmSpec("backward", {"epsilon": 0.2, "n": 0}), "backward at S=40: per-state sample count"),
             (AlgorithmSpec("backward_alternative", {"epsilon": 0.2, "n": "S - 30"}), "_alternative at S=12: per-state"),

@@ -115,7 +115,10 @@ class TestGenerateInstance:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("S", 20.7), ("S", True), ("S", np.float64(20.5)), ("H", 2.9), ("H", True), ("H", np.float32(2.5))],
+        [
+            ("S", 20.7), ("S", True), ("S", np.float64(20.5)), ("S", math.nan), ("S", "20"), ("S", None),
+            ("H", 2.9), ("H", True), ("H", np.float32(2.5)), ("H", math.inf), ("H", np.bool_(True)),
+        ],
     )
     def test_size_that_would_truncate_is_refused(self, field, value):
         params = dict(S=20, p=4, alpha=0.5, cost_model="binary", H=3)
@@ -123,7 +126,7 @@ class TestGenerateInstance:
         with pytest.raises(ContractViolation, match=f"^{field} must be a whole number, got "):
             EnsembleSpec(**params)
 
-    @pytest.mark.parametrize("S, H", [(20, 3), (np.int64(20), np.int32(3)), (20.0, 3.0)])
+    @pytest.mark.parametrize("S, H", [(20, 3), (np.int64(20), np.int32(3)), (20.0, 3.0), (np.float32(20), np.uint16(3))])
     def test_whole_sizes_are_kept_as_ints(self, S, H):
         spec = EnsembleSpec(S=S, p=4, alpha=0.5, cost_model="binary", H=H)
         assert (spec.S, spec.H) == (20, 3)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from epelab import (
     ContractViolation,
     CountingSampler,
+    ForwardConfig,
     ProblemInstance,
     Supergraph,
     approx_contributions,
@@ -19,6 +21,7 @@ from epelab import (
     backward_epe_alternative,
     exact_value,
     exact_value_power_series,
+    forward_epe,
     instance_from_dict,
     instance_to_dict,
     plug_in_estimate,
@@ -398,7 +401,9 @@ class TestEmpiricalColumn:
 
     def test_out_of_range_target_or_bad_count_refused_before_any_draw(self, two_cycle):
         a, b = CountingSampler(two_cycle, 5), CountingSampler(two_cycle, 5)
-        for t, n, message in ((2, 4, "out of range"), (-1, 4, "out of range"), (0, 0, ">= 1"), (1, -3, ">= 1")):
+        cases = [(2, 4, "out of range"), (-1, 4, "out of range"), (0, 0, ">= 1"), (1, -3, ">= 1")]
+        cases += [(0.0, 4, "must be an integer"), (0, 2.5, "whole number"), (True, 4, "must be an integer")]
+        for t, n, message in cases:
             with pytest.raises(ContractViolation, match=message):
                 a.sample_empirical_column(t, n)
         assert a.draw_count == 0
@@ -495,6 +500,11 @@ def searchsorted_reference(Q, states, u):
     return out
 
 
+def cum_row(table, s):
+    """Row s of the table's cumulative sums."""
+    return table.cum[table.indptr[s] : table.indptr[s + 1]]
+
+
 def assert_boundary_draws_equal_reference(inst):
     """draw_batch equals the reference for uniforms on, one ulp below and
     one ulp above every CDF entry of every row, and at 0 and the largest
@@ -539,10 +549,10 @@ class TestTransitionTable:
     def test_rows_match_dense_matrix(self, mixed_rows):
         table = mixed_rows.transitions
         for s in range(mixed_rows.S):
-            idx, probs, cum = table.row(s)
+            idx, probs = table.row(s)
             assert np.array_equal(idx, np.flatnonzero(mixed_rows.Q[s] > 0))
             assert np.array_equal(probs, mixed_rows.Q[s, idx] / mixed_rows.Q[s, idx].sum())
-            assert cum[-1] == 1.0
+            assert cum_row(table, s)[-1] == 1.0
         assert table.row(7)[0].tolist() == [7]
         assert table.row(11)[0].tolist() == [250]
 
@@ -618,10 +628,10 @@ class TestTransitionTable:
         Q[3, [0, 3]] = [1.0, 1e-25]
         inst = instance_from(0.5, np.ones(4), Q)
         table = inst.transitions
-        assert table.row(0)[2].tolist() == [0.5, 0.5, 1.0]
-        assert table.row(1)[2].tolist() == [0.25, 0.25, 0.25, 1.0]
-        assert table.row(2)[2].tolist() == [1e-20, 0.5, 1.0]
-        assert table.row(3)[2].tolist() == [1.0, 1.0]
+        assert cum_row(table, 0).tolist() == [0.5, 0.5, 1.0]
+        assert cum_row(table, 1).tolist() == [0.25, 0.25, 0.25, 1.0]
+        assert cum_row(table, 2).tolist() == [1e-20, 0.5, 1.0]
+        assert cum_row(table, 3).tolist() == [1.0, 1.0]
         assert_boundary_draws_equal_reference(inst)
         assert table.draw_batch(np.array([0, 0, 1]), np.array([0.5, np.nextafter(0.5, 0.0), 0.25])).tolist() == [2, 0, 3]
 
@@ -650,9 +660,9 @@ class TestTransitionTable:
         inst = instance_from(0.5, np.ones(S), Q)
         table = inst.transitions
         for s in range(len(rows)):
-            _, probs, cum = table.row(s)
-            assert np.cumsum(probs)[-1] > 1.0 and cum[-1] == 1.0
-        assert sum(table.row(s)[2][-2] > 1.0 for s in range(len(rows))) == 5
+            _, probs = table.row(s)
+            assert np.cumsum(probs)[-1] > 1.0 and cum_row(table, s)[-1] == 1.0
+        assert sum(cum_row(table, s)[-2] > 1.0 for s in range(len(rows))) == 5
         assert_boundary_draws_equal_reference(inst)
 
     def test_spawned_children_share_the_instance_table(self, mixed_rows):
@@ -665,16 +675,31 @@ class TestTransitionTable:
             assert not any(isinstance(v, dict) for v in vars(sampler).values())
 
     def test_build_copies_nothing_of_nnz_size(self):
-        # The table keeps its four arrays and the S + 1 row pointers.
+        # The table keeps its four arrays, cum built by the first batch
+        # draw, and the S + 1 row pointers.
         inst = random_instance(S=20000, p=10, alpha=0.9, seed="table memory")
         tracemalloc.start()
         try:
             table = inst.transitions
+            table.draw_batch(np.array([0]), np.array([0.5]))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         arrays = sum(arr.nbytes for arr in (table.indptr, table.indices, table.probs, table.cum))
         assert retained <= 1.5 * arrays
+
+    def test_only_a_batch_draw_builds_cum(self):
+        # The headline's sparse instance at S = 10^5: backward reads 74 rows
+        # through the row channel and never the cumulative sums; a forward
+        # run builds them, with the digest of the eager build they replace.
+        S = 10**5
+        inst = random_instance(S=S, p=10, alpha=0.5, seed=(7, "instance", S, 0), cost_model="binary", H=5)
+        report = backward_epe(CountingSampler(inst, (7, "run", S, 0, "backward")), 0.15, 1463)
+        assert (report.samples_used, report.encountered_size) == (108_262, 74)
+        assert "cum" not in vars(inst.transitions)
+        forward_epe(CountingSampler(inst, 1), ForwardConfig(T=2, m=1))
+        digest = hashlib.sha256(vars(inst.transitions)["cum"].tobytes()).hexdigest()
+        assert digest == "635dd36301ef5964f1e19d50ab430c8196f6d71aed741b830758b5398831c020"
 
     def test_table_is_read_only(self, mixed_rows):
         table = mixed_rows.transitions
@@ -707,7 +732,7 @@ class TestTransitionTable:
         for s, row in rows.items():
             cum = np.cumsum(list(row.values()))
             cum[-1] = 1.0
-            assert table.row(s)[2].tobytes() == cum.tobytes()
+            assert cum_row(table, s).tobytes() == cum.tobytes()
         assert table.row(5)[0].tolist() == [17] and table.row(5)[1].tolist() == [1.0]
         Q[9] = 0.0
         with pytest.raises(ContractViolation, match="^state 9 has an all-zero transition row$"):
