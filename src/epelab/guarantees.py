@@ -9,20 +9,22 @@ import inspect
 import math
 
 from .errors import ContractViolation
+from .model import check_count, check_number
 
 
 def check_formula_inputs(S: int, alpha=None, epsilon_rel=None, q_min=None, **positive: float) -> None:
     """Refuse the inputs of a sample-size formula unless epsilon_rel and
     q_min, when given, lie in (0,1) and (0,1], every one of ``positive`` is
-    finite and > 0, S is finite and >= 1, and alpha, when given, lies in (0,1).
-    Each test is the condition to pass, so a NaN, which fails every one, is refused."""
+    finite and > 0, and alpha, when given, lies in (0,1); :func:`guarded` has
+    made S a count and every other input a float. Each test is the condition
+    to pass, so a NaN, which fails every one, is refused."""
     if epsilon_rel is not None and not 0.0 < epsilon_rel < 1.0:
         raise ContractViolation(f"epsilon_rel must lie in (0,1), got {epsilon_rel}")
     if q_min is not None and not 0.0 < q_min <= 1.0:
         raise ContractViolation(f"q_min must lie in (0,1], got {q_min}")
     got = {**positive, "S": S}
     need = f"need {', '.join(positive)} > 0 and finite, S >= 1"
-    ok = all(0.0 < value < math.inf for value in positive.values()) and 1 <= S < math.inf
+    ok = all(0.0 < value < math.inf for value in positive.values())
     if alpha is not None:
         got["alpha"] = alpha
         need += ", alpha in (0,1)"
@@ -32,17 +34,24 @@ def check_formula_inputs(S: int, alpha=None, epsilon_rel=None, q_min=None, **pos
 
 
 def guarded(formula):
-    """``formula``, refusing an input its arithmetic cannot evaluate (a
-    division by an underflowed square, an overflow, a count or log that is
-    not finite) with a ContractViolation naming the formula and its inputs."""
+    """``formula`` on its inputs taken through the argument rules, S by
+    :func:`~epelab.model.check_count` and every other by
+    :func:`~epelab.model.check_number`, refusing an input its arithmetic
+    cannot evaluate (a division by an underflowed square, an overflow, a
+    count or log that is not finite) with a ContractViolation naming the
+    formula and its inputs."""
+    signature = inspect.signature(formula)
+
     @functools.wraps(formula)
     def run(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        for name, value in bound.items():
+            bound[name] = check_count(name, value) if name == "S" else check_number(name, value)
         try:
-            return formula(*args, **kwargs)
+            return formula(**bound)
         except ContractViolation:
             raise
         except (ArithmeticError, ValueError) as exc:
-            bound = inspect.signature(formula).bind(*args, **kwargs).arguments
             inputs = ", ".join(f"{name}={value}" for name, value in bound.items())
             raise ContractViolation(f"{formula.__name__} cannot be evaluated at {inputs}: {exc.args[-1]}") from exc
 

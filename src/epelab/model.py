@@ -7,7 +7,10 @@ transition matrix ``Q``, a nonnegative cost vector, a discount factor in
 is built, and ``Q`` is stored on its edges: one finite value per edge,
 0.0 allowed, so ``Q``'s support lies in the supergraph by construction. The
 supergraph's one transpose, which every push estimator reads, is derived
-on first use. Validation, the JSON form and the truth read the CSR arrays
+on first use. Every CSR structure here (the supergraph, its transpose, the
+row table, the in-edge probabilities) is held in read-only numpy arrays and
+in no other form: a reader converts only the slice it reads with
+``tolist``. Validation, the JSON form and the truth read the CSR arrays
 too; the dense view :attr:`ProblemInstance.Q` is for oracles and test
 helpers only, and like every oracle in :mod:`epelab.oracles` it calls
 :func:`check_dense_size` before it allocates an S x S array.
@@ -149,18 +152,20 @@ class Supergraph:
 
     @cached_property
     def transpose(self) -> tuple:
-        """(colptr, order, sources), built on first use by :func:`csr_transpose`:
-        state t's in-edges are ``order[colptr[t]:colptr[t + 1]]``, and their
-        sources, ascending, the same slice of ``sources``. Both lists hold
-        Python ints, so a lookup is one list slice; ``order`` is read-only."""
+        """(colptr, order, sources), three read-only int64 arrays built on first
+        use by :func:`csr_transpose`: state t's in-edges are
+        ``order[colptr[t]:colptr[t + 1]]``, and their sources, ascending, the
+        same slice of ``sources``. A reader converts only the slice it reads."""
         colptr, order = csr_transpose(self.S, self.indices)
-        order.setflags(write=False)
-        return colptr.tolist(), order, csr_rows(self.indptr)[order].tolist()
+        arrays = colptr, order, csr_rows(self.indptr)[order]
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
     def in_neighbors(self, t: int) -> list:
         """Every s with an edge to t, ascending, as a new list of Python ints."""
         colptr, _, sources = self.transpose
-        return sources[colptr[t] : colptr[t + 1]]
+        return sources[colptr[t] : colptr[t + 1]].tolist()
 
     @property
     def in_degrees(self) -> np.ndarray:
@@ -181,16 +186,15 @@ class TransitionTable:
     such rows, and it draws from stored rows alone.
 
     :meth:`draw_batch`, a branchless lifting search, is the one draw routine
-    and reads :attr:`cum`; :meth:`row` hands the row channel its views. Beyond
-    its arrays the table keeps only the S + 1 row pointers as Python ints. The
-    column channel reads ``probs`` through :attr:`ProblemInstance.in_edge_probs`.
+    and reads :attr:`cum`; :meth:`row` hands the row channel its views. The
+    table keeps nothing beyond its arrays. The column channel reads ``probs``
+    through :attr:`ProblemInstance.in_edge_probs`.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=float)
-        self._indptr = self.indptr.tolist()
         for arr in (self.indptr, self.indices, self.probs):
             arr.setflags(write=False)
         # Search passes: their steps, 2^(passes-1) down to 1, sum to at least
@@ -224,7 +228,7 @@ class TransitionTable:
 
     def row(self, s: int) -> tuple:
         """(successors, probabilities) views of row s."""
-        lo, hi = self._indptr[s], self._indptr[s + 1]
+        lo, hi = self.indptr[s : s + 2].tolist()
         return self.indices[lo:hi], self.probs[lo:hi]
 
     def draw_batch(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -343,14 +347,16 @@ class ProblemInstance:
         return TransitionTable(indptr, self.supergraph.indices[keep], probs)
 
     @cached_property
-    def in_edge_probs(self) -> tuple:
+    def in_edge_probs(self) -> np.ndarray:
         """The table's probability on every supergraph edge in transpose
         order (t's in-edges at ``colptr[t]:colptr[t + 1]``): 0.0 where Q is
-        not positive. A tuple of Python floats, built on first use, so the
-        column channel draws from it without numpy's per-call array checks."""
+        not positive. A read-only float64 array, built on the column
+        channel's first use; the channel converts the slice it reads."""
         probs = np.zeros(self.q_values.size)
         probs[self.q_values > 0] = self.transitions.probs
-        return tuple(probs[self.supergraph.transpose[1]].tolist())
+        probs = probs[self.supergraph.transpose[1]]
+        probs.setflags(write=False)
+        return probs
 
     @property
     def cost_inf(self) -> float:
@@ -520,10 +526,10 @@ class CountingSampler:
         n = check_count("per-state sample count", n)
         t = check_state(t, self.instance.S)
         colptr, _, sources = self.instance.supergraph.transpose
-        lo, hi = colptr[t], colptr[t + 1]
-        probs = self.instance.in_edge_probs[lo:hi]
+        lo, hi = colptr[t : t + 2].tolist()
+        probs = self.instance.in_edge_probs[lo:hi].tolist()
         binomial = self.rng.binomial
-        column = {s: binomial(n, q) / n for s, q in zip(sources[lo:hi], probs)}
+        column = {s: binomial(n, q) / n for s, q in zip(sources[lo:hi].tolist(), probs)}
         self.draw_count += n * (hi - lo)
         return column
 
@@ -562,7 +568,10 @@ def check_number(name: str, value) -> float:
     """``value`` as a float if it is an int or a float, numpy's too, but not a bool; NaN and inf pass."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ContractViolation(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past float range, too long to print whole
+        raise ContractViolation(f"{name} must be a number in float range, got an int of {value.bit_length()} bits") from None
 
 
 def check_count(name: str, value) -> int:
@@ -584,10 +593,13 @@ def check_discount(alpha) -> float:
 
 def check_state(states, S: int, batch: bool = False):
     """A state index, an integer (numpy's too, not a bool) in [0, S), as an int; with ``batch``,
-    an int64 array of them, of any dtype if empty (``np.asarray([])`` is float64)."""
+    an int64 array of them, of any dtype if empty (``np.asarray([])`` is float64). A list's or
+    tuple's entries are checked one by one, since ``np.asarray`` reads a bool among ints as an int."""
     if batch:
+        entries = states if isinstance(states, (list, tuple)) else ()
         states = np.asarray(states)
-        if states.size and (states.dtype.kind not in "iu" or states.min() < 0 or states.max() >= S):
+        integral = all(type(s) is int or isinstance(s, np.integer) for s in entries)
+        if states.size and (not integral or states.dtype.kind not in "iu" or states.min() < 0 or states.max() >= S):
             raise ContractViolation(f"state index out of range in batch: each must be an integer in [0, {S})")
         return states.astype(np.int64, copy=False)
     if type(states) is not int and not isinstance(states, np.integer) or not 0 <= states < S:

@@ -23,10 +23,10 @@ Layout of the kernel:
   instance's supergraph, :attr:`~epelab.model.Supergraph.transpose`.
   Exact rows gather Q's entries through it, once, into column dicts.
   Cached empirical rows build a pushed state's column once, from its
-  in-neighbors (one list slice) and their rows, each drawn once through
-  the sampler's row channel, and keep it: every row it reads is cached
-  and never changes, so a later build would give the same dict. Fresh
-  empirical rows make one call of the sampler's column channel per push,
+  in-neighbors (one array slice, as a list) and their rows, each drawn
+  once through the sampler's row channel, and keep it: every row it reads
+  is cached and never changes, so a later build would give the same dict.
+  Fresh empirical rows make one call of the sampler's column channel per push,
   which draws the pushed state's entry of every in-neighbor's row as one
   vector of binomials (the law of that entry of a multinomial row) and
   draws nothing else.
@@ -357,7 +357,7 @@ class ExactRows:
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
         colptr, order, sources = instance.supergraph.transpose
-        values = instance.q_values[order].tolist()
+        colptr, sources, values = colptr.tolist(), sources.tolist(), instance.q_values[order].tolist()
         self.columns = [
             {s: q for s, q in zip(sources[lo:hi], values[lo:hi]) if q > 0.0} for lo, hi in zip(colptr, colptr[1:])
         ]

@@ -69,6 +69,7 @@ THRESHOLDS = [
 STATES = [
     ("sample_next", lambda sampler, v: sampler.sample_next(v)),
     ("sample_next_batch", lambda sampler, v: sampler.sample_next_batch([v])),
+    ("sample_next_batch.second", lambda sampler, v: sampler.sample_next_batch([0, v])),
     ("sample_empirical_row", lambda sampler, v: sampler.sample_empirical_row(v, 4)),
     ("sample_empirical_column", lambda sampler, v: sampler.sample_empirical_column(v, 4)),
 ]
@@ -116,6 +117,11 @@ def test_an_instance_alpha_must_be_a_number(alpha):
     # An alpha outside (0, 1) still builds, for validate_instance to report.
     with pytest.raises(ContractViolation, match="^alpha must be a number, got "):
         ProblemInstance(INSTANCE.S, alpha, INSTANCE.cost, INSTANCE.supergraph, INSTANCE.q_values)
+
+
+def test_an_int_past_float_range_is_refused_naming_its_field():
+    with pytest.raises(ContractViolation, match="^p must be a number in float range, got an int of 1329 bits$"):
+        EnsembleSpec(S=20, p=10**400, alpha=0.5)
 
 
 @pytest.mark.parametrize("params", [None, [("epsilon", 0.2), ("n", 5)]], ids=repr)

@@ -1,8 +1,10 @@
-"""The sample-size formulas refuse a finite input their float arithmetic
-cannot evaluate, naming the formula and its inputs."""
+"""The sample-size formulas refuse an input that is no number (for S, no
+count), naming it, and a finite input their float arithmetic cannot
+evaluate, naming the formula and its inputs."""
 
 import re
 
+import numpy as np
 import pytest
 
 from epelab import (
@@ -67,3 +69,22 @@ def test_backward_bd_refuses_an_overflow_or_underflow(epsilon_rel, delta, q_min)
 def test_a_refused_input_keeps_its_own_message():
     with pytest.raises(ContractViolation, match=r"^q_min must lie in \(0,1\], got 0.0$"):
         sample_size_backward_bd(0.5, 0.1, 0.1, 0.5, 1.0, 10, 0.0)
+
+
+@pytest.mark.parametrize(
+    "formula, args, message",
+    [
+        (sample_size_backward, (True, 0.1, 0.5, 1.0, 100), "^epsilon must be a number, got True$"),
+        (sample_size_forward, (0.1, 0.1, 0.5, 1.0, True), "^S must be a whole number, got True$"),
+        (sample_size_backward, ("0.1", 0.1, 0.5, 1.0, 100), "^epsilon must be a number, got '0.1'$"),
+    ],
+    ids=["bool-epsilon", "bool-S", "str-epsilon"],
+)
+def test_an_input_of_the_wrong_kind_is_refused_naming_it(formula, args, message):
+    with pytest.raises(ContractViolation, match=message):
+        formula(*args)
+
+
+def test_a_numpy_or_whole_float_input_gives_the_floats_result():
+    assert sample_size_backward(np.float64(0.1), 0.1, 0.5, 1, np.int64(100)) == sample_size_backward(0.1, 0.1, 0.5, 1.0, 100)
+    assert sample_size_forward(0.1, 0.1, 0.5, 1.0, 100.0) == sample_size_forward(0.1, 0.1, 0.5, 1.0, 100)

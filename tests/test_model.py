@@ -381,7 +381,9 @@ class TestEmpiricalColumn:
             fourth = n * q * (1.0 - q) * (1.0 + 3.0 * (n - 2) * q * (1.0 - q)) / n**4
             assert np.all(np.abs(draws.mean(axis=0) - q) <= 5.0 * np.sqrt(var / reps) + 1e-12)
             assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 5.0 * np.sqrt((fourth - var**2) / reps) + 1e-12)
-        assert type(inst.in_edge_probs) is tuple
+        assert type(sampler.draw_count) is int
+        probs = inst.in_edge_probs
+        assert type(probs) is np.ndarray and probs.dtype == np.float64 and not probs.flags.writeable
 
     @pytest.mark.parametrize("n", [1, 20, 1000, 10**6])
     def test_columns_and_the_stream_after_equal_one_vector_call(self, n):
@@ -395,7 +397,7 @@ class TestEmpiricalColumn:
             for t in list(range(inst.S)) * 2:
                 lo, hi = colptr[t], colptr[t + 1]
                 column = sampler.sample_empirical_column(t, n)
-                assert list(column) == sources[lo:hi]
+                assert list(column) == sources[lo:hi].tolist()
                 assert list(column.values()) == (reference.binomial(n, probs[lo:hi]) / n).tolist()
             assert sampler.rng.random(4).tolist() == reference.random(4).tolist()
 
@@ -439,9 +441,9 @@ class TestSupergraph:
         assert sg.in_degrees.tolist() == [len(row) for row in expected]
         # Edge order[i] runs from sources[i] to the state whose column holds i.
         colptr, order, sources = sg.transpose
-        assert model.csr_rows(sg.indptr)[order].tolist() == sources
+        assert model.csr_rows(sg.indptr)[order].tolist() == sources.tolist()
         assert sg.indices[order].tolist() == [t for t, row in enumerate(expected) for _ in row]
-        assert colptr == np.cumsum([0] + [len(row) for row in expected]).tolist()
+        assert colptr.tolist() == np.cumsum([0] + [len(row) for row in expected]).tolist()
 
     def test_transpose_matches_loop_on_random_graph(self):
         mask = np.random.default_rng(5).random((60, 60)) < 0.08
@@ -474,6 +476,13 @@ class TestSupergraph:
         assert sg.transpose is sg.transpose and not sg.transpose[1].flags.writeable
         assert sg.avg_degree == sg.indices.size / sg.S
 
+    def test_transpose_and_in_edge_probs_are_read_only_arrays(self):
+        inst = random_instance(S=30, p=4, alpha=0.5, seed="shared")
+        arrays = (*inst.supergraph.transpose, inst.in_edge_probs)
+        assert [arr.dtype for arr in arrays] == [np.int64, np.int64, np.int64, np.float64]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_push_estimators_share_one_transpose(self, monkeypatch):
         # The two sampled push estimators and the known-matrix one read the
@@ -676,7 +685,8 @@ class TestTransitionTable:
 
     def test_build_copies_nothing_of_nnz_size(self):
         # The table keeps its four arrays, cum built by the first batch
-        # draw, and the S + 1 row pointers.
+        # draw, and nothing else: a Python list of the S + 1 row pointers
+        # would retain 0.8 MB here.
         inst = random_instance(S=20000, p=10, alpha=0.9, seed="table memory")
         tracemalloc.start()
         try:
@@ -686,7 +696,25 @@ class TestTransitionTable:
         finally:
             tracemalloc.stop()
         arrays = sum(arr.nbytes for arr in (table.indptr, table.indices, table.probs, table.cum))
-        assert retained <= 1.5 * arrays
+        assert retained <= arrays + 2**16
+
+    def test_transpose_and_in_edge_probs_copy_nothing_of_nnz_size(self):
+        # The transpose keeps its three arrays and the column channel its
+        # one, with no list or tuple beside them: a Python list of the
+        # S + 1 column pointers alone would retain 0.7 MB here.
+        inst = random_instance(S=20000, p=10, alpha=0.9, seed="table memory")
+        inst.transitions
+        edges = inst.supergraph.indices.nbytes  # 8 bytes per edge
+        tracemalloc.start()
+        try:
+            inst.supergraph.transpose
+            retained = tracemalloc.get_traced_memory()[0]
+            inst.in_edge_probs
+            retained_probs = tracemalloc.get_traced_memory()[0] - retained
+        finally:
+            tracemalloc.stop()
+        assert retained <= 8 * (inst.S + 1) + 2 * edges + 2**16
+        assert retained_probs <= edges + 2**16
 
     def test_only_a_batch_draw_builds_cum(self):
         # The headline's sparse instance at S = 10^5: backward reads 74 rows
