@@ -12,18 +12,18 @@ from .errors import ContractViolation
 from .model import check_count, check_number
 
 
-def check_formula_inputs(S: int, alpha=None, epsilon_rel=None, q_min=None, **positive: float) -> None:
+def check_formula_inputs(alpha=None, epsilon_rel=None, q_min=None, **positive: float) -> None:
     """Refuse the inputs of a sample-size formula unless epsilon_rel and
     q_min, when given, lie in (0,1) and (0,1], every one of ``positive`` is
     finite and > 0, and alpha, when given, lies in (0,1); :func:`guarded` has
-    made S a count and every other input a float. Each test is the condition
-    to pass, so a NaN, which fails every one, is refused."""
+    made every input a float, and S a count, which is all S needs. Each test
+    is the condition to pass, so a NaN, which fails every one, is refused."""
     if epsilon_rel is not None and not 0.0 < epsilon_rel < 1.0:
         raise ContractViolation(f"epsilon_rel must lie in (0,1), got {epsilon_rel}")
     if q_min is not None and not 0.0 < q_min <= 1.0:
         raise ContractViolation(f"q_min must lie in (0,1], got {q_min}")
-    got = {**positive, "S": S}
-    need = f"need {', '.join(positive)} > 0 and finite, S >= 1"
+    got = dict(positive)
+    need = f"need {', '.join(positive)} > 0 and finite"
     ok = all(0.0 < value < math.inf for value in positive.values())
     if alpha is not None:
         got["alpha"] = alpha
@@ -71,7 +71,7 @@ def _horizon(scale: float, c_inf: float, epsilon: float, alpha: float) -> int:
 def sample_size_backward(epsilon: float, delta: float, alpha: float, c_inf: float, S: int) -> int:
     """Per-state draw count sufficient for a 2*epsilon sup-norm guarantee
     with failure probability delta."""
-    check_formula_inputs(S, alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
+    check_formula_inputs(alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
     horizon = _horizon(4.0, c_inf, epsilon, alpha)
     factor = 2.0 * c_inf**2 * alpha**2 / (epsilon**2 * (1.0 - alpha) ** 2)
     return _count(factor * math.log((2.0 * S / delta) * horizon))
@@ -81,7 +81,7 @@ def sample_size_backward(epsilon: float, delta: float, alpha: float, c_inf: floa
 def sample_size_forward(epsilon: float, delta: float, alpha: float, c_inf: float, S: int) -> tuple:
     """Trajectory length and count sufficient for a 2*epsilon sup-norm
     guarantee with failure probability delta; returns (T, m)."""
-    check_formula_inputs(S, alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
+    check_formula_inputs(alpha, epsilon=epsilon, delta=delta, c_inf=c_inf)
     T = _horizon(2.0, c_inf, epsilon, alpha)
     return T, _count((c_inf**2 * alpha**2 / (2.0 * epsilon**2 * (1.0 - alpha) ** 2)) * math.log(2.0 * S * T / delta))
 
@@ -90,7 +90,7 @@ def sample_size_forward(epsilon: float, delta: float, alpha: float, c_inf: float
 def sample_size_forward_bd(epsilon: float, epsilon_rel: float, epsilon_abs: float, delta: float, S: int) -> int:
     """Per-state walk count sufficient for the relative-plus-absolute
     guarantee, given the backward stage ran at threshold epsilon."""
-    check_formula_inputs(S, epsilon_rel=epsilon_rel, epsilon=epsilon, epsilon_abs=epsilon_abs, delta=delta)
+    check_formula_inputs(epsilon_rel=epsilon_rel, epsilon=epsilon, epsilon_abs=epsilon_abs, delta=delta)
     return _count(324.0 * epsilon * math.log(4.0 * S / delta) / (epsilon_rel**2 * epsilon_abs))
 
 
@@ -101,8 +101,6 @@ def sample_size_backward_bd(
     """Per-state backward draw count for the relative-plus-absolute guarantee.
     q_min is the smallest positive transition probability, which a
     sampling-only agent cannot observe: a caller passes a lower bound."""
-    check_formula_inputs(
-        S, alpha, epsilon_rel=epsilon_rel, q_min=q_min, epsilon_abs=epsilon_abs, delta=delta, c_inf=c_inf
-    )
+    check_formula_inputs(alpha, epsilon_rel=epsilon_rel, q_min=q_min, epsilon_abs=epsilon_abs, delta=delta, c_inf=c_inf)
     horizon = _horizon(2.0, c_inf, epsilon_abs, alpha)
     return _count(3.0 * math.log(4.0 * S * S / delta) / ((math.log1p(epsilon_rel / 2.0)) ** 2 * q_min) * horizon**2)

@@ -19,10 +19,14 @@ from their sampler's ``instance`` and see ``Q`` only through the
 :class:`CountingSampler`, which hands out next-state draws and tallies
 every one. The tally is the sample-complexity meter that experiments
 report. Samplers draw from the instance's :class:`TransitionTable`, the
-renormalized positive rows of ``Q``, built once per instance and shared.
-The column channel, which re-estimates the column Q(., t) over t's
-in-edges, reads the same probabilities gathered into transpose order
-(:attr:`ProblemInstance.in_edge_probs`), built on that channel's first use.
+positive entries of ``Q``'s rows as stored, built once per instance and
+shared; it refuses a row that is no probability distribution, by the rule
+:func:`validate_instance` applies. On a generated instance the table is
+the supergraph's arrays and ``q_values`` themselves. The column channel,
+which re-estimates the column Q(., t) over t's in-edges, reads ``q_values``
+gathered into transpose order (:attr:`ProblemInstance.in_edge_probs`),
+built on that channel's first use, and so does the known-matrix row
+source, :class:`~epelab.push.ExactRows`.
 
 The truth, :func:`exact_value`, is value iteration with certified bounds;
 the dense solve :func:`~epelab.oracles.value_function` is the oracle it is
@@ -187,8 +191,7 @@ class TransitionTable:
 
     :meth:`draw_batch`, a branchless lifting search, is the one draw routine
     and reads :attr:`cum`; :meth:`row` hands the row channel its views. The
-    table keeps nothing beyond its arrays. The column channel reads ``probs``
-    through :attr:`ProblemInstance.in_edge_probs`.
+    table keeps nothing beyond its arrays.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray):
@@ -329,32 +332,37 @@ class ProblemInstance:
         """The instance's one row table, built on first use and shared by
         every sampler on this instance.
 
-        Row s holds the positive entries of Q's row s divided by their sum
-        on the row's contiguous slice: the floats of ``Q[s, idx] / Q[s, idx].sum()``.
-        A row with no positive entry raises :class:`ContractViolation`
-        naming its state, so no sampler is built on such an instance.
+        Row s holds the positive entries of Q's row s as stored. When every
+        edge carries a positive entry, as on every generated instance, the
+        table's arrays are the supergraph's pair and ``q_values`` themselves;
+        only zero edges make it a compressed copy. A row with no positive
+        entry raises :class:`ContractViolation` naming its state, and a row
+        that :func:`row_violations` refuses raises one naming the first
+        violation, so no sampler is built on such an instance.
         """
         keep = self.q_values > 0
-        probs = self.q_values[keep]
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.supergraph.indptr]
+        if keep.all():
+            indptr, indices, probs = self.supergraph.indptr, self.supergraph.indices, self.q_values
+        else:
+            indptr = np.concatenate(([0], np.cumsum(keep)))[self.supergraph.indptr]
+            indices, probs = self.supergraph.indices[keep], self.q_values[keep]
         empty = np.flatnonzero(np.diff(indptr) == 0)
         if empty.size:
             raise ContractViolation(f"state {empty[0]} has an all-zero transition row")
-        # A block's row sums are those of each row alone: one pairwise sum each.
-        for pos in csr_row_blocks(indptr):
-            block = probs[pos]
-            probs[pos] = block / block.sum(axis=1, keepdims=True)
-        return TransitionTable(indptr, self.supergraph.indices[keep], probs)
+        violations = row_violations(self)
+        if violations:
+            raise ContractViolation(f"invalid instance: {violations[0]}")
+        return TransitionTable(indptr, indices, probs)
 
     @cached_property
     def in_edge_probs(self) -> np.ndarray:
-        """The table's probability on every supergraph edge in transpose
-        order (t's in-edges at ``colptr[t]:colptr[t + 1]``): 0.0 where Q is
-        not positive. A read-only float64 array, built on the column
-        channel's first use; the channel converts the slice it reads."""
-        probs = np.zeros(self.q_values.size)
-        probs[self.q_values > 0] = self.transitions.probs
-        probs = probs[self.supergraph.transpose[1]]
+        """``q_values`` gathered in transpose order: Q's entries on t's
+        in-edges at ``colptr[t]:colptr[t + 1]``, 0.0 on a zero edge. A
+        read-only float64 array, built on the column channel's first use,
+        after :attr:`transitions`, so it refuses every row the table
+        refuses; the channel converts the slice it reads."""
+        self.transitions  # the table's refusals come first
+        probs = self.q_values[self.supergraph.transpose[1]]
         probs.setflags(write=False)
         return probs
 
@@ -381,27 +389,37 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
+def row_violations(instance: ProblemInstance) -> list:
+    """The rows of Q that are no probability distribution, in O(nnz + S):
+    a row sum off 1 by more than ``ROW_SUM_TOL``, then an entry below 0 or
+    above 1, each a :class:`Violation` naming its place."""
+    rows, cols, values = instance.q_entries()
+    row_sums = np.bincount(rows, weights=values, minlength=instance.S)
+    out = [
+        Violation("row_sum", (int(s),), f"row sums to {float(row_sums[s])!r}")
+        for s in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
+    ]
+    for kind, bad in (("negative_entry", values < 0), ("entry_above_one", values > 1)):
+        out += [Violation(kind, (int(rows[i]), int(cols[i])), f"Q entry {float(values[i])!r}") for i in np.flatnonzero(bad)]
+    return out
+
+
 def validate_instance(instance: ProblemInstance) -> list:
     """Check every instance invariant; return [] iff all hold.
 
     Validation never raises: callers get the full list of problems, each
-    naming the invariant and the offending index pair. O(nnz + S).
-    Absolute continuity is not checked here: the instance stores Q on its
-    supergraph's edges, so it holds by construction.
+    naming the invariant and the offending index pair. O(nnz + S): the
+    discount, Q's rows (:func:`row_violations`, the rule every sampler's
+    table applies too) and the cost's signs. Absolute continuity is not
+    checked here: the instance stores Q on its supergraph's edges, so it
+    holds by construction.
     """
     out = []
-    S, cost = instance.S, instance.cost
     if not (0.0 < instance.alpha < 1.0):
         out.append(Violation("discount_domain", (), f"alpha={instance.alpha} not in (0,1)"))
-
-    rows, cols, values = instance.q_entries()
-    row_sums = np.bincount(rows, weights=values, minlength=S)
-    for s in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        out.append(Violation("row_sum", (int(s),), f"row sums to {float(row_sums[s])!r}"))
-    for i in np.flatnonzero(values < 0):
-        out.append(Violation("negative_entry", (int(rows[i]), int(cols[i])), f"Q entry {float(values[i])!r}"))
-    for s in np.flatnonzero(cost < 0):
-        out.append(Violation("negative_cost", (int(s),), f"cost entry {float(cost[s])!r}"))
+    out += row_violations(instance)
+    for s in np.flatnonzero(instance.cost < 0):
+        out.append(Violation("negative_cost", (int(s),), f"cost entry {float(instance.cost[s])!r}"))
     return out
 
 
@@ -593,13 +611,16 @@ def check_discount(alpha) -> float:
 
 def check_state(states, S: int, batch: bool = False):
     """A state index, an integer (numpy's too, not a bool) in [0, S), as an int; with ``batch``,
-    an int64 array of them, of any dtype if empty (``np.asarray([])`` is float64). A list's or
-    tuple's entries are checked one by one, since ``np.asarray`` reads a bool among ints as an int."""
+    a one-dimensional int64 array of them, of any dtype if empty (``np.asarray([])`` is float64).
+    A list's or tuple's entries are checked one by one, since ``np.asarray`` reads a bool among
+    ints as an int."""
     if batch:
         entries = states if isinstance(states, (list, tuple)) else ()
         states = np.asarray(states)
         integral = all(type(s) is int or isinstance(s, np.integer) for s in entries)
-        if states.size and (not integral or states.dtype.kind not in "iu" or states.min() < 0 or states.max() >= S):
+        if states.ndim != 1 or states.size and (
+            not integral or states.dtype.kind not in "iu" or states.min() < 0 or states.max() >= S
+        ):
             raise ContractViolation(f"state index out of range in batch: each must be an integer in [0, {S})")
         return states.astype(np.int64, copy=False)
     if type(states) is not int and not isinstance(states, np.integer) or not 0 <= states < S:

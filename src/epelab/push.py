@@ -220,13 +220,14 @@ class _MaxResidualHeap:
     float depends on when it runs.
     """
 
-    def __init__(self, residual: list, floor: float):
+    def __init__(self, residual: list, floor: float, above: list):
+        """``above`` lists, ascending, every state whose residual is above ``floor``."""
         self._residual, self._floor = residual, floor
         self._heap: list = []
         self._pending: list = []
         self._group: list = []
         self._group_value = 0.0
-        self._refill([s for s, v in enumerate(residual) if v > floor])
+        self._refill(above)
 
     def _refill(self, states) -> None:
         """Set ``theta`` from the residuals of ``states`` (distinct), enter
@@ -348,16 +349,17 @@ class CachedEmpiricalRows(_EmpiricalRows):
 class ExactRows:
     """Row source reading the instance's known transition matrix. Draws nothing.
 
-    ``columns[t]`` maps each s with a positive entry Q[s, t] to that raw
-    entry (not a renormalized row). The columns gather ``q_values`` through
-    the supergraph's transpose and drop the entries that are not positive,
-    so each column's rows ascend.
+    ``columns[t]`` maps each s with a positive entry Q[s, t] to that entry
+    as stored. The columns read the column channel's array,
+    :attr:`~epelab.model.ProblemInstance.in_edge_probs`, and drop the
+    entries that are not positive, so each column's rows ascend; an instance
+    whose transition table is refused is refused here too.
     """
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
-        colptr, order, sources = instance.supergraph.transpose
-        colptr, sources, values = colptr.tolist(), sources.tolist(), instance.q_values[order].tolist()
+        colptr, _, sources = instance.supergraph.transpose
+        colptr, sources, values = colptr.tolist(), sources.tolist(), instance.in_edge_probs.tolist()
         self.columns = [
             {s: q for s, q in zip(sources[lo:hi], values[lo:hi]) if q > 0.0} for lo, hi in zip(colptr, colptr[1:])
         ]
@@ -461,7 +463,7 @@ def run_push_loop(
     residual = cost.astype(float).tolist()
     negligible = NEGLIGIBLE_RESIDUAL * float(np.max(cost))
     floor = max(epsilon, negligible)
-    heap = _MaxResidualHeap(residual, floor)
+    heap = _MaxResidualHeap(residual, floor, np.flatnonzero(cost > floor).tolist())
     entries, pend, heappush = heap._heap, heap._pending.append, heapq.heappush
     records: list[PushRecord] = [] if trace else None
     cap = default_iteration_cap(cost, alpha, epsilon)
@@ -501,14 +503,13 @@ def run_push_loop(
             stop_reason = "dynamic"
             break
 
+    v_hat = np.array(v_hat, dtype=float)
+    residual = np.array(residual, dtype=float)
     if stop_reason is None:
         # Every residual is at or below the floor; name the first stop rule
         # it meets.
-        top = max(residual)
+        top = residual.max()
         stop_reason = "exhausted" if top <= 0.0 else "threshold" if top <= epsilon else "negligible"
-
-    v_hat = np.array(v_hat, dtype=float)
-    residual = np.array(residual, dtype=float)
     push_trace = None
     if trace:
         push_trace = PushTrace(

@@ -93,6 +93,9 @@ REFUSALS = (
         for value in (True, "0.1", None)
     ]
     + [(f"{arg}.state={v!r}", call, v, "^state index ") for arg, call in STATES for v in (2.5, True, "3", 30, -1)]
+    # A batch is one-dimensional, as a nested list or as an array.
+    + [(f"sample_next_batch.states={v!r}", lambda sampler, v: sampler.sample_next_batch(v), v, "^state index ")
+       for v in ([[0, 1]], np.array([[0, 1]]))]
 )
 
 

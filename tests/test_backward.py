@@ -240,8 +240,8 @@ class TestPushKernel:
         heaps = []
 
         class Recorded(push._MaxResidualHeap):
-            def __init__(self, residual, floor):
-                super().__init__(residual, floor)
+            def __init__(self, *args):
+                super().__init__(*args)
                 heaps.append(self)
 
         monkeypatch.setattr(push, "_MaxResidualHeap", Recorded)
@@ -399,10 +399,10 @@ class TestHeapBand:
         # selection; ``last`` is the heap made last.
         last = None
 
-        def __init__(self, residual, floor):
+        def __init__(self, *args):
             self.moved, self.refills, self.largest = 0, -1, 0
             type(self).last = self
-            super().__init__(residual, floor)
+            super().__init__(*args)
 
         def _refill(self, states):
             super()._refill(states)
@@ -635,6 +635,13 @@ class TestSupergraphBeyondSupport:
         assert t not in inst.transitions.row(s)[0].tolist()
         for name in ("indptr", "indices", "probs", "cum"):
             assert getattr(inst.transitions, name).tobytes() == getattr(base.transitions, name).tobytes()
+
+    def test_the_zero_edge_is_never_drawn(self, pair):
+        _, inst, s, t = pair
+        sampler = CountingSampler(inst, 8)
+        assert t not in sampler.sample_next_batch(np.full(10**5, s)).tolist()
+        assert t not in sampler.sample_empirical_row(s, 10**6)
+        assert all(sampler.sample_empirical_column(t, 10**4)[s] == 0.0 for _ in range(100))
 
     def test_estimates_land_within_epsilon_of_the_truth(self, pair):
         base, inst, _, t = pair

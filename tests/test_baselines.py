@@ -6,6 +6,7 @@ import pytest
 from epelab import (
     ContractViolation,
     CountingSampler,
+    Supergraph,
     approx_contributions,
     backward_epe,
     backward_epe_alternative,
@@ -65,18 +66,22 @@ class TestExactRows:
             assert all(type(q) is float for q in column.values())
 
     def test_default_in_neighbors_are_the_column_supports(self):
-        # One state's row carries a negative entry, stored in the instance
-        # but left out of every column.
+        # One state's row carries a zero edge, stored in the instance but
+        # left out of every column; a negative entry is refused.
         base = random_instance(S=15, p=3, alpha=0.5, seed="supp")
         Q = base.Q.copy()
-        Q[4, np.flatnonzero(Q[4] == 0)[0]] = -0.25
-        inst = instance_from(0.5, base.cost, Q)
+        mask = Q != 0
+        mask[4, np.flatnonzero(Q[4] == 0)[0]] = True
+        inst = instance_from(0.5, base.cost, Q, Supergraph.from_mask(mask))
         rows = ExactRows(inst)
         for t in range(15):
             column = rows.column(t)
             support = np.flatnonzero(Q[:, t] > 0).tolist()
             assert list(column) == support == base.supergraph.in_neighbors(t)
             assert [column[s] for s in support] == Q[support, t].tolist()
+        Q[4, np.flatnonzero(Q[4] == 0)[0]] = -0.25
+        with pytest.raises(ContractViolation, match=r"^invalid instance: row_sum at \(4,\): "):
+            ExactRows(instance_from(0.5, base.cost, Q))
 
 
 class TestBackwardAlternative:

@@ -874,11 +874,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--epsilon", "nan", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=nan,"),
-            ("--epsilon", "inf", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=inf,"),
-            ("--delta", "nan", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=0.1, delta=nan,"),
-            ("--c-inf", "inf", "need epsilon, delta, c_inf > 0 and finite, S >= 1, alpha in (0,1); got epsilon=0.1, delta=0.1, c_inf=inf,"),
-            ("--epsilon-abs", "nan", "need epsilon, epsilon_abs, delta > 0 and finite, S >= 1; got epsilon=0.1, epsilon_abs=nan,"),
+            ("--epsilon", "nan", "need epsilon, delta, c_inf > 0 and finite, alpha in (0,1); got epsilon=nan,"),
+            ("--epsilon", "inf", "need epsilon, delta, c_inf > 0 and finite, alpha in (0,1); got epsilon=inf,"),
+            ("--delta", "nan", "need epsilon, delta, c_inf > 0 and finite, alpha in (0,1); got epsilon=0.1, delta=nan,"),
+            ("--c-inf", "inf", "need epsilon, delta, c_inf > 0 and finite, alpha in (0,1); got epsilon=0.1, delta=0.1, c_inf=inf,"),
+            ("--epsilon-abs", "nan", "need epsilon, epsilon_abs, delta > 0 and finite; got epsilon=0.1, epsilon_abs=nan,"),
         ],
         ids=["epsilon-nan", "epsilon-inf", "delta-nan", "c_inf-inf", "epsilon_abs-nan"],
     )

@@ -498,12 +498,11 @@ class TestSupergraph:
 
 
 def searchsorted_reference(Q, states, u):
-    """Draws as the per-row CDF search computes them, row by row from Q."""
+    """Draws as the per-row CDF search computes them, row by row from Q's positive entries as stored."""
     out = np.empty(states.size, dtype=np.int64)
     for i, (s, x) in enumerate(zip(states, u)):
         idx = np.flatnonzero(Q[s] > 0)
-        probs = Q[s, idx] / Q[s, idx].sum()
-        cum = np.cumsum(probs)
+        cum = np.cumsum(Q[s, idx])
         cum[-1] = 1.0
         out[i] = idx[min(np.searchsorted(cum, x, side="right"), idx.size - 1)]
     return out
@@ -560,7 +559,7 @@ class TestTransitionTable:
         for s in range(mixed_rows.S):
             idx, probs = table.row(s)
             assert np.array_equal(idx, np.flatnonzero(mixed_rows.Q[s] > 0))
-            assert np.array_equal(probs, mixed_rows.Q[s, idx] / mixed_rows.Q[s, idx].sum())
+            assert np.array_equal(probs, mixed_rows.Q[s, idx])
             assert cum_row(table, s)[-1] == 1.0
         assert table.row(7)[0].tolist() == [7]
         assert table.row(11)[0].tolist() == [250]
@@ -610,7 +609,7 @@ class TestTransitionTable:
         for r in range(S):
             cols = rng.choice(S, size=min(r + 1, widest), replace=False)
             Q[r, cols] = rng.random(cols.size) + 0.01
-        inst = instance_from(0.5, np.ones(S), Q)
+        inst = instance_from(0.5, np.ones(S), Q / Q.sum(axis=1, keepdims=True))
         assert inst.transitions._passes == (widest - 1).bit_length()
         assert_boundary_draws_equal_reference(inst)
 
@@ -656,7 +655,8 @@ class TestTransitionTable:
                     q = rng.random(width)
                     if tiny_last:
                         q[-1] *= 1e-17
-                    cum = np.cumsum(q / q.sum())
+                    q /= q.sum()
+                    cum = np.cumsum(q)
                     if cum[-2 if tiny_last else -1] > 1.0:
                         rows.append(q)
                         break
@@ -727,7 +727,7 @@ class TestTransitionTable:
         assert "cum" not in vars(inst.transitions)
         forward_epe(CountingSampler(inst, 1), ForwardConfig(T=2, m=1))
         digest = hashlib.sha256(vars(inst.transitions)["cum"].tobytes()).hexdigest()
-        assert digest == "635dd36301ef5964f1e19d50ab430c8196f6d71aed741b830758b5398831c020"
+        assert digest == "d815a91edd02e616544ca16b9c747887cf2fbb0be213211517c64693c369b1c9"
 
     def test_table_is_read_only(self, mixed_rows):
         table = mixed_rows.transitions
@@ -743,16 +743,18 @@ class TestTransitionTable:
         S = 200
         Q = rng.random((S, S)) * (rng.random((S, S)) < 0.08)
         Q[5] = 0.0
-        Q[5, 17] = 0.3
-        Q[S - 1, :] = rng.random(S)  # a dense row, longer than a pairwise-sum block
-        Q[7, 3] = -0.25  # stored in the instance, left out of the table
-        inst = instance_from(0.5, np.ones(S), Q)
+        Q[5, 17] = 1.0
+        Q[S - 1, :] = rng.random(S)  # a dense row, the widest
+        Q /= Q.sum(axis=1, keepdims=True)
+        mask = Q != 0
+        mask[7, np.flatnonzero(Q[7] == 0)[0]] = True  # a zero edge, stored in the instance, left out of the table
+        inst = ProblemInstance.from_arrays(0.5, np.ones(S), Q, Supergraph.from_mask(mask))
         dense = inst.Q
         assert dense.tobytes() == Q.tobytes()
         rows = {}
         for s in range(S):
             idx = np.flatnonzero(dense[s] > 0)
-            rows[s] = dict(zip(idx.tolist(), (dense[s, idx] / dense[s, idx].sum()).tolist()))
+            rows[s] = dict(zip(idx.tolist(), dense[s, idx].tolist()))
         table = inst.transitions
         reference = TransitionTable.from_rows(S, rows)
         for name in ("indptr", "indices", "probs", "cum"):
@@ -772,6 +774,32 @@ class TestTransitionTable:
         assert [v.kind for v in validate_instance(inst)] == ["row_sum"]
         with pytest.raises(ContractViolation, match="^state 1 has an all-zero transition row$"):
             CountingSampler(inst, 0)
+
+    def test_a_generated_table_is_the_instance_arrays(self):
+        # Every edge of a generated instance carries a positive entry, so the
+        # table copies nothing: its arrays are the supergraph's and q_values.
+        inst = random_instance(S=300, p=10, alpha=0.9, seed="table")
+        table, sg = inst.transitions, inst.supergraph
+        assert np.shares_memory(table.indptr, sg.indptr)
+        assert np.shares_memory(table.indices, sg.indices)
+        assert np.shares_memory(table.probs, inst.q_values)
+
+    # Row 1 of [[0.5, 0.5], row]: short of 1, a negative entry on a sum of 1,
+    # and a point mass above 1 by less than ROW_SUM_TOL, which numpy's
+    # multinomial and binomial refuse as a probability.
+    NO_DISTRIBUTION = [
+        ([0.5, 0.25], r"row_sum at \(1,\): row sums to 0.75"),
+        ([1.25, -0.25], r"negative_entry at \(1, 1\): Q entry -0.25"),
+        ([0.0, 1 + 2**-44], rf"entry_above_one at \(1, 1\): Q entry {re.escape(repr(1 + 2**-44))}"),
+    ]
+
+    @pytest.mark.parametrize("row, message", NO_DISTRIBUTION, ids=[c[1].split()[0] for c in NO_DISTRIBUTION])
+    def test_a_row_that_is_no_distribution_is_refused_by_every_reader(self, row, message):
+        inst = instance_from(0.5, [1.0, 0.0], [[0.5, 0.5], row])
+        assert re.fullmatch(message, str(validate_instance(inst)[0]))
+        for read in (lambda: CountingSampler(inst, 0), lambda: approx_contributions(inst, 0.1, make_rng(0))):
+            with pytest.raises(ContractViolation, match=f"^invalid instance: {message}$"):
+                read()
 
 
 class TestSerialization:
@@ -884,6 +912,7 @@ class TestSerialization:
         ("q_values", [0.2, 0.3, 0.5, 0.5, 1.0], r"row_sum at \(0,\): row sums to 0.5$"),
         ("alpha", 1.5, r"discount_domain at \(\): alpha=1.5 not in \(0,1\)$"),
         ("q_values", [0.2, 0.8, 1.5, -0.5, 1.0], r"negative_entry at \(1, 2\): Q entry -0.5$"),
+        ("q_values", [0.2, 0.8, 0.5, 0.5, 1.0000000000005], r"entry_above_one at \(2, 0\): Q entry 1.0000000000005$"),
         ("cost", [1.0, -0.25, 0.0], r"negative_cost at \(1,\): cost entry -0.25$"),
     ]
 
